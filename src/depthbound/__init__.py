@@ -69,6 +69,7 @@ from .models import (
     OracleEstimate,
     SpectralLines,
     SpinHamiltonian,
+    ThermalEigensystem,
     build_tfim,
     dynamical_correlation,
     gibbs_state,
@@ -79,9 +80,11 @@ from .perturbative import (
     XiOperator,
     build_xi,
     chi2_B_correlator_lb,
+    chi2_E_eigenbasis,
     chi2_E_eigensum,
     chi2_E_spectral,
     chi2_general,
+    chi2_system,
     correlator_lb_value,
     f_beta_weight,
     lieb_R_map,
@@ -101,6 +104,8 @@ from .purification import (
     holevo_information,
     measurement_dilation,
     private_information,
+    projective_chi_B,
+    projective_chi_E,
     theorem_criterion,
 )
 from .states import (
@@ -145,15 +150,19 @@ __all__ = [
     "holevo_information",
     "measurement_dilation",
     "private_information",
+    "projective_chi_B",
+    "projective_chi_E",
     "theorem_criterion",
     # perturbative
     "Chi2Result",
     "XiOperator",
     "build_xi",
     "chi2_B_correlator_lb",
+    "chi2_E_eigenbasis",
     "chi2_E_eigensum",
     "chi2_E_spectral",
     "chi2_general",
+    "chi2_system",
     "correlator_lb_value",
     "f_beta_weight",
     "lieb_R_map",
@@ -169,6 +178,7 @@ __all__ = [
     "OracleEstimate",
     "SpectralLines",
     "SpinHamiltonian",
+    "ThermalEigensystem",
     "build_tfim",
     "dynamical_correlation",
     "gibbs_state",

@@ -43,19 +43,14 @@ from .fermion import (
     thermal_covariance,
     x_expectation,
 )
-from .models import SpinHamiltonian, build_tfim, gibbs_state
-from .perturbative import chi2_general, correlator_lb_value
-from .purification import (
-    MeasurementSpec,
-    apply_measurement,
-    canonical_purification,
-    holevo_information,
-)
+from .models import SpinHamiltonian, ThermalEigensystem, build_tfim, gibbs_state
+from .perturbative import chi2_E_eigenbasis, chi2_system, correlator_lb_value
+from .purification import MeasurementSpec, projective_chi_B, projective_chi_E
 from .states import (
     DENSE_QUBIT_CAP,
     NumericalConsistencyError,
     QubitGraph,
-    embed_operator,
+    entropy_from_spectrum,
     graph_distance,
     von_neumann_entropy,
 )
@@ -276,6 +271,16 @@ def _resolve_epsilon(opts: dict) -> tuple[float, float | None]:
     return float(eps), None
 
 
+def _check_values(opts: dict) -> None:
+    """Range checks on resolved options that need no model (exit 2)."""
+    if opts.get("beta", 0.0) < 0:
+        raise ConfigError("--beta must be non-negative")
+    if "beta-grid" in opts and min(_parse_grid(opts["beta-grid"])) < 0:
+        raise ConfigError("--beta-grid values must be non-negative")
+    if opts.get("model", "tfim") == "tfim" and opts.get("n", 2) < 2:
+        raise ConfigError("the tfim chain needs --n >= 2")
+
+
 def _threads(opts: dict) -> int:
     env = os.environ.get("DEPTHBOUND_THREADS")
     if env is not None:
@@ -302,6 +307,14 @@ def _require(condition: bool, message: str) -> None:
 
 def _center_site(n: int) -> int:
     return (n - 1) // 2
+
+
+def _probe_site(opts: dict, n: int) -> int:
+    """The measured site: --site, or the chain center; must lie on the chain."""
+    site = int(opts.get("site", _center_site(n)))
+    if not 0 <= site < n:
+        raise ConfigError(f"--site {site} lies outside the chain [0, {n})")
+    return site
 
 
 def _region_b_for_distance(n: int, x: int) -> tuple[int, ...]:
@@ -331,34 +344,49 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
     return SpinHamiltonian(int(n), terms)
 
 
-class _DenseContext:
-    """Per-(H, beta) dense pipeline shared across the x grid."""
+class _DenseModel:
+    """Model-level dense setup, built once before the beta tasks: one
+    eigendecomposition of H, and the probe as projectors (projective-x) or
+    as X_site in the eigenbasis (weak-x)."""
 
-    def __init__(self, ham: SpinHamiltonian, beta: float, measure: str, site: int, epsilon: float):
-        self.ham = ham
-        self.beta = beta
+    def __init__(self, ham: SpinHamiltonian, measure: str, site: int):
         self.measure = measure
         self.site = site
-        self.epsilon = epsilon
-        self.rho = gibbs_state(ham, beta)
-        self.psi = canonical_purification(self.rho)
+        self.eig = ThermalEigensystem.of(ham)
         if measure == "projective-x":
             self.spec = MeasurementSpec.projective(PAULI_X, (site,))
-            self.ensemble = apply_measurement(self.psi, self.spec)
-            self.chi_e = holevo_information(self.ensemble, self.psi.env_sites)
-            self.n_outcomes = self.spec.n_outcomes
         else:
-            self.chi_e = chi2_general(self.psi, PAULI_X, (site,), self.psi.env_sites).value
+            self.x_eig = self.eig.rotate(PAULI_X, (site,))
+
+
+class _DenseContext:
+    """Per-(H, beta) dense pipeline shared across the x grid.
+
+    chi_E and chi_B come from the Gibbs state on the system; the
+    purification routes they equal are cross-checked in the tests.
+    """
+
+    def __init__(self, model: _DenseModel, beta: float, epsilon: float):
+        self.model = model
+        self.beta = beta
+        self.epsilon = epsilon
+        self.rho = gibbs_state(model.eig, beta)
+        self.entropy = entropy_from_spectrum(model.eig.weights(beta))
+        if model.measure == "projective-x":
+            self.chi_e = projective_chi_E(self.rho, model.spec, entropy=self.entropy)
+            self.n_outcomes = model.spec.n_outcomes
+        else:
+            self.chi_e = chi2_E_eigenbasis(model.eig, beta, model.x_eig).value
             self.n_outcomes = 2
 
     def chi_b(self, region: tuple[int, ...]) -> float:
-        if self.measure == "projective-x":
-            return holevo_information(self.ensemble, region)
-        return chi2_general(self.psi, PAULI_X, (self.site,), region).value
+        if self.model.measure == "projective-x":
+            return projective_chi_B(self.rho, self.model.spec, region)
+        return chi2_system(self.rho, PAULI_X, (self.model.site,), region).value
 
     def verdict(self, chi_b: float, x_ab: int):
         criterion = chi_b - self.chi_e
-        if self.measure == "projective-x":
+        if self.model.measure == "projective-x":
             if self.epsilon == 0.0:
                 return exact_verdict(criterion, x_ab)
             return approx_verdict(criterion, x_ab, self.epsilon, d_aprime=self.n_outcomes)
@@ -490,22 +518,21 @@ def _sidecar(path: Path, opts: dict, elapsed: float, n_rows: int) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _scan_beta_task(opts, terms_raw, beta: float, xs: list[int], epsilon: float):
+def _scan_beta_task(
+    opts, dense: _DenseModel | None, site: int | None, beta: float, xs: list[int], epsilon: float
+):
     """Rows and per-row errors for one beta (deterministic inner order)."""
     backend = opts.get("backend", "dense")
     n = int(opts.get("n"))
     g = float(opts.get("g", 1.0))
-    site = int(opts.get("site", _center_site(n)))
-    measure = opts.get("measure", "weak-x")
     rows: list[list] = []
     errors: list[str | None] = []
     if backend == "dense":
-        ham = _build_hamiltonian(opts, terms_raw)
-        ctx = _DenseContext(ham, beta, measure, site, epsilon)
-        graph = QubitGraph.path(ham.n_sites)
+        ctx = _DenseContext(dense, beta, epsilon)
+        graph = QubitGraph.path(n)
         for x in xs:
             try:
-                region = _region_b_for_distance(ham.n_sites, x)
+                region = _region_b_for_distance(n, x)
                 x_ab = graph_distance(graph, (site,), region)
                 chi_b = ctx.chi_b(region)
                 verdict = ctx.verdict(chi_b, int(x_ab))
@@ -579,7 +606,7 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
             ham = _build_hamiltonian(opts, terms_raw)
             n = ham.n_sites
             g = float(opts.get("g", 0.0))
-            site = int(opts.get("site", _center_site(n)))
+            site = _probe_site(opts, n)
             measure = opts.get("measure", "projective-x")
             if "region-b" in opts:
                 region = _parse_sites(opts["region-b"])
@@ -591,12 +618,12 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
                 raise ConfigError("measured site must lie outside region B")
             graph = QubitGraph.path(n)
             x_ab = graph_distance(graph, (site,), region)
-            ctx = _DenseContext(ham, beta, measure, site, epsilon)
+            ctx = _DenseContext(_DenseModel(ham, measure, site), beta, epsilon)
             chi_b = ctx.chi_b(region)
             verdict = ctx.verdict(chi_b, int(x_ab))
             row = _row(beta, g, n, int(x_ab), chi_b, ctx.chi_e, verdict, backend)
             extras["s_b"] = float(von_neumann_entropy(ctx.rho.reduced(region)))
-            extras["s_abc"] = float(von_neumann_entropy(ctx.rho))
+            extras["s_abc"] = ctx.entropy
         else:
             n = opts.get("n")
             if n is None:
@@ -606,7 +633,7 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
             if g is None:
                 raise ConfigError("--g is required for the tfim model")
             g = float(g)
-            site = int(opts.get("site", _center_site(n)))
+            site = _probe_site(opts, n)
             if "x-grid" not in opts:
                 raise ConfigError("freefermion bound needs --x-grid with a single distance")
             x = _parse_grid(opts["x-grid"], integer=True)[0]
@@ -663,15 +690,20 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     xs = _parse_grid(opts["x-grid"], integer=True)
     start = time.perf_counter()
     workers = _threads(opts)
+    backend = opts.get("backend", "dense")
+    site = None if backend == "cft" else _probe_site(opts, int(opts["n"]))
+    dense = None
+    if backend == "dense":
+        dense = _DenseModel(_build_hamiltonian(opts, terms_raw), opts.get("measure", "weak-x"), site)
     tasks = [(beta, xs) for beta in betas]
     results = []
     if workers == 1:
         for beta, xgrid in tasks:
-            results.append(_scan_beta_task(opts, terms_raw, beta, xgrid, epsilon))
+            results.append(_scan_beta_task(opts, dense, site, beta, xgrid, epsilon))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda t: _scan_beta_task(opts, terms_raw, t[0], t[1], epsilon), tasks)
+                pool.map(lambda t: _scan_beta_task(opts, dense, site, t[0], t[1], epsilon), tasks)
             )
     rows: list[list] = []
     errors: list[str | None] = []
@@ -706,7 +738,7 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     k_eps = float(opts.get("k-eps", 1e-5))
     eps_approx = invert_k(k_eps, 2)
     gs = (0.5, 1.0, 1.5)
-    site = int(opts.get("site", _center_site(n)))
+    site = _probe_site(opts, n)
     start = time.perf_counter()
     workers = _threads(opts)
 
@@ -755,10 +787,11 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
 def _cmd_selftest(opts: dict) -> int:
     from .models import holevo_finite_difference
     from .fermion import MajoranaCovariance, gaussian_entropy, many_body_energies, pfaffian
-    from .perturbative import build_xi, chi2_E_eigensum, lieb_R_map, lieb_T_map
+    from .perturbative import chi2_E_eigensum, chi2_general, lieb_R_map, lieb_T_map
+    from .purification import canonical_purification
     from .bounds import g_func
     from .cft import alpha_delta, h_delta
-    from .states import DensityOperator, von_neumann_entropy
+    from .states import DensityOperator, embed_operator
 
     rng = np.random.default_rng(int(opts.get("seed", 0)))
     failures = 0
@@ -856,6 +889,7 @@ def main(argv: list[str] | None = None) -> int:
             _require(backend == "freefermion", "fig2 is a freefermion pipeline")
             opts.setdefault("model", "tfim")
         _check_capabilities(opts)
+        _check_values(opts)
         if args.command == "bound":
             return _cmd_bound(opts, terms_raw)
         if args.command == "scan":

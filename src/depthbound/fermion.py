@@ -342,24 +342,10 @@ def weak_x_lines(
     weight = np.clip(weight, 0.0, None)
     if group_atol is None:
         group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
-    order = np.argsort(freq)
-    freq = freq[order]
-    weight = weight[order]
-    # merge near-degenerate frequencies (weight-averaged representative)
-    edges = np.flatnonzero(np.diff(freq) > group_atol)
-    starts = np.concatenate([[0], edges + 1])
-    counts = np.diff(np.concatenate([starts, [freq.size]]))
-    merged_w = np.add.reduceat(weight, starts)
-    sum_fw = np.add.reduceat(freq * weight, starts)
-    sum_f = np.add.reduceat(freq, starts)
-    heavy = merged_w > 1e-300
-    merged_f = np.where(heavy, sum_fw / np.where(heavy, merged_w, 1.0), sum_f / counts)
-    return SpectralLines(merged_f, merged_w)
+    return SpectralLines.merged(freq, weight, group_atol)
 
 
 def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:
     """Environment coefficient χ⁽²⁾_E for a weak X_j measurement on the Gibbs
     chain, from the free-fermion spectral lines."""
-    lines = weak_x_lines(spectrum, beta, site)
-    inner = chi2_E_spectral(lines, beta)
-    return Chi2Result(inner.value, "E", "spectral")
+    return chi2_E_spectral(weak_x_lines(spectrum, beta, site), beta)

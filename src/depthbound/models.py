@@ -1,6 +1,6 @@
-"""Dense spin models: Pauli-term Hamiltonians, Gibbs states, dynamical
-correlation spectra, and the finite-difference oracle for the second-order
-Holevo coefficients.
+"""Dense spin models: Pauli-term Hamiltonians, their thermal eigensystems,
+Gibbs states, dynamical correlation spectra, and the finite-difference
+oracle for the second-order Holevo coefficients.
 
 The workhorse model is the open transverse-field Ising chain
 
@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from .states import (
     DENSE_QUBIT_CAP,
     DensityOperator,
-    embed_operator,
+    apply_on_sites,
 )
 from .purification import MeasurementSpec, apply_measurement, canonical_purification, holevo_information
 
@@ -29,6 +29,7 @@ __all__ = [
     "PAULI",
     "SpinHamiltonian",
     "build_tfim",
+    "ThermalEigensystem",
     "gibbs_state",
     "SpectralLines",
     "dynamical_correlation",
@@ -71,18 +72,31 @@ class SpinHamiltonian:
         return tuple(range(self.n_sites))
 
     def to_matrix(self) -> np.ndarray:
-        d = 2**self.n_sites
-        out = np.zeros((d, d), dtype=np.complex128)
-        register = self.sites
-        for coeff, ops in self.terms:
-            if not ops:
-                out += coeff * np.eye(d)
-                continue
-            local = PAULI[ops[0][1]]
-            for _, letter in ops[1:]:
-                local = np.kron(local, PAULI[letter])
-            out += coeff * embed_operator(local, tuple(s for s, _ in ops), register)
-        if float(np.max(np.abs(out.imag))) == 0.0:
+        """Dense matrix, built column-wise from bit masks.
+
+        A Pauli string maps basis state |j> to phase(j) |j XOR flip>, where
+        X and Y set the flip bits, Z and Y contribute (−1)^{bit}, and each Y
+        a factor i.  Real unless an odd number of Y letters survives.
+        """
+        n = self.n_sites
+        d = 2**n
+        cols = np.arange(d)
+        # bits[s] is the state of site s in every column; site 0 is the MSB.
+        bits = (cols[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1
+        n_y = [sum(letter == "Y" for _, letter in ops) for _, ops in self.terms]
+        out = np.zeros((d, d), dtype=np.complex128 if any(k % 2 for k in n_y) else np.float64)
+        flat = out.reshape(-1)
+        for (coeff, ops), k in zip(self.terms, n_y):
+            flip = 0
+            signs = np.ones(d)
+            for site, letter in ops:
+                if letter != "Z":
+                    flip |= 1 << (n - 1 - site)
+                if letter != "X":
+                    signs *= 1 - 2 * bits[site]
+            phase = (1, 1j, -1, -1j)[k % 4]
+            flat[(cols ^ flip) * d + cols] += (coeff * phase) * signs
+        if out.dtype == np.complex128 and float(np.max(np.abs(out.imag))) == 0.0:
             return np.ascontiguousarray(out.real)
         return out
 
@@ -99,36 +113,64 @@ def build_tfim(n: int, g: float) -> SpinHamiltonian:
     return SpinHamiltonian(n, tuple(terms))
 
 
+@dataclass(frozen=True)
+class ThermalEigensystem:
+    """Eigendecomposition H = V diag(energies) V† of a dense Hamiltonian.
+
+    Diagonalize once per model; the Gibbs weights, the Gibbs state and every
+    eigenbasis quantity then follow at any beta without another ``eigh``.
+    """
+
+    energies: np.ndarray
+    vectors: np.ndarray
+    sites: tuple[int, ...]
+
+    @classmethod
+    def of(cls, hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem) -> ThermalEigensystem:
+        """Diagonalize a Hamiltonian (an eigensystem is returned as is)."""
+        if isinstance(hamiltonian, ThermalEigensystem):
+            return hamiltonian
+        if isinstance(hamiltonian, SpinHamiltonian):
+            h, sites = hamiltonian.to_matrix(), hamiltonian.sites
+        else:
+            h = np.asarray(hamiltonian)
+            n = int(round(math.log2(h.shape[0])))
+            if h.shape != (2**n, 2**n):
+                raise ValueError("Hamiltonian dimension must be a power of two")
+            sites = tuple(range(n))
+        w, v = np.linalg.eigh(h)
+        return cls(w, v, sites)
+
+    def weights(self, beta: float) -> np.ndarray:
+        """Gibbs weights p_i = e^{−beta E_i}/Z, max-shift stabilized."""
+        if beta < 0:
+            raise ValueError("beta must be non-negative")
+        e = self.energies - self.energies.min()
+        logz = float(logsumexp(-beta * e))
+        return np.exp(-beta * e - logz)
+
+    def rotate(self, op: np.ndarray, op_sites: Sequence[int]) -> np.ndarray:
+        """V† (O ⊗ I) V for a local operator O on ``op_sites``."""
+        n = len(self.sites)
+        # The column index of V acts as n extra qubits behind the register.
+        columns = tuple(range(max(self.sites) + 1, max(self.sites) + 1 + n))
+        register = self.sites + columns
+        applied = apply_on_sites(self.vectors.reshape(-1), register, np.asarray(op), op_sites)
+        return self.vectors.conj().T @ applied.reshape(self.vectors.shape)
+
+
 def gibbs_state(
-    hamiltonian: SpinHamiltonian | np.ndarray,
-    beta: float,
-    *,
-    decomposition: tuple[np.ndarray, np.ndarray] | None = None,
+    hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem, beta: float
 ) -> DensityOperator:
     """rho = e^{−beta H}/Z via eigendecomposition with max-shift stabilization."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if isinstance(hamiltonian, SpinHamiltonian):
-        sites = hamiltonian.sites
-        h = hamiltonian.to_matrix()
-    else:
-        h = np.asarray(hamiltonian)
-        n = int(round(math.log2(h.shape[0])))
-        if h.shape != (2**n, 2**n):
-            raise ValueError("Hamiltonian dimension must be a power of two")
-        sites = tuple(range(n))
-    if decomposition is None:
-        w, v = np.linalg.eigh(h)
-    else:
-        w, v = decomposition
-    e = w - w.min()
-    logz = float(logsumexp(-beta * e))
-    p = np.exp(-beta * e - logz)
+    eig = ThermalEigensystem.of(hamiltonian)
+    p = eig.weights(beta)
+    v = eig.vectors
     mat = (v * p) @ v.conj().T
     tr = float(np.real(np.trace(mat)))
     if abs(tr - 1.0) > 1e-12:
         raise ValueError(f"Gibbs state trace deviates by {tr - 1.0}")
-    return DensityOperator(mat, sites, check=False)
+    return DensityOperator(mat, eig.sites, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +198,29 @@ class SpectralLines:
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def merged(cls, frequencies: np.ndarray, weights: np.ndarray, atol: float) -> "SpectralLines":
+        """Lines with near-degenerate frequencies merged.
+
+        After sorting, neighbours closer than ``atol`` fall into one group
+        (chains included); a group carries its total weight at the
+        weight-averaged frequency, or at the plain mean when its weight is
+        below 1e-300.
+        """
+        order = np.argsort(frequencies)
+        freq = np.asarray(frequencies, dtype=float)[order]
+        weight = np.asarray(weights, dtype=float)[order]
+        if freq.size == 0:
+            return cls(freq, weight)
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(freq) > atol) + 1])
+        counts = np.diff(np.concatenate([starts, [freq.size]]))
+        merged_w = np.add.reduceat(weight, starts)
+        sum_fw = np.add.reduceat(freq * weight, starts)
+        sum_f = np.add.reduceat(freq, starts)
+        heavy = merged_w > 1e-300
+        merged_f = np.where(heavy, sum_fw / np.where(heavy, merged_w, 1.0), sum_f / counts)
+        return cls(merged_f, merged_w)
+
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
@@ -166,28 +231,8 @@ class SpectralLines:
         return phases @ self.weights.astype(complex)
 
 
-def _merge_lines(freqs: np.ndarray, weights: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(freqs)
-    freqs = freqs[order]
-    weights = weights[order]
-    grouped_f: list[float] = []
-    grouped_w: list[float] = []
-    i = 0
-    n = freqs.size
-    while i < n:
-        j = i + 1
-        while j < n and freqs[j] - freqs[j - 1] <= atol:
-            j += 1
-        w = float(weights[i:j].sum())
-        f = float(np.average(freqs[i:j], weights=np.maximum(weights[i:j], 1e-300)))
-        grouped_f.append(f)
-        grouped_w.append(w)
-        i = j
-    return np.array(grouped_f), np.array(grouped_w)
-
-
 def dynamical_correlation(
-    hamiltonian: SpinHamiltonian | np.ndarray,
+    hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem,
     beta: float,
     observable: np.ndarray,
     *,
@@ -201,24 +246,21 @@ def dynamical_correlation(
     weights p_i |O_ij|², merged over near-degenerate frequencies, with <O>²
     subtracted from the omega=0 group (which stays non-negative).
     """
-    h = hamiltonian.to_matrix() if isinstance(hamiltonian, SpinHamiltonian) else np.asarray(hamiltonian)
-    obs = np.asarray(observable)
-    w, v = np.linalg.eigh(h)
-    e = w - w.min()
-    logz = float(logsumexp(-beta * e))
-    p = np.exp(-beta * e - logz)
-    o_t = v.conj().T @ obs @ v
+    eig = ThermalEigensystem.of(hamiltonian)
+    p = eig.weights(beta)
+    e = eig.energies
+    o_t = eig.vectors.conj().T @ np.asarray(observable) @ eig.vectors
     mean = float(np.real(np.sum(p * np.diagonal(o_t))))
-    abs2 = np.abs(o_t) ** 2
     omega = e[None, :] - e[:, None]
-    weights = p[:, None] * abs2
+    weights = p[:, None] * np.abs(o_t) ** 2
     freqs = omega.reshape(-1)
     wts = weights.reshape(-1)
     keep = wts > 1e-300
     freqs, wts = freqs[keep], wts[keep]
     if group_atol is None:
         group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freqs))) if freqs.size else 1.0)
-    freqs, wts = _merge_lines(freqs, wts, group_atol)
+    merged = SpectralLines.merged(freqs, wts, group_atol)
+    freqs, wts = merged.frequencies, merged.weights
     # Connected part: remove <O>² from the static group.
     zero_idx = int(np.argmin(np.abs(freqs))) if freqs.size else -1
     if zero_idx < 0 or abs(freqs[zero_idx]) > group_atol:

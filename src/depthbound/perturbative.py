@@ -7,6 +7,8 @@ routes:
 
 * ``chi2_general`` — the operator formula (1/2)(Tr[xi T_rho[xi]] − <O>²)
   on any purified state, valid for any region;
+* ``chi2_system`` — the same formula for a system region, evaluated on the
+  state's marginal with no purification;
 * ``chi2_E_eigensum`` — the environment coefficient of a Gibbs state from a
   dense eigendecomposition (normalized, connected form);
 * ``chi2_E_spectral`` — the same quantity as a weighted sum over spectral
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .states import (
     EIG_FLOOR,
@@ -38,6 +39,7 @@ from .states import (
     apply_on_sites,
     operator_norm,
 )
+from .models import SpinHamiltonian, ThermalEigensystem
 from .purification import PurifiedState
 
 __all__ = [
@@ -48,7 +50,9 @@ __all__ = [
     "lieb_R_map",
     "build_xi",
     "chi2_general",
+    "chi2_system",
     "chi2_E_eigensum",
+    "chi2_E_eigenbasis",
     "chi2_E_spectral",
     "chi2_B_correlator_lb",
 ]
@@ -72,7 +76,7 @@ class Chi2Result:
 
     value: float
     region: tuple[int, ...] | str
-    method: str  # general | eigensum | spectral | correlator-lower-bound
+    method: str  # general | system | eigensum | spectral | correlator-lower-bound
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +184,27 @@ def build_xi(
     dx = 2 ** len(region)
     lhs = applied.reshape((2,) * n).transpose(pos + rest).reshape(dx, -1)
     rhs = vec.tensor().transpose(pos + rest).reshape(dx, -1)
-    xi = lhs @ rhs.conj().T
+    xi = _hermitian_xi(lhs @ rhs.conj().T)
+    return XiOperator(xi, region, provenance=f"O on sites {tuple(obs_sites)}")
+
+
+def _hermitian_xi(xi: np.ndarray) -> np.ndarray:
     herm_err = float(np.max(np.abs(xi - xi.conj().T)))
     if herm_err > 1e-9:
         raise ValueError(f"xi not Hermitian (deviation {herm_err}); check region/support")
-    xi = 0.5 * (xi + xi.conj().T)
-    return XiOperator(xi, region, provenance=f"O on sites {tuple(obs_sites)}")
+    return 0.5 * (xi + xi.conj().T)
+
+
+def _check_observable_norm(observable: np.ndarray) -> None:
+    norm = operator_norm(np.asarray(observable))
+    if norm > 1.0 + 1e-10:
+        raise ValueError(f"observable norm {norm} exceeds 1")
+
+
+def _chi2_from_xi(xi: np.ndarray, sigma: DensityOperator | np.ndarray, mean: float) -> float:
+    """(1/2)(Tr[xi T_sigma[xi]] − <O>²)."""
+    quad = float(np.real(np.trace(xi @ lieb_T_map(sigma, xi))))
+    return 0.5 * (quad - mean * mean)
 
 
 def chi2_general(
@@ -195,17 +214,38 @@ def chi2_general(
     region: Sequence[int],
 ) -> Chi2Result:
     """chi2_X = (1/2)(Tr[xi^X T_{rho^X}[xi^X]] − <O>²) for any region X."""
-    norm = operator_norm(np.asarray(observable))
-    if norm > 1.0 + 1e-10:
-        raise ValueError(f"observable norm {norm} exceeds 1")
+    _check_observable_norm(observable)
     vec = psi.vector if isinstance(psi, PurifiedState) else psi
     xi = build_xi(vec, observable, obs_sites, region)
-    sigma = vec.reduced(tuple(region))
-    t_xi = lieb_T_map(sigma, xi.matrix)
     applied = apply_on_sites(vec.amplitudes, vec.sites, np.asarray(observable), tuple(obs_sites))
     mean = float(np.real(np.vdot(vec.amplitudes, applied)))
-    quad = float(np.real(np.trace(xi.matrix @ t_xi)))
-    return Chi2Result(0.5 * (quad - mean * mean), tuple(region), "general")
+    value = _chi2_from_xi(xi.matrix, vec.reduced(tuple(region)), mean)
+    return Chi2Result(value, tuple(region), "general")
+
+
+def chi2_system(
+    rho: DensityOperator,
+    observable: np.ndarray,
+    obs_sites: Sequence[int],
+    region: Sequence[int],
+) -> Chi2Result:
+    """chi2_X for a system region X, from the state without a purification.
+
+    Tracing the environment out of |psi><psi| leaves rho, so with A the
+    support of O and C the rest of the system, xi^X = Tr_{AC}[O_A rho] and
+    sigma_X = Tr_{AC} rho; both come from the marginal rho_{AX}.  Equals
+    :func:`chi2_general` on any purification of rho.
+    """
+    _check_observable_norm(observable)
+    obs_sites, region = tuple(obs_sites), tuple(region)
+    if set(region) & set(obs_sites):
+        raise ValueError("region must be disjoint from the observable support")
+    da, dx = 2 ** len(obs_sites), 2 ** len(region)
+    t = rho.reduced(obs_sites + region).matrix.reshape(da, dx, da, dx)
+    xi = _hermitian_xi(np.einsum("ac,ciaj->ij", np.asarray(observable), t))
+    sigma = np.einsum("aiaj->ij", t)
+    value = _chi2_from_xi(xi, sigma, float(np.real(np.trace(xi))))
+    return Chi2Result(value, region, "system")
 
 
 def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
@@ -220,23 +260,31 @@ def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
     return out
 
 
-def chi2_E_eigensum(hamiltonian, beta: float, observable: np.ndarray) -> Chi2Result:
+def chi2_E_eigensum(
+    hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem,
+    beta: float,
+    observable: np.ndarray,
+) -> Chi2Result:
     """Environment coefficient for a Gibbs state from dense diagonalization.
 
     chi2_E = (1/2)[ sum_ij p_i |O_ij|² f_beta(E_j−E_i) − (sum_i p_i O_ii)² ]
     with Gibbs weights p_i; the i=j kernel value is f(0)=1.
     """
-    h = hamiltonian.to_matrix() if hasattr(hamiltonian, "to_matrix") else np.asarray(hamiltonian)
+    eig = ThermalEigensystem.of(hamiltonian)
     obs = np.asarray(observable)
-    if h.shape != obs.shape:
+    if eig.vectors.shape != obs.shape:
         raise ValueError("H and O must act on the same space")
-    w, v = np.linalg.eigh(h)
-    e = w - w.min()
-    logz = float(logsumexp(-beta * e))
-    p = np.exp(-beta * e - logz)
-    o_t = v.conj().T @ obs @ v
-    mean = float(np.real(np.sum(p * np.diagonal(o_t))))
-    abs2 = np.abs(o_t) ** 2
+    return chi2_E_eigenbasis(eig, beta, eig.vectors.conj().T @ obs @ eig.vectors)
+
+
+def chi2_E_eigenbasis(eig: ThermalEigensystem, beta: float, o_eig: np.ndarray) -> Chi2Result:
+    """:func:`chi2_E_eigensum` for an observable already in the eigenbasis,
+    o_eig = V† O V (:meth:`ThermalEigensystem.rotate`), so that a beta grid
+    rotates O once."""
+    p = eig.weights(beta)
+    e = eig.energies
+    mean = float(np.real(np.sum(p * np.diagonal(o_eig))))
+    abs2 = np.abs(o_eig) ** 2
     total = 0.0
     d = e.size
     chunk = 512

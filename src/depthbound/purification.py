@@ -16,6 +16,11 @@ Two routes are implemented and cross-checked to 1e-9:
   S(B) + S(A''BC) − S(ABC) − S(A'B) involving system marginals and the
   channel's dilation, with the classical block structure evaluated exactly.
 
+For projective measurements ``projective_chi_B`` and ``projective_chi_E``
+evaluate both Holevo quantities from the state on the system alone, with no
+purification; they equal ``holevo_information`` on the measured
+purification.
+
 All quantities in nats.
 """
 
@@ -35,6 +40,7 @@ from .states import (
     NumericalConsistencyError,
     StateVector,
     apply_on_sites,
+    entropy_from_spectrum,
     mutual_information,
     von_neumann_entropy,
 )
@@ -49,6 +55,8 @@ __all__ = [
     "MeasuredEnsemble",
     "apply_measurement",
     "holevo_information",
+    "projective_chi_B",
+    "projective_chi_E",
     "PrivateInformation",
     "private_information",
     "IsometryChannel",
@@ -327,13 +335,85 @@ def apply_measurement(psi: PurifiedState | StateVector, m: MeasurementSpec) -> M
 def holevo_information(ensemble: MeasuredEnsemble, region: Iterable[int]) -> float:
     """chi = S(sum_a p_a rho^X_a) - sum_a p_a S(rho^X_a), in nats."""
     region = tuple(region)
-    reduced = [state.reduced(region) for state in ensemble.states]
-    mean = sum(p * r.matrix for p, r in zip(ensemble.probabilities, reduced))
-    mixed = DensityOperator(mean, region, check=False)
-    avg_entropy = sum(
-        p * von_neumann_entropy(r) for p, r in zip(ensemble.probabilities, reduced)
-    )
+    return _holevo(ensemble.probabilities, [state.reduced(region) for state in ensemble.states])
+
+
+def _holevo(probabilities: Sequence[float], reduced: Sequence[DensityOperator]) -> float:
+    mean = sum(p * r.matrix for p, r in zip(probabilities, reduced))
+    mixed = DensityOperator(mean, reduced[0].sites, check=False)
+    avg_entropy = sum(p * von_neumann_entropy(r) for p, r in zip(probabilities, reduced))
     return von_neumann_entropy(mixed) - avg_entropy
+
+
+# ---------------------------------------------------------------------------
+# Projective measurements evaluated on the system
+# ---------------------------------------------------------------------------
+
+
+def _projective_branches(
+    rho: DensityOperator, m: MeasurementSpec, keep: tuple[int, ...]
+) -> tuple[list[float], list[np.ndarray]]:
+    """Outcome probabilities and conditioned states of a projective ``m``.
+
+    Each state is (U_a† ⊗ I) rho_{A,keep} (U_a ⊗ I) / p_a, with U_a an
+    isometry onto the range of the projector Π_a, returned as a
+    (rank, d_keep, rank, d_keep) array.  Outcomes are pruned and
+    renormalized as in :func:`apply_measurement`.
+    """
+    da, dk = 2 ** len(m.sites), 2 ** len(keep)
+    t = rho.reduced(m.sites + keep).matrix.reshape(da, dk, da, dk)
+    branches = []
+    for f in m.operators:
+        w, v = np.linalg.eigh(f.real if not np.any(f.imag) else f)
+        if float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) > HERM_ATOL:
+            raise ValueError("the system-side route needs a projective measurement")
+        u = v[:, w > 0.5]
+        block = np.einsum("ak,aibj,bl->kilj", u.conj(), t, u, optimize=True)
+        p = float(np.real(np.einsum("kiki->", block)))
+        if p >= OUTCOME_PRUNE_TOL:
+            branches.append((p, block / p))
+    if not branches:
+        raise ValueError("all outcomes pruned; invalid measurement/state pair")
+    total = sum(p for p, _ in branches)
+    return [p / total for p, _ in branches], [state for _, state in branches]
+
+
+def projective_chi_B(rho: DensityOperator, m: MeasurementSpec, region: Iterable[int]) -> float:
+    """Holevo information of a projective measurement about a system region.
+
+    The B marginals of the conditioned states are Tr_{AC}[Π_a rho Π_a]/p_a,
+    so no purification is needed.  Equals :func:`holevo_information` on the
+    measured purification.
+    """
+    region = tuple(region)
+    if set(region) & set(m.sites):
+        raise ValueError("region must avoid the measured sites")
+    probs, states = _projective_branches(rho, m, region)
+    reduced = [DensityOperator(np.einsum("kikj->ij", s), region, check=False) for s in states]
+    return _holevo(probs, reduced)
+
+
+def projective_chi_E(
+    rho: DensityOperator, m: MeasurementSpec, *, entropy: float | None = None
+) -> float:
+    """Holevo information of a projective measurement about the purifying
+    environment, chi_E = S(rho) − Σ_a p_a S(Π_a rho Π_a / p_a).
+
+    A conditioned global state is pure, so its environment marginal has the
+    spectrum of Π_a rho Π_a / p_a; the environment's average state is
+    untouched by the measurement.  ``entropy`` is S(rho) when already known
+    (for a Gibbs state, from its weights).  Equals
+    :func:`holevo_information` on the environment of the canonical
+    purification.
+    """
+    rest = tuple(s for s in rho.sites if s not in set(m.sites))
+    probs, states = _projective_branches(rho, m, rest)
+    s_rho = von_neumann_entropy(rho) if entropy is None else entropy
+    conditioned = 0.0
+    for p, state in zip(probs, states):
+        d = state.shape[0] * state.shape[1]
+        conditioned += p * entropy_from_spectrum(np.linalg.eigvalsh(state.reshape(d, d)))
+    return s_rho - conditioned
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,21 @@ def test_bound_k_eps_is_inverted(capsys):
         ("fig2",),  # no --out
         ("scan", "--out", "/tmp/x.csv", "--n", "9", "--g", "1", "--beta", "1",
          "--x-grid", "1,2,x"),  # bad grid
+        ("bound", "--n", "6", "--g", "1.0", "--beta", "1.0", "--x-grid", "1",
+         "--site", "6"),  # dense probe off the chain
+        ("bound", "--n", "6", "--g", "1.0", "--beta", "1.0", "--region-b", "0",
+         "--site=-1"),  # negative probe site
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
+         "--x-grid", "3", "--site", "21"),  # freefermion probe off the chain
+        ("scan", "--out", "/tmp/x.csv", "--backend", "freefermion", "--n", "21", "--g", "1",
+         "--beta", "2", "--x-grid", "3", "--site", "30"),
+        ("bound", "--n", "6", "--g", "1.0", "--beta=-1", "--x-grid", "2"),  # dense beta < 0
+        ("bound", "--backend", "cft", "--beta=-1"),  # cft beta < 0
+        ("scan", "--out", "/tmp/x.csv", "--n", "6", "--g", "1", "--beta-grid=-1,1",
+         "--x-grid", "1"),  # dense beta grid < 0
+        ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta-grid=-1,1",
+         "--x-grid", "1"),  # cft beta grid < 0
+        ("bound", "--n", "1", "--g", "1.0", "--beta", "1.0", "--x-grid", "1"),  # tfim n < 2
     ],
 )
 def test_config_errors_exit_2(argv, capsys):

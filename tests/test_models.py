@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from depthbound.models import (
+    PAULI,
     SpectralLines,
     SpinHamiltonian,
+    ThermalEigensystem,
     build_tfim,
     dynamical_correlation,
     gibbs_state,
@@ -68,6 +72,41 @@ def test_hamiltonian_embedding_matches_kron():
     assert np.allclose(ham.to_matrix(), expected, atol=1e-14)
 
 
+def _kron_reference(ham):
+    """H assembled term by term from kron products and embed_operator."""
+    d = 2**ham.n_sites
+    out = np.zeros((d, d), dtype=np.complex128)
+    for coeff, ops in ham.terms:
+        if not ops:
+            out += coeff * np.eye(d)
+            continue
+        local = PAULI[ops[0][1]]
+        for _, letter in ops[1:]:
+            local = np.kron(local, PAULI[letter])
+        out += coeff * embed_operator(local, tuple(s for s, _ in ops), ham.sites)
+    if float(np.max(np.abs(out.imag))) == 0.0:
+        return np.ascontiguousarray(out.real)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_bitmask_matrix_equals_kron_build(seed):
+    """Random custom Hamiltonians up to six sites, with Y letters (complex H)
+    and identity terms, against the kron/embed_operator assembly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    terms = []
+    for _ in range(int(rng.integers(0, 9))):
+        sites = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        terms.append((float(rng.normal()), tuple((int(s), "XYZ"[rng.integers(3)]) for s in sites)))
+    ham = SpinHamiltonian(n, tuple(terms))
+    got = ham.to_matrix()
+    expected = _kron_reference(ham)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # Gibbs states
 # ---------------------------------------------------------------------------
@@ -115,9 +154,9 @@ def test_gibbs_rejects_negative_beta():
 
 def test_gibbs_with_precomputed_decomposition():
     ham = build_tfim(2, 0.6)
-    decomposition = np.linalg.eigh(ham.to_matrix())
+    w, v = np.linalg.eigh(ham.to_matrix())
     a = gibbs_state(ham, 1.7)
-    b = gibbs_state(ham, 1.7, decomposition=decomposition)
+    b = gibbs_state(ThermalEigensystem(w, v, ham.sites), 1.7)
     assert trace_distance(a, b) < 1e-14
 
 
@@ -187,6 +226,36 @@ def test_degenerate_frequencies_are_merged():
     # transitions only flip site 0: omega = ±2, plus the empty static group
     nonzero = lines.frequencies[lines.weights > 1e-14]
     assert np.allclose(np.sort(nonzero), [-2.0, 2.0], atol=1e-9)
+
+
+def _merge_lines_loop(freqs, weights, atol):
+    """Sequential grouping: sort, chain neighbours within atol, weight-average."""
+    order = np.argsort(freqs)
+    freqs, weights = freqs[order], weights[order]
+    out_f, out_w = [], []
+    i = 0
+    while i < freqs.size:
+        j = i + 1
+        while j < freqs.size and freqs[j] - freqs[j - 1] <= atol:
+            j += 1
+        out_w.append(float(weights[i:j].sum()))
+        out_f.append(float(np.average(freqs[i:j], weights=np.maximum(weights[i:j], 1e-300))))
+        i = j
+    return np.array(out_f), np.array(out_w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_merged_lines_match_sequential_merge(seed):
+    """Near-degenerate chains included; weights above 1e-300 as the callers keep them."""
+    rng = np.random.default_rng(seed)
+    base = rng.choice([-2.0, -0.5, 0.0, 0.7, 3.0], size=int(rng.integers(1, 60)))
+    freqs = base + rng.choice([0.0, 1e-12, 3e-11, 1e-3], size=base.size)
+    weights = rng.uniform(0.0, 1.0, size=base.size) + 1e-200
+    lines = SpectralLines.merged(freqs, weights, 1e-10)
+    ref_f, ref_w = _merge_lines_loop(freqs, weights, 1e-10)
+    np.testing.assert_allclose(lines.frequencies, ref_f, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(lines.weights, ref_w, rtol=1e-13, atol=0.0)
 
 
 def test_spectral_lines_validation_and_sampling():

@@ -1,0 +1,112 @@
+"""System-side chi_B / chi_E routes against the purification oracle.
+
+The dense CLI evaluates both Holevo quantities from the Gibbs state on the
+system.  Here every system-side route is compared with ``chi2_general`` and
+``holevo_information`` on the canonical purification.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depthbound.cli import PAULI_X, _DenseContext, _DenseModel
+from depthbound.models import SpinHamiltonian, ThermalEigensystem, gibbs_state
+from depthbound.perturbative import chi2_E_eigenbasis, chi2_general, chi2_system
+from depthbound.purification import (
+    MeasurementSpec,
+    apply_measurement,
+    canonical_purification,
+    holevo_information,
+    projective_chi_B,
+    projective_chi_E,
+)
+from depthbound.states import entropy_from_spectrum, operator_norm
+
+TOL = 1e-10
+Z = np.diag([1.0, -1.0])
+
+
+def _random_model(rng, n):
+    letters = "XYZ"
+    terms = [(float(rng.uniform(-1, 1)), ((s, letters[rng.integers(3)]),)) for s in range(n)]
+    for s in range(n - 1):
+        pair = ((s, letters[rng.integers(3)]), (s + 1, letters[rng.integers(3)]))
+        terms.append((float(rng.uniform(-1, 1)), pair))
+    return SpinHamiltonian(n, tuple(terms))
+
+
+def _random_observable(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = a + a.conj().T
+    return h / operator_norm(h)
+
+
+def _case(seed):
+    """Random model, Gibbs state, probe site and a region B in random order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    ham = _random_model(rng, n)
+    beta = float(rng.uniform(0.2, 3.0))
+    site = int(rng.integers(n))
+    others = [s for s in range(n) if s != site]
+    region = tuple(int(s) for s in rng.choice(others, size=int(rng.integers(1, n)), replace=False))
+    eig = ThermalEigensystem.of(ham)
+    rho = gibbs_state(eig, beta)
+    return rng, ham, eig, beta, rho, canonical_purification(rho), site, region
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_weak_routes_equal_purification(seed):
+    rng, _, eig, beta, rho, psi, site, region = _case(seed)
+    obs = _random_observable(rng)
+    chi_b = chi2_system(rho, obs, (site,), region).value
+    assert abs(chi_b - chi2_general(psi, obs, (site,), region).value) < TOL
+    chi_e = chi2_E_eigenbasis(eig, beta, eig.rotate(obs, (site,))).value
+    assert abs(chi_e - chi2_general(psi, obs, (site,), psi.env_sites).value) < TOL
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_projective_routes_equal_purification(seed):
+    rng, _, eig, beta, rho, psi, site, region = _case(seed)
+    spec = MeasurementSpec.projective(_random_observable(rng), (site,))
+    ens = apply_measurement(psi, spec)
+    assert abs(projective_chi_B(rho, spec, region) - holevo_information(ens, region)) < TOL
+    chi_e = holevo_information(ens, psi.env_sites)
+    assert abs(projective_chi_E(rho, spec) - chi_e) < TOL
+    entropy = entropy_from_spectrum(eig.weights(beta))
+    assert abs(projective_chi_E(rho, spec, entropy=entropy) - chi_e) < TOL
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_rank_two_projectors_equal_purification(seed):
+    """Z⊗Z on two sites has degenerate outcomes: rank-2 projectors."""
+    rng = np.random.default_rng(seed)
+    ham = _random_model(rng, 4)
+    beta = float(rng.uniform(0.2, 3.0))
+    rho = gibbs_state(ham, beta)
+    psi = canonical_purification(rho)
+    spec = MeasurementSpec.projective(np.kron(Z, Z), (3, 1))
+    ens = apply_measurement(psi, spec)
+    assert spec.n_outcomes == 2
+    assert abs(projective_chi_B(rho, spec, (2, 0)) - holevo_information(ens, (2, 0))) < TOL
+    assert abs(projective_chi_E(rho, spec) - holevo_information(ens, psi.env_sites)) < TOL
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(("weak-x", "projective-x")))
+def test_cli_dense_context_equals_purification(seed, measure):
+    """The CLI's per-beta context, with its X probe, on a non-prefix region."""
+    _, ham, _, beta, _, psi, site, region = _case(seed)
+    ctx = _DenseContext(_DenseModel(ham, measure, site), beta, 0.0)
+    if measure == "weak-x":
+        chi_b = chi2_general(psi, PAULI_X, (site,), region).value
+        chi_e = chi2_general(psi, PAULI_X, (site,), psi.env_sites).value
+    else:
+        ens = apply_measurement(psi, MeasurementSpec.projective(PAULI_X, (site,)))
+        chi_b = holevo_information(ens, region)
+        chi_e = holevo_information(ens, psi.env_sites)
+    assert abs(ctx.chi_b(region) - chi_b) < TOL
+    assert abs(ctx.chi_e - chi_e) < TOL
