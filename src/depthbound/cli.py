@@ -277,6 +277,11 @@ def _check_values(opts: dict) -> None:
         raise ConfigError("--beta must be non-negative")
     if "beta-grid" in opts and min(_parse_grid(opts["beta-grid"])) < 0:
         raise ConfigError("--beta-grid values must be non-negative")
+    if opts.get("backend") == "cft":
+        # The continuum forms are written in the temperature 1/beta.
+        betas = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else []
+        if opts.get("beta") == 0 or 0 in betas:
+            raise ConfigError("cft backend needs beta > 0")
     if opts.get("model", "tfim") == "tfim" and opts.get("n", 2) < 2:
         raise ConfigError("the tfim chain needs --n >= 2")
 
@@ -341,7 +346,11 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
     n = opts.get("n")
     if n is None:
         n = 1 + max(site for _, ops in terms for site, _ in ops)
-    return SpinHamiltonian(int(n), terms)
+        _require(n <= DENSE_QUBIT_CAP, f"dense backend capped at {DENSE_QUBIT_CAP} sites")
+    try:
+        return SpinHamiltonian(int(n), terms)
+    except ValueError as exc:
+        raise ConfigError(f"custom model: {exc}") from None
 
 
 class _DenseModel:
@@ -518,17 +527,20 @@ def _sidecar(path: Path, opts: dict, elapsed: float, n_rows: int) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _scan_beta_task(
-    opts, dense: _DenseModel | None, site: int | None, beta: float, xs: list[int], epsilon: float
-):
-    """Rows and per-row errors for one beta (deterministic inner order)."""
+def _scan_beta_task(opts, model, site: int | None, beta: float, xs: list[int], epsilon: float):
+    """Rows and per-row errors for one beta (deterministic inner order).
+
+    ``model`` is the model-level setup built once per scan: a ``_DenseModel``
+    for the dense backend, a ``BogoliubovSpectrum`` for freefermion, and
+    None for cft.
+    """
     backend = opts.get("backend", "dense")
     n = int(opts.get("n"))
     g = float(opts.get("g", 1.0))
     rows: list[list] = []
     errors: list[str | None] = []
     if backend == "dense":
-        ctx = _DenseContext(dense, beta, epsilon)
+        ctx = _DenseContext(model, beta, epsilon)
         graph = QubitGraph.path(n)
         for x in xs:
             try:
@@ -542,8 +554,7 @@ def _scan_beta_task(
                 rows.append([beta, g, n, x] + [float("nan")] * 7 + [backend])
                 errors.append(str(exc))
     elif backend == "freefermion":
-        spectrum = bdg_diagonalize(n, g)
-        ctx = _FermionContext(spectrum, beta, site, epsilon)
+        ctx = _FermionContext(model, beta, site, epsilon)
         for x in xs:
             try:
                 _region_b_for_distance(n, x)
@@ -692,18 +703,20 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     workers = _threads(opts)
     backend = opts.get("backend", "dense")
     site = None if backend == "cft" else _probe_site(opts, int(opts["n"]))
-    dense = None
+    model = None
     if backend == "dense":
-        dense = _DenseModel(_build_hamiltonian(opts, terms_raw), opts.get("measure", "weak-x"), site)
+        model = _DenseModel(_build_hamiltonian(opts, terms_raw), opts.get("measure", "weak-x"), site)
+    elif backend == "freefermion":
+        model = bdg_diagonalize(int(opts["n"]), float(opts.get("g", 1.0)))
     tasks = [(beta, xs) for beta in betas]
     results = []
     if workers == 1:
         for beta, xgrid in tasks:
-            results.append(_scan_beta_task(opts, dense, site, beta, xgrid, epsilon))
+            results.append(_scan_beta_task(opts, model, site, beta, xgrid, epsilon))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda t: _scan_beta_task(opts, dense, site, t[0], t[1], epsilon), tasks)
+                pool.map(lambda t: _scan_beta_task(opts, model, site, t[0], t[1], epsilon), tasks)
             )
     rows: list[list] = []
     errors: list[str | None] = []

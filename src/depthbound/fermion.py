@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import schur
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf
 
 from .models import SpectralLines
 from .perturbative import Chi2Result, chi2_E_spectral
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 _ORTHO_ATOL = 1e-10
+_NORM_LIMIT = 1.0 + 1e-10
 
 
 def majorana_couplings(n: int, g: float) -> np.ndarray:
@@ -149,13 +152,31 @@ class MajoranaCovariance:
             raise ValueError("covariance must be even-dimensional and square")
         if float(np.max(np.abs(g + g.T))) > 1e-10:
             raise ValueError("covariance must be antisymmetric")
-        smax = float(np.linalg.norm(g, 2))
-        if smax > 1.0 + 1e-10:
-            raise ValueError(f"covariance singular value {smax} exceeds 1")
+        # The Cholesky test settles every valid Γ; only a Γ it cannot clear
+        # pays for the SVD, which then decides and words the error.
+        if not (np.isrealobj(g) and _norm_below(g, _NORM_LIMIT)):
+            smax = float(np.linalg.norm(g, 2))
+            if smax > _NORM_LIMIT:
+                raise ValueError(f"covariance singular value {smax} exceeds 1")
 
     @property
     def n_sites(self) -> int:
         return self.gamma.shape[0] // 2
+
+
+def _norm_below(gamma: np.ndarray, limit: float) -> bool:
+    """True when ‖Γ‖₂ < limit, shown by a Cholesky factorization of
+    limit² I − ΓᵀΓ: it exists exactly when that matrix is positive definite.
+
+    ΓᵀΓ is formed by a rank-k update (half the flops of a full product)
+    into one Fortran-ordered buffer that the factorization then overwrites.
+    """
+    a = np.asarray(gamma, dtype=np.float64)
+    buf = np.eye(a.shape[0], order="F")
+    # a.T is Fortran-ordered for a C-ordered a, so BLAS reads it in place.
+    buf = dsyrk(-1.0, a.T, beta=limit * limit, c=buf, lower=1, overwrite_c=1)
+    _, info = dpotrf(buf, lower=1, overwrite_a=1, clean=0)
+    return info == 0
 
 
 def thermal_covariance(spectrum: BogoliubovSpectrum, beta: float) -> MajoranaCovariance:

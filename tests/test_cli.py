@@ -2,10 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from depthbound import cli
 from depthbound.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 HEADER = "beta, g, n, x_ab, chi_B, chi_E, ratio, criterion, threshold, epsilon, depth_lb, backend"
 
@@ -122,6 +126,9 @@ def test_bound_k_eps_is_inverted(capsys):
         ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta-grid=-1,1",
          "--x-grid", "1"),  # cft beta grid < 0
         ("bound", "--n", "1", "--g", "1.0", "--beta", "1.0", "--x-grid", "1"),  # tfim n < 2
+        ("bound", "--backend", "cft", "--beta", "0"),  # cft divides by beta
+        ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta-grid", "0,1",
+         "--x-grid", "1"),  # cft beta grid with 0
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -267,6 +274,20 @@ def test_custom_model_terms(tmp_path, capsys):
     assert float(rows[0]["chi_B"]) > 0
 
 
+@pytest.mark.parametrize(
+    "run_keys, term, code, message",
+    [
+        ("n = 2\n", "Z0 Z3", 2, "config error: custom model: site 3 out of range"),
+        ("", "Z0 Z15", 3, "capability error: dense backend capped at 14 sites"),  # n from terms
+    ],
+)
+def test_custom_model_sites_checked(tmp_path, capsys, run_keys, term, code, message):
+    cfg = tmp_path / "custom.ini"
+    cfg.write_text(f"[run]\nmodel = custom\n{run_keys}beta = 1.0\n[terms]\nt1 = -1.0 {term}\n")
+    assert run("bound", "--config", str(cfg), "--region-b", "1", "--site", "0") == code
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fig2
 # ---------------------------------------------------------------------------
@@ -321,3 +342,55 @@ def test_selftest_passes(capsys):
     assert out.count("[PASS]") == 6
     assert "[FAIL]" not in out
     assert "6/6 suites passed" in out
+
+
+# ---------------------------------------------------------------------------
+# golden datasets and model-level setup
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_freefermion_matches_golden(tmp_path, threads):
+    out = tmp_path / "ff.csv"
+    assert run("scan", "--backend", "freefermion", "--n", "41", "--g", "1.0",
+               "--beta-grid", "1:10:3", "--x-grid", "1:19", "--threads", threads,
+               "--out", str(out)) == 0
+    assert out.read_bytes() == (GOLDEN / "ff_scan_n41.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fig2_matches_golden(tmp_path, threads):
+    stem = tmp_path / "f2"
+    assert run("fig2", "--n", "61", "--beta-grid", "10,20", "--x-grid", "1:20",
+               "--threads", threads, "--out", str(stem)) == 0
+    for panel in ("ratio", "depth"):
+        got = (tmp_path / f"f2_{panel}.csv").read_bytes()
+        assert got == (GOLDEN / f"fig2_n61_{panel}.csv").read_bytes()
+
+
+@pytest.fixture
+def bdg_calls(monkeypatch):
+    calls = []
+    original = cli.bdg_diagonalize
+
+    def counted(n, g):
+        calls.append((n, g))
+        return original(n, g)
+
+    monkeypatch.setattr(cli, "bdg_diagonalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_scan_freefermion_diagonalizes_once(tmp_path, bdg_calls, threads):
+    assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
+               "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
+               "--out", str(tmp_path / "s.csv")) == 0
+    assert bdg_calls == [(21, 1.0)]
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_fig2_diagonalizes_once_per_g(tmp_path, bdg_calls, threads):
+    assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
+               "--threads", threads, "--out", str(tmp_path / "f2")) == 0
+    assert sorted(bdg_calls) == [(21, 0.5), (21, 1.0), (21, 1.5)]

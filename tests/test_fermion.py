@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from depthbound.fermion import (
+    MajoranaCovariance,
+    _norm_below,
     bdg_diagonalize,
     chi2_E_quadratic,
     connected_xx,
@@ -98,6 +102,57 @@ def test_infinite_temperature_covariance_vanishes():
 def test_covariance_spectral_norm_bounded():
     cov = thermal_covariance(bdg_diagonalize(6, 1.0), 30.0)
     assert np.linalg.norm(cov.gamma, 2) <= 1.0 + 1e-10
+
+
+NORM_LIMIT = 1.0 + 1e-10
+
+
+def test_covariance_guard_rejects_scaled_thermal_gamma():
+    cov = thermal_covariance(bdg_diagonalize(41, 1.0), 50.0)
+    with pytest.raises(ValueError, match="singular value .* exceeds 1"):
+        MajoranaCovariance(1.001 * cov.gamma, cov.beta)
+
+
+def test_covariance_guard_sees_one_large_singular_value_in_small_entries():
+    """One 2x2 block of singular value 1 + 1e-9 spread over 200 Majoranas:
+    no entry is near 1, but the spectral norm exceeds the limit."""
+    dim = 200
+    o, _ = np.linalg.qr(RNG.normal(size=(dim, dim)))
+    s = 1.0 + 1e-9
+    gamma = s * (np.outer(o[:, 0], o[:, 1]) - np.outer(o[:, 1], o[:, 0]))
+    assert np.max(np.abs(gamma)) < 0.1
+    assert not _norm_below(gamma, NORM_LIMIT)
+    with pytest.raises(ValueError, match="singular value"):
+        MajoranaCovariance(gamma, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e3])
+def test_covariance_guard_clears_thermal_gamma_at_n301(beta):
+    """At beta = 1e3 every singular value is 1 to about 1e-14, well inside
+    the 1e-10 margin; the Cholesky test alone must clear it."""
+    cov = thermal_covariance(bdg_diagonalize(301, 1.0), beta)
+    assert _norm_below(cov.gamma, NORM_LIMIT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 40).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-12.5, -6.0),
+    above=st.booleans(),
+)
+@example(dim=8, seed=1, exponent=-10.7, above=False)  # s^2 inside (limit, limit^2)
+@example(dim=8, seed=1, exponent=-11.7, above=True)
+def test_cholesky_norm_verdict_matches_svd(dim, seed, exponent, above):
+    """Away from a +-1e-12 band around the limit, the Cholesky verdict on a
+    random antisymmetric matrix is the SVD verdict."""
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    a = a - a.T
+    target = NORM_LIMIT * (1.0 + (1.0 if above else -1.0) * 10.0**exponent)
+    gamma = a * (target / np.linalg.norm(a, 2))
+    smax = np.linalg.norm(gamma, 2)
+    assume(abs(smax - NORM_LIMIT) > 1e-12)
+    assert _norm_below(gamma, NORM_LIMIT) == (smax <= NORM_LIMIT)
 
 
 @pytest.mark.parametrize("site", [0, 2, 3])
