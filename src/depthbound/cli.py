@@ -76,6 +76,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 #: used only when translating lattice data into continuum parameters.
 LATTICE_VELOCITY = 2.0
 
+#: Scaling dimension of the probe in the cft backend's closed forms.
+CFT_DELTA = 1.0
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent configuration (exit code 2)."""
@@ -101,18 +104,20 @@ def _parse_grid(text: str, *, integer: bool = False) -> list[float] | list[int]:
     try:
         if ":" in text:
             parts = [float(p) for p in text.split(":")]
-            if len(parts) == 2:
-                start, stop, step = parts[0], parts[1], 1.0
-            elif len(parts) == 3:
-                start, stop, step = parts
-            else:
-                raise ValueError("too many ':' fields")
+        else:
+            parts = [float(p) for p in text.split(",") if p.strip()]
+        if not all(math.isfinite(p) for p in parts):
+            raise ValueError("grid values must be finite")
+        if ":" not in text:
+            values = parts
+        elif len(parts) > 3:
+            raise ValueError("too many ':' fields")
+        else:
+            start, stop, step = parts if len(parts) == 3 else (*parts, 1.0)
             if step <= 0 or stop < start:
                 raise ValueError("need start <= stop and step > 0")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             values = [start + i * step for i in range(count)]
-        else:
-            values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
             raise ValueError("empty grid")
     except ValueError as exc:
@@ -273,15 +278,26 @@ def _resolve_epsilon(opts: dict) -> tuple[float, float | None]:
 
 def _check_values(opts: dict) -> None:
     """Range checks on resolved options that need no model (exit 2)."""
-    if opts.get("beta", 0.0) < 0:
+    betas = [opts["beta"]] if "beta" in opts else []
+    if not all(math.isfinite(b) for b in betas):
+        raise ConfigError("--beta must be finite")
+    if any(b < 0 for b in betas):
         raise ConfigError("--beta must be non-negative")
-    if "beta-grid" in opts and min(_parse_grid(opts["beta-grid"])) < 0:
+    grid = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else []
+    if any(b < 0 for b in grid):
         raise ConfigError("--beta-grid values must be non-negative")
     if opts.get("backend") == "cft":
-        # The continuum forms are written in the temperature 1/beta.
-        betas = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else []
-        if opts.get("beta") == 0 or 0 in betas:
+        # The continuum forms are written in the temperature 1/beta, and they
+        # raise both 2 pi/beta and beta to the power 2 Delta.
+        if 0 in betas + grid:
             raise ConfigError("cft backend needs beta > 0")
+        limit = sys.float_info.max ** (0.5 / CFT_DELTA)
+        for beta in betas + grid:
+            if not (beta <= limit and 2.0 * math.pi / beta <= limit):
+                raise ConfigError(
+                    f"cft backend: beta = {beta:g} overflows the closed forms "
+                    f"(need {2.0 * math.pi / limit:.4g} <= beta <= {limit:.4g})"
+                )
     if opts.get("model", "tfim") == "tfim" and opts.get("n", 2) < 2:
         raise ConfigError("the tfim chain needs --n >= 2")
 
@@ -448,7 +464,7 @@ class _CftContext:
     def __init__(self, n: int, g: float, beta: float, epsilon: float):
         _require(abs(g - 1.0) < 1e-12, "cft backend is defined at the critical point g = 1")
         kappa_lat = _fit_lattice_kappa(n, g)
-        self.delta = 1.0
+        self.delta = CFT_DELTA
         self.kappa = kappa_lat / LATTICE_VELOCITY ** (2.0 * self.delta)
         self.beta = beta
         self.epsilon = epsilon

@@ -85,14 +85,24 @@ class BogoliubovSpectrum:
         err = float(np.max(np.abs(self.q @ self.q.T - np.eye(n2))))
         if err > _ORTHO_ATOL:
             raise ValueError(f"Q deviates from orthogonality by {err}")
-        t = np.zeros((n2, n2))
-        for k, e in enumerate(self.energies):
-            t[2 * k, 2 * k + 1] = e
-            t[2 * k + 1, 2 * k] = -e
-        recon = self.q @ t @ self.q.T
+        # T has mode blocks [[0, ε_k], [−ε_k, 0]], that is t_k = −ε_k.
+        recon = _times_mode_blocks(self.q, -self.energies) @ self.q.T
         rerr = float(np.max(np.abs(recon - self.couplings)))
         if rerr > _ORTHO_ATOL * max(1.0, float(np.max(np.abs(self.couplings)))):
             raise ValueError(f"spectrum does not reconstruct h (error {rerr})")
+
+
+def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Q times the block-diagonal matrix with 2×2 mode blocks [[0, −t_k], [t_k, 0]].
+
+    Each column of the product is one scaled column of Q, so it is formed as
+    a column swap-and-scale; a dense product would give the same bits, its
+    other terms being exact zeros.
+    """
+    b = np.empty_like(q)
+    b[:, 0::2] = q[:, 1::2] * t
+    b[:, 1::2] = -(q[:, 0::2] * t)
+    return b
 
 
 def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
@@ -184,13 +194,8 @@ def thermal_covariance(spectrum: BogoliubovSpectrum, beta: float) -> MajoranaCov
     with t_k = tanh(β ε_k / 2)."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    n = spectrum.n_modes
     tk = np.tanh(0.5 * beta * spectrum.energies)
-    gp = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        gp[2 * k, 2 * k + 1] = -tk[k]
-        gp[2 * k + 1, 2 * k] = tk[k]
-    gamma = spectrum.q @ gp @ spectrum.q.T
+    gamma = _times_mode_blocks(spectrum.q, tk) @ spectrum.q.T
     gamma = 0.5 * (gamma - gamma.T)
     return MajoranaCovariance(gamma, float(beta))
 

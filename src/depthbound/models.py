@@ -119,6 +119,9 @@ class ThermalEigensystem:
 
     Diagonalize once per model; the Gibbs weights, the Gibbs state and every
     eigenbasis quantity then follow at any beta without another ``eigh``.
+    An H that commutes with the global flip ∏X (the TFIM, or any model whose
+    terms each carry an even number of Z and Y letters) is diagonalized in
+    its two parity blocks of half the dimension.
     """
 
     energies: np.ndarray
@@ -138,7 +141,10 @@ class ThermalEigensystem:
             if h.shape != (2**n, 2**n):
                 raise ValueError("Hamiltonian dimension must be a power of two")
             sites = tuple(range(n))
-        w, v = np.linalg.eigh(h)
+        if h.shape[0] > 1 and np.array_equal(h, h[::-1, ::-1]):
+            w, v = _eigh_by_parity(h)
+        else:
+            w, v = np.linalg.eigh(h)
         return cls(w, v, sites)
 
     def weights(self, beta: float) -> np.ndarray:
@@ -157,6 +163,27 @@ class ThermalEigensystem:
         register = self.sites + columns
         applied = apply_on_sites(self.vectors.reshape(-1), register, np.asarray(op), op_sites)
         return self.vectors.conj().T @ applied.reshape(self.vectors.shape)
+
+
+def _eigh_by_parity(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a centrosymmetric Hermitian H, energies ascending.
+
+    With site 0 the most significant bit, ∏X is the exchange matrix J, and
+    H = JHJ makes H = [[A, C], [JCJ, JAJ]].  Its eigenvectors are
+    [x; ±Jx]/√2 for the eigenvectors x of the m×m blocks A ± CJ (m = d/2).
+    Both sectors are written into one d×d array in ascending-energy order.
+    """
+    m = h.shape[0] // 2
+    a, cj = h[:m, :m], h[:m, m:][:, ::-1]
+    (w_even, x_even), (w_odd, x_odd) = np.linalg.eigh(a + cj), np.linalg.eigh(a - cj)
+    energies = np.concatenate([w_even, w_odd])
+    order = np.argsort(energies, kind="stable")
+    vectors = np.empty(h.shape, dtype=x_even.dtype)
+    top, bottom = vectors[:m], vectors[m:]
+    np.take(np.concatenate([x_even, x_odd], axis=1), order, axis=1, out=top)
+    top *= math.sqrt(0.5)
+    np.multiply(top[::-1], np.where(order < m, 1.0, -1.0), out=bottom)
+    return energies[order], vectors
 
 
 def gibbs_state(

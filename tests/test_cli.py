@@ -129,6 +129,24 @@ def test_bound_k_eps_is_inverted(capsys):
         ("bound", "--backend", "cft", "--beta", "0"),  # cft divides by beta
         ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta-grid", "0,1",
          "--x-grid", "1"),  # cft beta grid with 0
+        ("bound", "--n", "6", "--g", "1.0", "--beta", "nan", "--x-grid", "2"),  # dense nan
+        ("bound", "--n", "6", "--g", "1.0", "--beta", "inf", "--x-grid", "2"),  # dense inf
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "nan",
+         "--x-grid", "3"),  # freefermion nan
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "inf",
+         "--x-grid", "3"),  # freefermion inf
+        ("bound", "--backend", "cft", "--beta", "nan"),  # cft nan
+        ("bound", "--backend", "cft", "--beta", "inf", "--x-grid", "1"),  # cft inf
+        ("scan", "--out", "/tmp/x.csv", "--backend", "freefermion", "--n", "21", "--g", "1",
+         "--beta-grid", "1,nan", "--x-grid", "3"),  # nan in a beta grid
+        ("scan", "--out", "/tmp/x.csv", "--n", "6", "--g", "1", "--beta-grid", "1:inf",
+         "--x-grid", "1"),  # unbounded beta range
+        ("bound", "--n", "6", "--g", "1.0", "--beta", "1.0", "--x-grid", "nan"),  # nan distance
+        ("bound", "--backend", "cft", "--beta", "1e-320"),  # 1/beta overflows
+        ("bound", "--backend", "cft", "--beta", "1e-200", "--x-grid", "1"),  # (pi T)^2 overflows
+        ("bound", "--backend", "cft", "--beta", "1e200", "--epsilon", "0.1"),  # beta^2 overflows
+        ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta-grid", "1e-200,1",
+         "--x-grid", "1"),  # cft beta grid with an overflowing value
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -366,6 +384,36 @@ def test_fig2_matches_golden(tmp_path, threads):
     for panel in ("ratio", "depth"):
         got = (tmp_path / f"f2_{panel}.csv").read_bytes()
         assert got == (GOLDEN / f"fig2_n61_{panel}.csv").read_bytes()
+
+
+def test_readme_cft_bound_matches_golden(tmp_path):
+    out = tmp_path / "cft.csv"
+    assert run("bound", "--backend", "cft", "--beta", "50", "--epsilon", "0", "--out", str(out)) == 0
+    assert out.read_bytes() == (GOLDEN / "bound_cft_beta50.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        # The README example (projective probe, the default measure).
+        ("bound_dense_n8.csv", ("--n", "8", "--g", "1.0", "--beta", "2.0", "--x-grid", "2")),
+        ("bound_dense_n11.csv", ("--n", "11", "--g", "1", "--beta", "2", "--x-grid", "2")),
+        ("bound_dense_n10.csv", ("--n", "10", "--g", "0.5", "--beta", "1", "--x-grid", "1")),
+        ("bound_dense_n9.csv", ("--n", "9", "--g", "1.5", "--beta", "4", "--x-grid", "3")),
+    ],
+)
+def test_dense_bound_matches_golden(tmp_path, golden, argv):
+    """Column by column to 1e-10: the last printed digits depend on how H
+    is diagonalized."""
+    out = tmp_path / "dense.csv"
+    assert run("bound", "--backend", "dense", "--measure", "projective-x", *argv,
+               "--out", str(out)) == 0
+    header, (got,) = parse_csv(out.read_text())
+    golden_header, (expected,) = parse_csv((GOLDEN / golden).read_text())
+    assert header == golden_header
+    assert got["backend"] == expected["backend"]
+    for column in header[:-1]:
+        assert float(got[column]) == pytest.approx(float(expected[column]), rel=0, abs=1e-10), column
 
 
 @pytest.fixture

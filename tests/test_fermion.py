@@ -104,6 +104,23 @@ def test_covariance_spectral_norm_bounded():
     assert np.linalg.norm(cov.gamma, 2) <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("g", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 10.0, 70.0])
+def test_covariance_equals_dense_block_product_bitwise(g, beta):
+    """Q Γ′ as a column swap-and-scale gives the bits of the dense product
+    with the block-diagonal Γ′: its other terms are exact zeros."""
+    spectrum = bdg_diagonalize(41, g)
+    tk = np.tanh(0.5 * beta * spectrum.energies)
+    gp = np.zeros((82, 82))
+    for k, t in enumerate(tk):
+        gp[2 * k, 2 * k + 1] = -t
+        gp[2 * k + 1, 2 * k] = t
+    gamma = spectrum.q @ gp @ spectrum.q.T
+    gamma = 0.5 * (gamma - gamma.T)
+    got = thermal_covariance(spectrum, beta).gamma
+    assert got.tobytes() == gamma.tobytes()
+
+
 NORM_LIMIT = 1.0 + 1e-10
 
 

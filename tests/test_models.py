@@ -161,6 +161,87 @@ def test_gibbs_with_precomputed_decomposition():
 
 
 # ---------------------------------------------------------------------------
+# Z2 parity blocks
+# ---------------------------------------------------------------------------
+
+
+def _parity_symmetric_model(rng):
+    """Random custom model whose terms each carry an even number of Z/Y
+    letters, so that H commutes with the global flip ∏X."""
+    n = int(rng.integers(1, 7))
+    terms = []
+    for _ in range(int(rng.integers(1, 9))):
+        sites = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        letters = ["XYZ"[rng.integers(3)] for _ in sites]
+        z_or_y = [i for i, letter in enumerate(letters) if letter != "X"]
+        if len(z_or_y) % 2:
+            letters[z_or_y[-1]] = "X"
+        terms.append((float(rng.normal()), tuple(zip((int(s) for s in sites), letters))))
+    if n >= 3 and rng.integers(2):
+        a, b, c = (int(s) for s in rng.choice(n, size=3, replace=False))
+        terms.append((float(rng.normal()), ((a, "X"), (b, "Y"), (c, "Z"))))  # complex H
+    return SpinHamiltonian(n, tuple(terms))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_parity_blocks_match_full_eigh(seed):
+    rng = np.random.default_rng(seed)
+    ham = _parity_symmetric_model(rng)
+    h = ham.to_matrix()
+    assert np.array_equal(h, h[::-1, ::-1])
+    eig = ThermalEigensystem.of(ham)
+    w, v = np.linalg.eigh(h)
+    e, vec = eig.energies, eig.vectors
+    assert vec.dtype == v.dtype
+    assert np.all(np.diff(e) >= 0)
+    assert np.max(np.abs(e - w)) < 1e-12
+    assert np.linalg.norm(h @ vec - vec * e) < 1e-12
+    assert np.linalg.norm(vec.conj().T @ vec - np.eye(len(w))) < 1e-12
+    beta = float(rng.uniform(0.0, 3.0))
+    got = gibbs_state(eig, beta).matrix
+    expected = gibbs_state(ThermalEigensystem(w, v, ham.sites), beta).matrix
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.fixture
+def eigh_dims(monkeypatch):
+    dims = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        dims.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return dims
+
+
+def test_tfim_is_diagonalized_in_two_parity_blocks(eigh_dims):
+    eig = ThermalEigensystem.of(build_tfim(6, 0.8))
+    assert eigh_dims == [32, 32]
+    assert eig.vectors.shape == (64, 64)
+
+
+def test_complex_parity_symmetric_model_uses_blocks(eigh_dims):
+    ham = SpinHamiltonian(3, ((0.7, ((0, "X"), (1, "Y"), (2, "Z"))), (-0.4, ((1, "X"),))))
+    eig = ThermalEigensystem.of(ham)
+    assert eigh_dims == [4, 4]
+    assert eig.vectors.dtype == np.complex128
+    h = ham.to_matrix()
+    assert np.linalg.norm(h @ eig.vectors - eig.vectors * eig.energies) < 1e-12
+
+
+def test_z_field_breaks_parity_and_keeps_full_eigh(eigh_dims):
+    tfim = build_tfim(6, 0.8)
+    ham = SpinHamiltonian(6, tfim.terms + ((0.3, ((2, "Z"),)),))
+    eig = ThermalEigensystem.of(ham)
+    assert eigh_dims == [64]
+    w, _ = np.linalg.eigh(ham.to_matrix())
+    assert np.max(np.abs(eig.energies - w)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # dynamical correlators
 # ---------------------------------------------------------------------------
 
