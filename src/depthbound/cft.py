@@ -100,12 +100,20 @@ def chi2_E_cft(p: CftParams) -> float:
     return p.kappa * alpha_delta(p.delta) * (math.pi * p.temperature) ** (2.0 * p.delta)
 
 
+def _log1m_exp(y: float) -> float:
+    """ln(1 − e^{−y}) for y > 0, accurate for small and large y alike
+    (Mächler, "Accurately computing log(1 − exp(−|a|))", 2012)."""
+    if y < math.log(2.0):
+        return math.log(-math.expm1(-y))
+    return math.log1p(-math.exp(-y))
+
+
 def _log_sinh_abs(y: float) -> float:
     """ln|sinh(y)| for y != 0, overflow-free."""
     ay = abs(float(y))
     if ay == 0.0:
         raise ValueError("sinh argument must be non-zero")
-    return ay + math.log1p(-math.exp(-2.0 * ay)) - math.log(2.0)
+    return ay + _log1m_exp(2.0 * ay) - math.log(2.0)
 
 
 def chi2_B_cft(p: CftParams, x1: float, x2: float) -> float:
@@ -149,7 +157,7 @@ def k2_cft(p: CftParams, x_ab: float) -> float:
         raise ValueError("the semi-infinite criterion needs T > 0")
     y = 2.0 * math.pi * p.temperature * x
     prefac = p.kappa * h_delta(p.delta) * (2.0 * math.pi * p.temperature) ** (2.0 * p.delta)
-    bracket = math.exp(-2.0 * p.delta * (y + math.log1p(-math.exp(-y)))) - 1.0
+    bracket = math.exp(-2.0 * p.delta * (y + _log1m_exp(y))) - 1.0
     return prefac * bracket
 
 
@@ -169,11 +177,17 @@ def depth_bound_cft(beta: float, epsilon: float, delta_min: float, c: float) -> 
     beta = float(beta)
     eps = float(epsilon)
     d = float(delta_min)
-    if beta <= 0 or eps < 0 or d <= 0:
-        raise ValueError("need beta > 0, epsilon >= 0, delta_min > 0")
+    if beta <= 0 or eps < 0 or d <= 0 or c <= 0:
+        raise ValueError("need beta > 0, epsilon >= 0, delta_min > 0, c > 0")
     if eps == 0.0:
         return beta * math.log(2.0) / (4.0 * math.pi)
-    inner = (1.0 + float(c) * beta ** (2.0 * d) * eps) ** (-1.0 / (2.0 * d))
+    # ln(1 + u) for u = c β^{2Δ} ε, from ln u so that u itself never overflows.
+    log_u = math.log(float(c)) + 2.0 * d * math.log(beta) + math.log(eps)
+    if log_u > 0:
+        log1p_u = log_u + math.log1p(math.exp(-log_u))
+    else:
+        log1p_u = math.log1p(math.exp(log_u))
+    inner = math.exp(-log1p_u / (2.0 * d))
     return beta / (4.0 * math.pi) * math.log1p(inner)
 
 

@@ -180,6 +180,28 @@ def _load_config_file(path: str) -> tuple[dict[str, str], dict[str, str]]:
     return flags, terms
 
 
+#: The options shared by every subcommand, as (name, type, choices, help).
+#: Each one is a long flag and a config-file key, parsed and checked alike.
+OPTIONS = (
+    ("model", str, ("tfim", "custom"), "Hamiltonian family"),
+    ("n", int, None, "number of chain sites"),
+    ("g", float, None, "transverse field strength"),
+    ("beta", float, None, "single inverse temperature"),
+    ("beta-grid", str, None, "inverse-temperature grid: a,b,c or start:stop[:step]"),
+    ("x-grid", str, None, "A-B distance grid (integers)"),
+    ("backend", str, ("dense", "freefermion", "cft"), "compute backend"),
+    ("measure", str, ("projective-x", "weak-x"), "measurement family"),
+    ("site", int, None, "measured site (default: chain center)"),
+    ("region-b", str, None, "explicit region-B site list (dense bound only)"),
+    ("epsilon", float, None, "preparation error epsilon"),
+    ("k-eps", float, None, "threshold k(eps); inverted to epsilon"),
+    ("out", str, None, "output file path (scan/fig2) or record destination"),
+    ("format", str, ("csv", "json"), "output format (default csv)"),
+    ("threads", int, None, "worker threads (default 1)"),
+    ("seed", int, None, "seed for randomized suites"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depthbound",
@@ -187,26 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="INI-style config file; flags override its keys")
-        p.add_argument("--model", choices=("tfim", "custom"), help="Hamiltonian family")
-        p.add_argument("--n", type=int, help="number of chain sites")
-        p.add_argument("--g", type=float, help="transverse field strength")
-        p.add_argument("--beta", type=float, help="single inverse temperature")
-        p.add_argument("--beta-grid", help="inverse-temperature grid: a,b,c or start:stop[:step]")
-        p.add_argument("--x-grid", help="A-B distance grid (integers)")
-        p.add_argument("--backend", choices=("dense", "freefermion", "cft"), help="compute backend")
-        p.add_argument("--measure", choices=("projective-x", "weak-x"), help="measurement family")
-        p.add_argument("--site", type=int, help="measured site (default: chain center)")
-        p.add_argument("--region-b", help="explicit region-B site list (dense bound only)")
-        p.add_argument("--epsilon", type=float, help="preparation error epsilon")
-        p.add_argument("--k-eps", type=float, help="threshold k(eps); inverted to epsilon")
-        p.add_argument("--out", help="output file path (scan/fig2) or record destination")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
-        p.add_argument("--seed", type=int, help="seed for randomized suites")
-
     for name, doc in (
         ("bound", "compute a single criterion/verdict record"),
         ("scan", "sweep a (beta, x) grid into a CSV dataset"),
@@ -214,48 +216,35 @@ def build_parser() -> argparse.ArgumentParser:
         ("selftest", "run condensed oracle and property suites"),
     ):
         p = sub.add_parser(name, help=doc)
-        add_common(p)
+        p.add_argument("--config", help="INI-style config file; flags override its keys")
+        for key, kind, choices, help_text in OPTIONS:
+            p.add_argument("--" + key, type=kind, choices=choices, help=help_text)
     return parser
 
 
 def _merged_options(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
-    """Merge config-file keys with CLI flags (flags win)."""
+    """Merge config-file keys with CLI flags (flags win); file values get the
+    flags' type and choices."""
     file_flags: dict[str, str] = {}
     terms: dict[str, str] = {}
     if args.config:
         file_flags, terms = _load_config_file(args.config)
-    known = {
-        "model": str,
-        "n": int,
-        "g": float,
-        "beta": float,
-        "beta-grid": str,
-        "x-grid": str,
-        "backend": str,
-        "measure": str,
-        "site": int,
-        "region-b": str,
-        "epsilon": float,
-        "k-eps": float,
-        "out": str,
-        "format": str,
-        "threads": int,
-        "seed": int,
-    }
-    merged: dict = {}
-    for key, caster in known.items():
-        if key in file_flags:
-            try:
-                merged[key] = caster(file_flags[key])
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: bad value {file_flags[key]!r}") from None
-    for key in known:
-        cli_value = getattr(args, key.replace("-", "_"), None)
-        if cli_value is not None:
-            merged[key] = cli_value
-    unknown = set(file_flags) - set(known)
+    unknown = set(file_flags) - {key for key, *_ in OPTIONS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    merged: dict = {}
+    for key, kind, choices, _ in OPTIONS:
+        if key in file_flags:
+            raw = file_flags[key]
+            try:
+                merged[key] = kind(raw)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
+            if choices is not None and merged[key] not in choices:
+                raise ConfigError(f"config key {key!r}: {raw!r} is not one of {', '.join(choices)}")
+        cli_value = getattr(args, key.replace("-", "_"))
+        if cli_value is not None:
+            merged[key] = cli_value
     return merged, terms
 
 
@@ -346,16 +335,21 @@ def _region_b_for_distance(n: int, x: int) -> tuple[int, ...]:
     return tuple(range(count))
 
 
+def _tfim_chain(opts: dict) -> tuple[int, float]:
+    """(n, g) of the tfim chain; both are required."""
+    n = opts.get("n")
+    if n is None:
+        raise ConfigError("--n is required for the tfim model")
+    g = opts.get("g")
+    if g is None:
+        raise ConfigError("--g is required for the tfim model")
+    return int(n), float(g)
+
+
 def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian:
     model = opts.get("model", "tfim")
     if model == "tfim":
-        n = opts.get("n")
-        if n is None:
-            raise ConfigError("--n is required for the tfim model")
-        g = opts.get("g")
-        if g is None:
-            raise ConfigError("--g is required for the tfim model")
-        return build_tfim(int(n), float(g))
+        return build_tfim(*_tfim_chain(opts))
     if not terms_raw:
         raise ConfigError("custom model needs a [terms] section in the config file")
     terms = _parse_terms(terms_raw)
@@ -369,76 +363,114 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
         raise ConfigError(f"custom model: {exc}") from None
 
 
-class _DenseModel:
-    """Model-level dense setup, built once before the beta tasks: one
-    eigendecomposition of H, and the probe as projectors (projective-x) or
-    as X_site in the eigenbasis (weak-x)."""
+# Each backend has a model, its beta-independent setup built once per command,
+# and a per-beta context made by ``model.context(beta, epsilon)``.  A model
+# carries the ``backend``, ``g`` and ``n`` columns of its rows; a context
+# carries ``beta``, ``chi_e``, ``at(x) -> (x_ab, chi_b)`` for a grid distance
+# x, and ``verdict(chi_b, x_ab)``.
 
-    def __init__(self, ham: SpinHamiltonian, measure: str, site: int):
+
+class _Context:
+    """Per-(model, beta) state shared across the x grid; the weak-x verdict."""
+
+    chi_e: float
+
+    def __init__(self, model, beta: float, epsilon: float):
+        self.model = model
+        self.beta = beta
+        self.epsilon = epsilon
+
+    def verdict(self, chi_b: float, x_ab):
+        return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
+
+
+class _DenseModel:
+    """Model-level dense setup: one eigendecomposition of H, and the probe
+    as projectors (projective-x) or as X_site in the eigenbasis (weak-x)."""
+
+    backend = "dense"
+
+    def __init__(self, ham: SpinHamiltonian, measure: str, site: int, g: float = 0.0):
         self.measure = measure
         self.site = site
+        self.g = g
+        self.n = ham.n_sites
+        self.graph = QubitGraph.path(self.n)
         self.eig = ThermalEigensystem.of(ham)
         if measure == "projective-x":
             self.spec = MeasurementSpec.projective(PAULI_X, (site,))
         else:
             self.x_eig = self.eig.rotate(PAULI_X, (site,))
 
+    def context(self, beta: float, epsilon: float) -> "_DenseContext":
+        return _DenseContext(self, beta, epsilon)
 
-class _DenseContext:
-    """Per-(H, beta) dense pipeline shared across the x grid.
+    def distance(self, region: tuple[int, ...]) -> int:
+        return int(graph_distance(self.graph, (self.site,), region))
 
-    chi_E and chi_B come from the Gibbs state on the system; the
-    purification routes they equal are cross-checked in the tests.
-    """
+
+class _DenseContext(_Context):
+    """chi_E and chi_B from the Gibbs state on the system; the purification
+    routes they equal are cross-checked in the tests."""
 
     def __init__(self, model: _DenseModel, beta: float, epsilon: float):
-        self.model = model
-        self.beta = beta
-        self.epsilon = epsilon
+        super().__init__(model, beta, epsilon)
         self.rho = gibbs_state(model.eig, beta)
         self.entropy = entropy_from_spectrum(model.eig.weights(beta))
         if model.measure == "projective-x":
             self.chi_e = projective_chi_E(self.rho, model.spec, entropy=self.entropy)
-            self.n_outcomes = model.spec.n_outcomes
         else:
             self.chi_e = chi2_E_eigenbasis(model.eig, beta, model.x_eig).value
-            self.n_outcomes = 2
 
     def chi_b(self, region: tuple[int, ...]) -> float:
         if self.model.measure == "projective-x":
             return projective_chi_B(self.rho, self.model.spec, region)
         return chi2_system(self.rho, PAULI_X, (self.model.site,), region).value
 
-    def verdict(self, chi_b: float, x_ab: int):
+    def at(self, x: int) -> tuple[int, float]:
+        region = _region_b_for_distance(self.model.n, x)
+        return self.model.distance(region), self.chi_b(region)
+
+    def verdict(self, chi_b: float, x_ab):
+        if self.model.measure == "weak-x":
+            return super().verdict(chi_b, x_ab)
         criterion = chi_b - self.chi_e
-        if self.model.measure == "projective-x":
-            if self.epsilon == 0.0:
-                return exact_verdict(criterion, x_ab)
-            return approx_verdict(criterion, x_ab, self.epsilon, d_aprime=self.n_outcomes)
-        return approx_verdict(criterion, x_ab, self.epsilon, weak=True)
+        if self.epsilon == 0.0:
+            return exact_verdict(criterion, x_ab)
+        return approx_verdict(criterion, x_ab, self.epsilon, d_aprime=self.model.spec.n_outcomes)
 
 
-class _FermionContext:
-    """Per-(n, g, beta) free-fermion pipeline shared across the x grid."""
+class _FermionModel:
+    """One Bogoliubov spectrum of the tfim chain, and the probe site."""
 
-    def __init__(self, spectrum, beta: float, site: int, epsilon: float):
-        self.spectrum = spectrum
-        self.beta = beta
+    backend = "freefermion"
+
+    def __init__(self, n: int, g: float, site: int):
+        self.n = n
+        self.g = g
         self.site = site
-        self.epsilon = epsilon
-        self.cov = thermal_covariance(spectrum, beta)
-        self.chi_e = chi2_E_quadratic(spectrum, beta, site).value
+        self.spectrum = bdg_diagonalize(n, g)
 
-    def chi_b(self, x: int) -> float:
-        j_b = self.site - x
+    def context(self, beta: float, epsilon: float) -> "_FermionContext":
+        return _FermionContext(self, beta, epsilon)
+
+
+class _FermionContext(_Context):
+    """chi_B is the correlator lower bound with the nearest site of region B."""
+
+    def __init__(self, model: _FermionModel, beta: float, epsilon: float):
+        super().__init__(model, beta, epsilon)
+        self.cov = thermal_covariance(model.spectrum, beta)
+        self.chi_e = chi2_E_quadratic(model.spectrum, beta, model.site).value
+
+    def at(self, x: int) -> tuple[int, float]:
+        _region_b_for_distance(self.model.n, x)  # x must leave region B a site
+        site = self.model.site
+        j_b = site - x
         if j_b < 0:
             raise ConfigError(f"x = {x} walks off the chain")
-        conn = connected_xx(self.cov, self.site, j_b)
-        mean_b = x_expectation(self.cov, j_b)
-        return correlator_lb_value(conn, mean_b)
-
-    def verdict(self, chi_b: float, x_ab: int):
-        return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
+        conn = connected_xx(self.cov, site, j_b)
+        return x, correlator_lb_value(conn, x_expectation(self.cov, j_b))
 
 
 _KAPPA_CACHE: dict[tuple[int, float], float] = {}
@@ -458,28 +490,46 @@ def _fit_lattice_kappa(n: int, g: float) -> float:
     return _KAPPA_CACHE[key]
 
 
-class _CftContext:
-    """Continuum closed forms (unit-velocity units) with a lattice-fitted amplitude."""
+class _CftModel:
+    """Continuum closed forms (unit-velocity units) with an amplitude fitted
+    from lattice data on an ``n_fit``-site chain; rows print n = 0."""
 
-    def __init__(self, n: int, g: float, beta: float, epsilon: float):
+    backend = "cft"
+    n = 0
+
+    def __init__(self, n_fit: int, g: float):
         _require(abs(g - 1.0) < 1e-12, "cft backend is defined at the critical point g = 1")
-        kappa_lat = _fit_lattice_kappa(n, g)
-        self.delta = CFT_DELTA
-        self.kappa = kappa_lat / LATTICE_VELOCITY ** (2.0 * self.delta)
-        self.beta = beta
-        self.epsilon = epsilon
-        self.params = CftParams(self.delta, self.kappa, 1.0 / beta)
+        self.g = g
+        self.kappa = _fit_lattice_kappa(n_fit, g) / LATTICE_VELOCITY ** (2.0 * CFT_DELTA)
+
+    def context(self, beta: float, epsilon: float) -> "_CftContext":
+        return _CftContext(self, beta, epsilon)
+
+
+class _CftContext(_Context):
+    def __init__(self, model: _CftModel, beta: float, epsilon: float):
+        super().__init__(model, beta, epsilon)
+        self.params = CftParams(CFT_DELTA, model.kappa, 1.0 / beta)
         self.chi_e = chi2_E_cft(self.params)
 
-    def chi_b(self, x: float) -> float:
-        return self.chi_e + k2_cft(self.params, float(x))
-
-    def verdict(self, chi_b: float, x_ab: float):
-        return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
+    def at(self, x: int) -> tuple[int, float]:
+        return x, self.chi_e + k2_cft(self.params, float(x))
 
     def depth_closed_form(self) -> float:
-        c = c_constant(self.delta, self.kappa)
-        return depth_bound_cft(self.beta, self.epsilon, self.delta, c)
+        c = c_constant(CFT_DELTA, self.model.kappa)
+        return depth_bound_cft(self.beta, self.epsilon, CFT_DELTA, c)
+
+
+def _build_model(opts: dict, terms_raw: dict[str, str], measure: str):
+    """The chosen backend's model; ``measure`` is the dense probe."""
+    backend = opts.get("backend", "dense")
+    if backend == "cft":
+        return _CftModel(int(opts.get("n", 301)), float(opts.get("g", 1.0)))
+    if backend == "freefermion":
+        n, g = _tfim_chain(opts)
+        return _FermionModel(n, g, _probe_site(opts, n))
+    ham = _build_hamiltonian(opts, terms_raw)
+    return _DenseModel(ham, measure, _probe_site(opts, ham.n_sites), float(opts.get("g", 0.0)))
 
 
 def _check_capabilities(opts: dict) -> None:
@@ -503,22 +553,47 @@ def _check_capabilities(opts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _row(beta, g, n, x_ab, chi_b, chi_e, verdict, backend) -> list:
-    ratio = chi_b / chi_e if chi_e > 0 else float("nan")
+def _row(ctx: _Context, x_ab, chi_b: float) -> list:
+    verdict = ctx.verdict(chi_b, x_ab)
+    ratio = chi_b / ctx.chi_e if ctx.chi_e > 0 else float("nan")
     return [
-        beta,
-        g,
-        n,
+        ctx.beta,
+        ctx.model.g,
+        ctx.model.n,
         x_ab,
         chi_b,
-        chi_e,
+        ctx.chi_e,
         ratio,
         verdict.criterion_value,
         verdict.threshold,
         verdict.epsilon,
         verdict.depth_lower_bound,
-        backend,
+        ctx.model.backend,
     ]
+
+
+def _beta_rows(model, beta: float, xs: list[int], epsilon: float):
+    """Rows and per-row errors for one beta (deterministic inner order);
+    a failed row keeps its grid x."""
+    ctx = model.context(beta, epsilon)
+    rows: list[list] = []
+    errors: list[str | None] = []
+    for x in xs:
+        try:
+            rows.append(_row(ctx, *ctx.at(x)))
+            errors.append(None)
+        except (ValueError, ConfigError) as exc:
+            rows.append([beta, model.g, model.n, x] + [float("nan")] * 7 + [model.backend])
+            errors.append(str(exc))
+    return rows, errors
+
+
+def _pool_map(workers: int, fn, items) -> list:
+    """``[fn(item) for item in items]``, on a thread pool when workers > 1."""
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _write_rows(path: Path, rows: list[list], errors: list[str | None]) -> None:
@@ -543,58 +618,6 @@ def _sidecar(path: Path, opts: dict, elapsed: float, n_rows: int) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _scan_beta_task(opts, model, site: int | None, beta: float, xs: list[int], epsilon: float):
-    """Rows and per-row errors for one beta (deterministic inner order).
-
-    ``model`` is the model-level setup built once per scan: a ``_DenseModel``
-    for the dense backend, a ``BogoliubovSpectrum`` for freefermion, and
-    None for cft.
-    """
-    backend = opts.get("backend", "dense")
-    n = int(opts.get("n"))
-    g = float(opts.get("g", 1.0))
-    rows: list[list] = []
-    errors: list[str | None] = []
-    if backend == "dense":
-        ctx = _DenseContext(model, beta, epsilon)
-        graph = QubitGraph.path(n)
-        for x in xs:
-            try:
-                region = _region_b_for_distance(n, x)
-                x_ab = graph_distance(graph, (site,), region)
-                chi_b = ctx.chi_b(region)
-                verdict = ctx.verdict(chi_b, int(x_ab))
-                rows.append(_row(beta, g, n, x, chi_b, ctx.chi_e, verdict, backend))
-                errors.append(None)
-            except (ValueError, ConfigError) as exc:
-                rows.append([beta, g, n, x] + [float("nan")] * 7 + [backend])
-                errors.append(str(exc))
-    elif backend == "freefermion":
-        ctx = _FermionContext(model, beta, site, epsilon)
-        for x in xs:
-            try:
-                _region_b_for_distance(n, x)
-                chi_b = ctx.chi_b(x)
-                verdict = ctx.verdict(chi_b, x)
-                rows.append(_row(beta, g, n, x, chi_b, ctx.chi_e, verdict, backend))
-                errors.append(None)
-            except (ValueError, ConfigError) as exc:
-                rows.append([beta, g, n, x] + [float("nan")] * 7 + [backend])
-                errors.append(str(exc))
-    else:
-        ctx = _CftContext(n, g, beta, epsilon)
-        for x in xs:
-            try:
-                chi_b = ctx.chi_b(x)
-                verdict = ctx.verdict(chi_b, float(x))
-                rows.append(_row(beta, g, 0, x, chi_b, ctx.chi_e, verdict, backend))
-                errors.append(None)
-            except (ValueError, ConfigError) as exc:
-                rows.append([beta, g, 0, x] + [float("nan")] * 7 + [backend])
-                errors.append(str(exc))
-    return rows, errors
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -604,71 +627,34 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
     backend = opts.get("backend", "dense")
     epsilon, k_eps = _resolve_epsilon(opts)
     start = time.perf_counter()
+    if "beta" not in opts:
+        raise ConfigError("--beta is required for bound")
+    xs = _parse_grid(opts["x-grid"], integer=True) if "x-grid" in opts else []
+    region = _parse_sites(opts["region-b"]) if backend == "dense" and "region-b" in opts else None
+    if backend == "dense" and region is None and not xs:
+        raise ConfigError("dense bound needs --region-b or --x-grid")
+    if backend == "freefermion" and not xs:
+        raise ConfigError("freefermion bound needs --x-grid with a single distance")
+    model = _build_model(opts, terms_raw, opts.get("measure", "projective-x"))
+    ctx = model.context(float(opts["beta"]), epsilon)
     extras: dict = {}
-    if backend == "cft":
-        n = int(opts.get("n", 301))
-        beta = opts.get("beta")
-        if beta is None:
-            raise ConfigError("--beta is required for bound")
-        ctx = _CftContext(n, float(opts.get("g", 1.0)), float(beta), epsilon)
-        xs = _parse_grid(opts["x-grid"], integer=True) if "x-grid" in opts else []
-        if xs:
-            x = float(xs[0])
-            chi_b = ctx.chi_b(x)
-            verdict = ctx.verdict(chi_b, x)
-            row = _row(float(beta), 1.0, 0, x, chi_b, ctx.chi_e, verdict, backend)
-        else:
-            depth = ctx.depth_closed_form()
-            row = [
-                float(beta), 1.0, 0, float("nan"), float("nan"), ctx.chi_e,
-                float("nan"), float("nan"), 12.0 * epsilon, epsilon, depth, backend,
-            ]
-        extras["kappa"] = ctx.kappa
+    if backend == "dense":
+        if region is None:
+            region = _region_b_for_distance(model.n, xs[0])
+        if model.site in region:
+            raise ConfigError("measured site must lie outside region B")
+        row = _row(ctx, model.distance(region), ctx.chi_b(region))
+        extras["s_b"] = float(von_neumann_entropy(ctx.rho.reduced(region)))
+        extras["s_abc"] = ctx.entropy
+    elif xs:
+        row = _row(ctx, *ctx.at(xs[0]))
     else:
-        beta = opts.get("beta")
-        if beta is None:
-            raise ConfigError("--beta is required for bound")
-        beta = float(beta)
-        if backend == "dense":
-            ham = _build_hamiltonian(opts, terms_raw)
-            n = ham.n_sites
-            g = float(opts.get("g", 0.0))
-            site = _probe_site(opts, n)
-            measure = opts.get("measure", "projective-x")
-            if "region-b" in opts:
-                region = _parse_sites(opts["region-b"])
-            elif "x-grid" in opts:
-                region = _region_b_for_distance(n, _parse_grid(opts["x-grid"], integer=True)[0])
-            else:
-                raise ConfigError("dense bound needs --region-b or --x-grid")
-            if site in region:
-                raise ConfigError("measured site must lie outside region B")
-            graph = QubitGraph.path(n)
-            x_ab = graph_distance(graph, (site,), region)
-            ctx = _DenseContext(_DenseModel(ham, measure, site), beta, epsilon)
-            chi_b = ctx.chi_b(region)
-            verdict = ctx.verdict(chi_b, int(x_ab))
-            row = _row(beta, g, n, int(x_ab), chi_b, ctx.chi_e, verdict, backend)
-            extras["s_b"] = float(von_neumann_entropy(ctx.rho.reduced(region)))
-            extras["s_abc"] = ctx.entropy
-        else:
-            n = opts.get("n")
-            if n is None:
-                raise ConfigError("--n is required for the tfim model")
-            n = int(n)
-            g = opts.get("g")
-            if g is None:
-                raise ConfigError("--g is required for the tfim model")
-            g = float(g)
-            site = _probe_site(opts, n)
-            if "x-grid" not in opts:
-                raise ConfigError("freefermion bound needs --x-grid with a single distance")
-            x = _parse_grid(opts["x-grid"], integer=True)[0]
-            spectrum = bdg_diagonalize(n, g)
-            ctx = _FermionContext(spectrum, beta, site, epsilon)
-            chi_b = ctx.chi_b(x)
-            verdict = ctx.verdict(chi_b, x)
-            row = _row(beta, g, n, x, chi_b, ctx.chi_e, verdict, backend)
+        row = [
+            ctx.beta, model.g, model.n, float("nan"), float("nan"), ctx.chi_e,
+            float("nan"), float("nan"), 12.0 * epsilon, epsilon, ctx.depth_closed_form(), backend,
+        ]
+    if backend == "cft":
+        extras["kappa"] = model.kappa
     elapsed = time.perf_counter() - start
     record = dict(zip(COLUMNS, row))
     record["wall_time_seconds"] = round(elapsed, 6)
@@ -717,28 +703,10 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     xs = _parse_grid(opts["x-grid"], integer=True)
     start = time.perf_counter()
     workers = _threads(opts)
-    backend = opts.get("backend", "dense")
-    site = None if backend == "cft" else _probe_site(opts, int(opts["n"]))
-    model = None
-    if backend == "dense":
-        model = _DenseModel(_build_hamiltonian(opts, terms_raw), opts.get("measure", "weak-x"), site)
-    elif backend == "freefermion":
-        model = bdg_diagonalize(int(opts["n"]), float(opts.get("g", 1.0)))
-    tasks = [(beta, xs) for beta in betas]
-    results = []
-    if workers == 1:
-        for beta, xgrid in tasks:
-            results.append(_scan_beta_task(opts, model, site, beta, xgrid, epsilon))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: _scan_beta_task(opts, model, site, t[0], t[1], epsilon), tasks)
-            )
-    rows: list[list] = []
-    errors: list[str | None] = []
-    for r, e in results:
-        rows.extend(r)
-        errors.extend(e)
+    model = _build_model(opts, terms_raw, opts.get("measure", "weak-x"))
+    results = _pool_map(workers, lambda beta: _beta_rows(model, beta, xs, epsilon), betas)
+    rows = [row for r, _ in results for row in r]
+    errors = [err for _, e in results for err in e]
     out = Path(opts["out"])
     fmt = opts.get("format", "csv")
     elapsed = time.perf_counter() - start
@@ -772,34 +740,22 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     workers = _threads(opts)
 
     def g_task(g: float):
-        spectrum = bdg_diagonalize(n, g)
+        model = _FermionModel(n, g, site)
         ratio_rows: list[list] = []
         depth_rows: list[list] = []
         for beta in betas:
-            ctx = _FermionContext(spectrum, beta, site, 0.0)
-            best = {0.0: 0, eps_approx: 0}
-            for x in xs:
-                try:
-                    _region_b_for_distance(n, x)
-                    chi_b = ctx.chi_b(x)
-                except (ValueError, ConfigError):
-                    continue
-                v0 = approx_verdict(chi_b - ctx.chi_e, x, 0.0, weak=True)
-                ratio_rows.append(_row(beta, g, n, x, chi_b, ctx.chi_e, v0, "freefermion"))
-                if v0.bound_active:
-                    best[0.0] = max(best[0.0], v0.depth_lower_bound)
-                va = approx_verdict(chi_b - ctx.chi_e, x, eps_approx, weak=True)
-                if va.bound_active:
-                    best[eps_approx] = max(best[eps_approx], va.depth_lower_bound)
-            for eps in (0.0, eps_approx):
-                depth_rows.append([beta, g, n, eps, best[eps], "freefermion"])
+            rows, errors = _beta_rows(model, beta, xs, 0.0)
+            rows = [row for row, err in zip(rows, errors) if err is None]
+            ratio_rows += rows
+            records = [dict(zip(COLUMNS, row)) for row in rows]
+            exact = [r["depth_lb"] for r in records]
+            approx = [approx_verdict(r["criterion"], r["x_ab"], eps_approx, weak=True).depth_lower_bound
+                      for r in records]
+            for eps, depths in ((0.0, exact), (eps_approx, approx)):
+                depth_rows.append([beta, g, n, eps, max(depths, default=0), model.backend])
         return ratio_rows, depth_rows
 
-    if workers == 1:
-        per_g = [g_task(g) for g in gs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_g = list(pool.map(g_task, gs))
+    per_g = _pool_map(workers, g_task, gs)
     ratio_rows = [row for rr, _ in per_g for row in rr]
     depth_rows = [row for _, dr in per_g for row in dr]
     stem = Path(opts["out"])

@@ -168,6 +168,35 @@ def test_depth_bound_consistent_with_k2_crossing(delta, epsilon):
     assert k2_cft(p, x_star) == pytest.approx(12.0 * epsilon, rel=1e-10)
 
 
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.5])
+def test_k2_small_argument_matches_series(delta):
+    """At y = 2 pi T x ~ 1e-10, ln(1 - e^{-y}) = ln y - y/2 + O(y^2)."""
+    kappa = 0.37
+    p = CftParams(delta, kappa, 1.0 / (2.0 * math.pi * 1e10))
+    y = 2.0 * math.pi * p.temperature * 1.0
+    prefac = kappa * h_delta(delta) * (2.0 * math.pi * p.temperature) ** (2.0 * delta)
+    series = prefac * (math.exp(-2.0 * delta * (y + math.log(y) - 0.5 * y)) - 1.0)
+    assert k2_cft(p, 1.0) == pytest.approx(series, rel=1e-12)
+
+
+def test_interval_formula_at_vanishing_temperature():
+    """sinh arguments far below 1e-16 still reach the zero-temperature form."""
+    delta, kappa = 1.0, 0.7
+    closed = chi2_B_zero_temperature(delta, kappa, 2.0, 9.0)
+    assert chi2_B_cft(CftParams(delta, kappa, 1e-20), 2.0, 9.0) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e100, 1.34e154, 1e300])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.5])
+def test_depth_bound_large_beta_limit(beta, delta):
+    """c beta^{2D} eps overflows a float here; the bound tends to
+    (c eps)^{-1/(2D)} / (4 pi), which is 1/(4 pi sqrt(c eps)) at D = 1."""
+    epsilon = 0.1
+    c = c_constant(delta, 0.37)
+    limit = (c * epsilon) ** (-1.0 / (2.0 * delta)) / (4.0 * math.pi)
+    assert depth_bound_cft(beta, epsilon, delta, c) == pytest.approx(limit, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # amplitude fits
 # ---------------------------------------------------------------------------

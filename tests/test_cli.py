@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from depthbound import cli
+from depthbound.cft import c_constant
 from depthbound.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +91,23 @@ def test_bound_k_eps_is_inverted(capsys):
     eps = float(rows[0]["epsilon"])
     assert eps == pytest.approx(1.46336337323e-7, rel=1e-6)
     assert float(rows[0]["threshold"]) == pytest.approx(12 * eps, rel=1e-9)
+
+
+def test_bound_cft_distance_far_below_beta(capsys):
+    """2 pi x / beta = 6e-100: ln(1 - e^{-y}) must not round to ln 0."""
+    assert run("bound", "--backend", "cft", "--beta", "1e100", "--x-grid", "1") == 0
+    _, (row,) = parse_csv(capsys.readouterr().out)
+    assert math.isfinite(float(row["chi_B"])) and float(row["chi_B"]) > 0
+
+
+def test_bound_cft_depth_at_largest_beta(capsys):
+    """c beta^2 eps overflows at the top of the accepted beta range; the
+    depth tends to 1/(4 pi sqrt(c eps)) there."""
+    assert run("bound", "--backend", "cft", "--beta", "1.34e154", "--epsilon", "0.1",
+               "--format", "json") == 0
+    record = json.loads(capsys.readouterr().out)
+    c = c_constant(1.0, record["kappa"])
+    assert record["depth_lb"] == pytest.approx(1.0 / (4.0 * math.pi * math.sqrt(0.1 * c)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +239,20 @@ def test_scan_cft_rows_use_n_zero(tmp_path):
     assert all(r["backend"] == "cft" for r in rows)
 
 
+def test_scan_dense_row_matches_bound_off_center(tmp_path, capsys):
+    """x_ab is the graph distance from the probe to region B, which exceeds
+    the grid x when the probe sits right of the center."""
+    args = ("--n", "6", "--g", "1", "--beta", "1", "--site", "4", "--measure", "weak-x")
+    out = tmp_path / "dense.csv"
+    assert run("scan", *args, "--x-grid", "1:2", "--out", str(out)) == 0
+    _, scan_rows = parse_csv(out.read_text())
+    assert [r["x_ab"] for r in scan_rows] == ["3", "4"]
+    for x, scan_row in zip((1, 2), scan_rows):
+        assert run("bound", *args, "--x-grid", str(x)) == 0
+        _, (bound_row,) = parse_csv(capsys.readouterr().out)
+        assert scan_row == bound_row
+
+
 def test_scan_json_format(tmp_path):
     out = tmp_path / "sweep.json"
     rc = run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
@@ -273,6 +305,17 @@ def test_config_file_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nn = 6\nbogus = 1\n")
     assert run("bound", "--config", str(cfg), "--beta", "1.0") == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("backend", "quantum"), ("measure", "strong"), ("format", "xml"), ("model", "ising"),
+])
+def test_config_file_values_checked_against_choices(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nn = 6\ng = 1.0\nbeta = 1.0\nx_grid = 2\n{key} = {value}\n"
+                   "[terms]\nt1 = -1.0 Z0 Z1\n")
+    assert run("bound", "--config", str(cfg)) == 2
+    assert f"config key {key!r}: {value!r} is not one of" in capsys.readouterr().err
 
 
 def test_config_file_missing(tmp_path):
@@ -442,3 +485,11 @@ def test_fig2_diagonalizes_once_per_g(tmp_path, bdg_calls, threads):
     assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
                "--threads", threads, "--out", str(tmp_path / "f2")) == 0
     assert sorted(bdg_calls) == [(21, 0.5), (21, 1.0), (21, 1.5)]
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
+    monkeypatch.setattr(cli, "_KAPPA_CACHE", {})
+    assert run("scan", "--backend", "cft", "--beta-grid", "10,20,30,40", "--x-grid", "1:3",
+               "--threads", threads, "--out", str(tmp_path / "c.csv")) == 0
+    assert bdg_calls == [(301, 1.0)]
