@@ -67,6 +67,7 @@ from .fermion import (
 )
 from .models import (
     OracleEstimate,
+    ParitySector,
     SpectralLines,
     SpinHamiltonian,
     ThermalEigensystem,
@@ -106,6 +107,7 @@ from .purification import (
     private_information,
     projective_chi_B,
     projective_chi_E,
+    projective_chi_E_factors,
     theorem_criterion,
 )
 from .states import (
@@ -152,6 +154,7 @@ __all__ = [
     "private_information",
     "projective_chi_B",
     "projective_chi_E",
+    "projective_chi_E_factors",
     "theorem_criterion",
     # perturbative
     "Chi2Result",
@@ -176,6 +179,7 @@ __all__ = [
     "k_func",
     # models
     "OracleEstimate",
+    "ParitySector",
     "SpectralLines",
     "SpinHamiltonian",
     "ThermalEigensystem",

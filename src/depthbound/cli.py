@@ -12,11 +12,11 @@ freefermion backend evaluates the weak-X second-order proxy at n ≈ 300;
 the cft backend evaluates the continuum closed forms (unit-velocity units),
 fitting the two-point amplitude from lattice data rather than hardcoding it.
 
-Exit codes: 0 success, 2 configuration error, 3 backend-capability error,
-4 numerical-consistency failure.  ``DEPTHBOUND_THREADS`` overrides
-``--threads``.  Output floats are printed with 12 significant digits and a
-fixed row order (beta outer, x inner), so identical configurations produce
-byte-identical files.
+Exit codes: 0 success, 2 configuration error, 3 backend-capability error
+(including running out of memory), 4 numerical-consistency failure.
+``DEPTHBOUND_THREADS`` overrides ``--threads``.  Output floats are printed
+with 12 significant digits and a fixed row order (beta outer, x inner), so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ from .fermion import (
     thermal_covariance,
     x_expectation,
 )
-from .models import SpinHamiltonian, ThermalEigensystem, build_tfim, gibbs_state
+from .models import SpinHamiltonian, ThermalEigensystem, build_tfim
 from .perturbative import chi2_E_eigenbasis, chi2_system, correlator_lb_value
-from .purification import MeasurementSpec, projective_chi_B, projective_chi_E
+from .purification import MeasurementSpec, projective_chi_B, projective_chi_E_factors
 from .states import (
     DENSE_QUBIT_CAP,
+    DensityOperator,
     NumericalConsistencyError,
     QubitGraph,
     entropy_from_spectrum,
@@ -248,6 +249,14 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
     return merged, terms
 
 
+def _epsilon_of_k(k_eps: float) -> float:
+    """The epsilon with k(epsilon) = k_eps for d_A' = 2 (a qubit flag)."""
+    top = k_func(1.0, 2)
+    if not 0 <= k_eps <= top:
+        raise ConfigError(f"--k-eps must lie in [0, k(1) = {top:.6g}]")
+    return float(invert_k(float(k_eps), 2))
+
+
 def _resolve_epsilon(opts: dict) -> tuple[float, float | None]:
     """Return (epsilon, k_eps or None), inverting --k-eps with d_A' = 2."""
     eps = opts.get("epsilon")
@@ -255,13 +264,11 @@ def _resolve_epsilon(opts: dict) -> tuple[float, float | None]:
     if eps is not None and k_eps is not None:
         raise ConfigError("give either --epsilon or --k-eps, not both")
     if k_eps is not None:
-        if k_eps < 0:
-            raise ConfigError("--k-eps must be non-negative")
-        return float(invert_k(float(k_eps), 2)), float(k_eps)
+        return _epsilon_of_k(k_eps), float(k_eps)
     if eps is None:
         return 0.0, None
-    if eps < 0:
-        raise ConfigError("--epsilon must be non-negative")
+    if not 0 <= eps <= 1:
+        raise ConfigError("--epsilon must lie in [0, 1]")
     return float(eps), None
 
 
@@ -386,7 +393,8 @@ class _Context:
 
 class _DenseModel:
     """Model-level dense setup: one eigendecomposition of H, and the probe
-    as projectors (projective-x) or as X_site in the eigenbasis (weak-x)."""
+    as projectors (projective-x) or as the blocks of X_site in the
+    eigenbasis, one per parity sector (weak-x)."""
 
     backend = "dense"
 
@@ -400,7 +408,7 @@ class _DenseModel:
         if measure == "projective-x":
             self.spec = MeasurementSpec.projective(PAULI_X, (site,))
         else:
-            self.x_eig = self.eig.rotate(PAULI_X, (site,))
+            self.x_blocks = self.eig.rotate_x(site)
 
     def context(self, beta: float, epsilon: float) -> "_DenseContext":
         return _DenseContext(self, beta, epsilon)
@@ -410,22 +418,31 @@ class _DenseModel:
 
 
 class _DenseContext(_Context):
-    """chi_E and chi_B from the Gibbs state on the system; the purification
-    routes they equal are cross-checked in the tests."""
+    """chi_E and chi_B from the eigensystem's sector blocks, with no Gibbs
+    state: chi_E from the Gibbs weights and the rotated or projected probe,
+    chi_B from the marginal on the probe site and region B.  The Gibbs-state
+    and purification routes they equal are cross-checked in the tests."""
 
     def __init__(self, model: _DenseModel, beta: float, epsilon: float):
         super().__init__(model, beta, epsilon)
-        self.rho = gibbs_state(model.eig, beta)
-        self.entropy = entropy_from_spectrum(model.eig.weights(beta))
+        eig = model.eig
+        self.entropy = entropy_from_spectrum(eig.weights(beta))
         if model.measure == "projective-x":
-            self.chi_e = projective_chi_E(self.rho, model.spec, entropy=self.entropy)
+            self.chi_e = projective_chi_E_factors(eig.projected_factors(beta, model.site), self.entropy)
         else:
-            self.chi_e = chi2_E_eigenbasis(model.eig, beta, model.x_eig).value
+            self.chi_e = chi2_E_eigenbasis(eig, beta, model.x_blocks).value
 
-    def chi_b(self, region: tuple[int, ...]) -> float:
+    def marginal(self, region: tuple[int, ...]) -> DensityOperator:
+        """The Gibbs marginal on the probe site followed by ``region``."""
+        return self.model.eig.marginal(self.beta, (self.model.site,) + region)
+
+    def chi_b(self, region: tuple[int, ...], rho: DensityOperator | None = None) -> float:
+        """chi_B of ``region`` from its :meth:`marginal` ``rho``, formed here
+        when not given."""
+        rho = self.marginal(region) if rho is None else rho
         if self.model.measure == "projective-x":
-            return projective_chi_B(self.rho, self.model.spec, region)
-        return chi2_system(self.rho, PAULI_X, (self.model.site,), region).value
+            return projective_chi_B(rho, self.model.spec, region)
+        return chi2_system(rho, PAULI_X, (self.model.site,), region).value
 
     def at(self, x: int) -> tuple[int, float]:
         region = _region_b_for_distance(self.model.n, x)
@@ -636,15 +653,22 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
     if backend == "freefermion" and not xs:
         raise ConfigError("freefermion bound needs --x-grid with a single distance")
     model = _build_model(opts, terms_raw, opts.get("measure", "projective-x"))
-    ctx = model.context(float(opts["beta"]), epsilon)
-    extras: dict = {}
     if backend == "dense":
         if region is None:
             region = _region_b_for_distance(model.n, xs[0])
+        if len(set(region)) != len(region):
+            raise ConfigError(f"--region-b {opts['region-b']!r} repeats a site")
+        for s in region:
+            if not 0 <= s < model.n:
+                raise ConfigError(f"--region-b site {s} lies outside the chain [0, {model.n})")
         if model.site in region:
             raise ConfigError("measured site must lie outside region B")
-        row = _row(ctx, model.distance(region), ctx.chi_b(region))
-        extras["s_b"] = float(von_neumann_entropy(ctx.rho.reduced(region)))
+    ctx = model.context(float(opts["beta"]), epsilon)
+    extras: dict = {}
+    if backend == "dense":
+        rho = ctx.marginal(region)
+        row = _row(ctx, model.distance(region), ctx.chi_b(region, rho))
+        extras["s_b"] = float(von_neumann_entropy(rho.reduced(region)))
         extras["s_abc"] = ctx.entropy
     elif xs:
         row = _row(ctx, *ctx.at(xs[0]))
@@ -732,8 +756,7 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     n = int(opts.get("n", 301))
     betas = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else [10.0 * i for i in range(1, 11)]
     xs = _parse_grid(opts["x-grid"], integer=True) if "x-grid" in opts else list(range(1, 61))
-    k_eps = float(opts.get("k-eps", 1e-5))
-    eps_approx = invert_k(k_eps, 2)
+    eps_approx = _epsilon_of_k(float(opts.get("k-eps", 1e-5)))
     gs = (0.5, 1.0, 1.5)
     site = _probe_site(opts, n)
     start = time.perf_counter()
@@ -770,7 +793,7 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
 
 
 def _cmd_selftest(opts: dict) -> int:
-    from .models import holevo_finite_difference
+    from .models import gibbs_state, holevo_finite_difference
     from .fermion import MajoranaCovariance, gaussian_entropy, many_body_energies, pfaffian
     from .perturbative import chi2_E_eigensum, chi2_general, lieb_R_map, lieb_T_map
     from .purification import canonical_purification
@@ -867,6 +890,7 @@ def _cmd_selftest(opts: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    opts: dict = {}
     try:
         opts, terms_raw = _merged_options(args)
         if args.command == "fig2":
@@ -891,6 +915,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalConsistencyError as exc:
         print(f"numerical-consistency failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        # The dense backend's arrays grow as 4^n; name the size that did not fit.
+        size = f" at n = {opts['n']}" if opts.get("n") is not None else ""
+        print(f"capability error: out of memory{size}; the dense backend needs O(4^n) memory",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ __all__ = [
     "PAULI",
     "SpinHamiltonian",
     "build_tfim",
+    "ParitySector",
     "ThermalEigensystem",
     "gibbs_state",
     "SpectralLines",
@@ -114,19 +115,76 @@ def build_tfim(n: int, g: float) -> SpinHamiltonian:
 
 
 @dataclass(frozen=True)
+class ParitySector:
+    """Eigenpairs of a Hamiltonian in one sector of the global flip ∏X.
+
+    ``sign`` is the sector's ∏X eigenvalue ±1; its basis states are
+    (|i⟩ + sign |d−1−i⟩)/√2 for i < m = d/2.  ``sign`` 0 marks the whole space
+    in the computational basis, for an H without the symmetry.  ``vectors``
+    holds the eigenvectors as columns in the sector's basis, in the order of
+    ``energies``.
+    """
+
+    sign: int
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def embed(self, block: np.ndarray) -> np.ndarray:
+        """The rows of a block in the sector's basis, written in the
+        computational basis: [x; sign·Jx]/√2 (x itself for sign 0)."""
+        if not self.sign:
+            return block
+        m = block.shape[0]
+        out = np.empty((2 * m,) + block.shape[1:], dtype=block.dtype)
+        np.multiply(block, math.sqrt(0.5), out=out[:m])
+        np.multiply(block[::-1], self.sign * math.sqrt(0.5), out=out[m:])
+        return out
+
+    def flip(self, position: int, n: int) -> tuple[np.ndarray, int]:
+        """X on the site at register ``position`` of ``n`` sites, as a signed
+        permutation of the sector's basis: X c = sign · c[perm].
+
+        X commutes with ∏X, so it maps each sector onto itself.  On site 0
+        (the most significant bit) of a parity sector it is sign·J, the
+        reversal i ↦ m−1−i; on any other site, or without sectors, it flips
+        the site's bit of the index.
+        """
+        index = np.arange(self.vectors.shape[0])
+        if self.sign and position == 0:
+            return index[::-1], self.sign
+        return index ^ (1 << (n - 1 - position)), 1
+
+
 class ThermalEigensystem:
     """Eigendecomposition H = V diag(energies) V† of a dense Hamiltonian.
 
     Diagonalize once per model; the Gibbs weights, the Gibbs state and every
     eigenbasis quantity then follow at any beta without another ``eigh``.
     An H that commutes with the global flip ∏X (the TFIM, or any model whose
-    terms each carry an even number of Z and Y letters) is diagonalized in
-    its two parity blocks of half the dimension.
+    terms each carry an even number of Z and Y letters) on n >= 2 sites is
+    diagonalized in its two parity sectors of half the dimension, and its
+    eigenvectors stay in those ``sectors`` as two m×m blocks (m = d/2).
+    :meth:`marginal`, :meth:`rotate_x` and :meth:`projected_factors` work
+    from the blocks and form no d×d state; ``vectors`` assembles the full V
+    on each access.  ``energies`` are ascending for a sectored H and in the
+    caller's order otherwise; ``vectors`` and :meth:`weights` follow them.
     """
 
-    energies: np.ndarray
-    vectors: np.ndarray
-    sites: tuple[int, ...]
+    def __init__(self, energies: np.ndarray, vectors: np.ndarray, sites: Sequence[int]):
+        """A full eigendecomposition in the computational basis (one sector)."""
+        self._set((ParitySector(0, np.asarray(energies), np.asarray(vectors)),), sites)
+
+    def _set(self, sectors: Sequence[ParitySector], sites: Sequence[int]) -> None:
+        self.sectors = tuple(sectors)
+        self.sites = tuple(sites)
+        energies = np.concatenate([s.energies for s in self.sectors])
+        rank = np.arange(energies.size)
+        if len(self.sectors) > 1:
+            order = np.argsort(energies, kind="stable")
+            energies, rank = energies[order], np.argsort(order)
+        self.energies = energies
+        # The positions in ``energies`` of each sector's eigenpairs.
+        self._columns = tuple(np.split(rank, np.cumsum([s.energies.size for s in self.sectors])[:-1]))
 
     @classmethod
     def of(cls, hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem) -> ThermalEigensystem:
@@ -141,11 +199,26 @@ class ThermalEigensystem:
             if h.shape != (2**n, 2**n):
                 raise ValueError("Hamiltonian dimension must be a power of two")
             sites = tuple(range(n))
-        if h.shape[0] > 1 and np.array_equal(h, h[::-1, ::-1]):
-            w, v = _eigh_by_parity(h)
-        else:
-            w, v = np.linalg.eigh(h)
+        # n >= 2: X on site 0 then pairs the basis states of each sector.
+        if h.shape[0] > 2 and np.array_equal(h, h[::-1, ::-1]):
+            blocks = _parity_blocks(h)
+            del h  # the blocks carry all of H; free it before the eigh
+            eig = cls.__new__(cls)
+            eig._set([ParitySector(sign, *np.linalg.eigh(block)) for sign, block in blocks], sites)
+            return eig
+        w, v = np.linalg.eigh(h)
         return cls(w, v, sites)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The full V, columns in the order of ``energies``."""
+        if len(self.sectors) == 1:
+            return self.sectors[0].vectors
+        d = self.energies.size
+        out = np.empty((d, d), dtype=np.result_type(*(s.vectors for s in self.sectors)))
+        for sector, cols in zip(self.sectors, self._columns):
+            out[:, cols] = sector.embed(sector.vectors)
+        return out
 
     def weights(self, beta: float) -> np.ndarray:
         """Gibbs weights p_i = e^{−beta E_i}/Z, max-shift stabilized."""
@@ -155,35 +228,90 @@ class ThermalEigensystem:
         logz = float(logsumexp(-beta * e))
         return np.exp(-beta * e - logz)
 
+    def sector_weights(self, beta: float) -> tuple[np.ndarray, ...]:
+        """:meth:`weights` split by sector, each in its sector's order."""
+        p = self.weights(beta)
+        return tuple(p[cols] for cols in self._columns)
+
     def rotate(self, op: np.ndarray, op_sites: Sequence[int]) -> np.ndarray:
         """V† (O ⊗ I) V for a local operator O on ``op_sites``."""
+        v = self.vectors
         n = len(self.sites)
         # The column index of V acts as n extra qubits behind the register.
         columns = tuple(range(max(self.sites) + 1, max(self.sites) + 1 + n))
         register = self.sites + columns
-        applied = apply_on_sites(self.vectors.reshape(-1), register, np.asarray(op), op_sites)
-        return self.vectors.conj().T @ applied.reshape(self.vectors.shape)
+        applied = apply_on_sites(v.reshape(-1), register, np.asarray(op), op_sites)
+        return v.conj().T @ applied.reshape(v.shape)
+
+    def rotate_x(self, site: int) -> tuple[np.ndarray, ...]:
+        """V† X_site V as its diagonal blocks, one per sector, in each
+        sector's order: x† X x with X the signed permutation of
+        :meth:`ParitySector.flip`."""
+        position = self.sites.index(site)
+        blocks = []
+        for sector in self.sectors:
+            perm, sign = sector.flip(position, len(self.sites))
+            x = sector.vectors
+            blocks.append(sign * (x.conj().T @ x[perm]))
+        return tuple(blocks)
+
+    def marginal(self, beta: float, keep: Sequence[int]) -> DensityOperator:
+        """The Gibbs state's marginal on ``keep`` (in that order), without
+        forming the Gibbs state.
+
+        With W = V√p in each sector, ρ = Σ W W†; the kept sites index the
+        rows of W and everything else, the eigenstate index included, is
+        summed over in one (d_keep × d·d_rest) product per sector.
+        """
+        keep = tuple(keep)
+        n = len(self.sites)
+        pos = [self.sites.index(s) for s in keep]
+        rest = [i for i in range(n) if i not in pos]
+
+        def part(sector: ParitySector, p: np.ndarray) -> np.ndarray:
+            # A function of its own, so that one sector's W is freed before the next.
+            w = sector.embed(sector.vectors * np.sqrt(p))
+            t = w.reshape((2,) * n + (-1,)).transpose(pos + rest + [n]).reshape(2 ** len(keep), -1)
+            return t @ t.conj().T
+
+        mat = sum(part(sector, p) for sector, p in zip(self.sectors, self.sector_weights(beta)))
+        tr = float(np.real(np.trace(mat)))
+        if abs(tr - 1.0) > 1e-12:
+            raise ValueError(f"Gibbs marginal trace deviates by {tr - 1.0}")
+        return DensityOperator(mat, keep, check=False)
+
+    def projected_factors(self, beta: float, site: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Factors of Π_a ρ Π_a for the outcomes a = −1, +1 of X_site.
+
+        Π_a = (I + a X_site)/2 commutes with ∏X.  In each sector its range is
+        spanned by (e_i + a·sign·e_perm(i))/√2 over the pairs i < perm(i) of
+        :meth:`ParitySector.flip`, so with W = V√p the rows
+        Y = (W[i] + a·sign·W[perm(i)])/√2 give Π_a ρ Π_a the nonzero
+        spectrum of the blocks Y Y† together: one block of dimension d/4 per
+        parity sector, or d/2 without sectors.  Returns, per outcome, one Y
+        per sector.
+        """
+        position = self.sites.index(site)
+        factors: tuple[list, list] = ([], [])
+        for sector, p in zip(self.sectors, self.sector_weights(beta)):
+            perm, sign = sector.flip(position, len(self.sites))
+            lo = np.flatnonzero(perm > np.arange(perm.size))
+            w = sector.vectors * np.sqrt(p)
+            for rows, a in zip(factors, (-1, 1)):
+                rows.append((w[lo] + (a * sign) * w[perm[lo]]) * math.sqrt(0.5))
+        return tuple(tuple(rows) for rows in factors)
 
 
-def _eigh_by_parity(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a centrosymmetric Hermitian H, energies ascending.
+def _parity_blocks(h: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The blocks of a centrosymmetric Hermitian H in its two ∏X sectors.
 
     With site 0 the most significant bit, ∏X is the exchange matrix J, and
     H = JHJ makes H = [[A, C], [JCJ, JAJ]].  Its eigenvectors are
     [x; ±Jx]/√2 for the eigenvectors x of the m×m blocks A ± CJ (m = d/2).
-    Both sectors are written into one d×d array in ascending-energy order.
     """
     m = h.shape[0] // 2
     a, cj = h[:m, :m], h[:m, m:][:, ::-1]
-    (w_even, x_even), (w_odd, x_odd) = np.linalg.eigh(a + cj), np.linalg.eigh(a - cj)
-    energies = np.concatenate([w_even, w_odd])
-    order = np.argsort(energies, kind="stable")
-    vectors = np.empty(h.shape, dtype=x_even.dtype)
-    top, bottom = vectors[:m], vectors[m:]
-    np.take(np.concatenate([x_even, x_odd], axis=1), order, axis=1, out=top)
-    top *= math.sqrt(0.5)
-    np.multiply(top[::-1], np.where(order < m, 1.0, -1.0), out=bottom)
-    return energies[order], vectors
+    return [(sign, a + sign * cj) for sign in (1, -1)]
 
 
 def gibbs_state(
@@ -276,7 +404,8 @@ def dynamical_correlation(
     eig = ThermalEigensystem.of(hamiltonian)
     p = eig.weights(beta)
     e = eig.energies
-    o_t = eig.vectors.conj().T @ np.asarray(observable) @ eig.vectors
+    v = eig.vectors
+    o_t = v.conj().T @ np.asarray(observable) @ v
     mean = float(np.real(np.sum(p * np.diagonal(o_t))))
     omega = e[None, :] - e[:, None]
     weights = p[:, None] * np.abs(o_t) ** 2

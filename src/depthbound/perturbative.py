@@ -272,27 +272,38 @@ def chi2_E_eigensum(
     """
     eig = ThermalEigensystem.of(hamiltonian)
     obs = np.asarray(observable)
-    if eig.vectors.shape != obs.shape:
+    v = eig.vectors
+    if v.shape != obs.shape:
         raise ValueError("H and O must act on the same space")
-    return chi2_E_eigenbasis(eig, beta, eig.vectors.conj().T @ obs @ eig.vectors)
+    return chi2_E_eigenbasis(eig, beta, v.conj().T @ obs @ v)
 
 
-def chi2_E_eigenbasis(eig: ThermalEigensystem, beta: float, o_eig: np.ndarray) -> Chi2Result:
+def chi2_E_eigenbasis(
+    eig: ThermalEigensystem, beta: float, o_eig: np.ndarray | Sequence[np.ndarray]
+) -> Chi2Result:
     """:func:`chi2_E_eigensum` for an observable already in the eigenbasis,
     o_eig = V† O V (:meth:`ThermalEigensystem.rotate`), so that a beta grid
-    rotates O once."""
-    p = eig.weights(beta)
-    e = eig.energies
-    mean = float(np.real(np.sum(p * np.diagonal(o_eig))))
-    abs2 = np.abs(o_eig) ** 2
+    rotates O once.
+
+    An O that maps each sector of ``eig`` onto itself may instead be given
+    as its diagonal blocks, one per sector (:meth:`ThermalEigensystem.rotate_x`);
+    pairs of eigenstates in different sectors then carry no weight.
+    """
+    if isinstance(o_eig, np.ndarray):
+        blocks = [(eig.energies, eig.weights(beta), o_eig)]
+    else:
+        blocks = zip((s.energies for s in eig.sectors), eig.sector_weights(beta), o_eig)
+    mean = 0.0
     total = 0.0
-    d = e.size
     chunk = 512
-    for i0 in range(0, d, chunk):
-        i1 = min(i0 + chunk, d)
-        om = e[None, :] - e[i0:i1, None]
-        fw = f_beta_weight(om, beta)
-        total += float(np.sum(abs2[i0:i1] * (p[i0:i1, None] * fw)))
+    for e, p, o in blocks:
+        mean += float(np.real(np.sum(p * np.diagonal(o))))
+        abs2 = np.abs(o) ** 2
+        for i0 in range(0, e.size, chunk):
+            i1 = min(i0 + chunk, e.size)
+            om = e[None, :] - e[i0:i1, None]
+            fw = f_beta_weight(om, beta)
+            total += float(np.sum(abs2[i0:i1] * (p[i0:i1, None] * fw)))
     return Chi2Result(0.5 * (total - mean * mean), "E", "eigensum")
 
 

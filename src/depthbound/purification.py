@@ -19,7 +19,8 @@ Two routes are implemented and cross-checked to 1e-9:
 For projective measurements ``projective_chi_B`` and ``projective_chi_E``
 evaluate both Holevo quantities from the state on the system alone, with no
 purification; they equal ``holevo_information`` on the measured
-purification.
+purification.  ``projective_chi_E_factors`` evaluates chi_E from factors of
+the conditioned states, so that a Gibbs state need not be formed.
 
 All quantities in nats.
 """
@@ -57,6 +58,7 @@ __all__ = [
     "holevo_information",
     "projective_chi_B",
     "projective_chi_E",
+    "projective_chi_E_factors",
     "PrivateInformation",
     "private_information",
     "IsometryChannel",
@@ -414,6 +416,30 @@ def projective_chi_E(
         d = state.shape[0] * state.shape[1]
         conditioned += p * entropy_from_spectrum(np.linalg.eigvalsh(state.reshape(d, d)))
     return s_rho - conditioned
+
+
+def projective_chi_E_factors(factors: Sequence[Sequence[np.ndarray]], entropy: float) -> float:
+    """:func:`projective_chi_E` from factors of the conditioned states.
+
+    ``factors[a]`` lists matrices Y whose blocks Y Y† together carry the
+    nonzero spectrum of Π_a rho Π_a (for a Gibbs state, from
+    :meth:`ThermalEigensystem.projected_factors`), and ``entropy`` is
+    S(rho).  The outcome probabilities p_a = Σ ‖Y‖² must sum to 1 within
+    1e-12; outcomes are then pruned and renormalized as in
+    :func:`apply_measurement`.
+    """
+    probs = [sum(float(np.real(np.vdot(y, y))) for y in blocks) for blocks in factors]
+    if abs(sum(probs) - 1.0) > 1e-12:
+        raise ValueError(f"outcome probabilities sum to 1 + {sum(probs) - 1.0}")
+    kept = [(p, blocks) for p, blocks in zip(probs, factors) if p >= OUTCOME_PRUNE_TOL]
+    if not kept:
+        raise ValueError("all outcomes pruned; invalid measurement/state pair")
+    total = sum(p for p, _ in kept)
+    conditioned = 0.0
+    for p, blocks in kept:
+        spectrum = np.concatenate([np.linalg.eigvalsh(y @ y.conj().T) for y in blocks])
+        conditioned += (p / total) * entropy_from_spectrum(spectrum / p)
+    return entropy - conditioned
 
 
 @dataclass(frozen=True)

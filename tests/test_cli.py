@@ -4,9 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from depthbound import cli
+from depthbound import cli, models
 from depthbound.cft import c_constant
 from depthbound.cli import main
 
@@ -165,6 +166,14 @@ def test_bound_cft_depth_at_largest_beta(capsys):
         ("bound", "--backend", "cft", "--beta", "1e200", "--epsilon", "0.1"),  # beta^2 overflows
         ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta-grid", "1e-200,1",
          "--x-grid", "1"),  # cft beta grid with an overflowing value
+        ("bound", "--n", "6", "--g", "1", "--beta", "1", "--region-b", "10"),  # B off the chain
+        ("bound", "--n", "6", "--g", "1", "--beta", "1", "--region-b=-1"),  # negative B site
+        ("bound", "--n", "6", "--g", "1", "--beta", "1", "--region-b", "0,0"),  # repeated B site
+        ("bound", "--n", "6", "--g", "1", "--beta", "1", "--x-grid", "1",
+         "--epsilon", "2"),  # epsilon above 1
+        ("bound", "--n", "6", "--g", "1", "--beta", "1", "--x-grid", "1",
+         "--k-eps", "100"),  # k(eps) above k(1)
+        ("fig2", "--n", "21", "--out", "/tmp/f2", "--k-eps", "100"),  # fig2 k(eps) above k(1)
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -446,17 +455,66 @@ def test_readme_cft_bound_matches_golden(tmp_path):
     ],
 )
 def test_dense_bound_matches_golden(tmp_path, golden, argv):
-    """Column by column to 1e-10: the last printed digits depend on how H
-    is diagonalized."""
     out = tmp_path / "dense.csv"
     assert run("bound", "--backend", "dense", "--measure", "projective-x", *argv,
                "--out", str(out)) == 0
-    header, (got,) = parse_csv(out.read_text())
-    golden_header, (expected,) = parse_csv((GOLDEN / golden).read_text())
+    assert_matches_golden(out, golden)
+
+
+def test_dense_weak_scan_matches_golden(tmp_path):
+    out = tmp_path / "dense.csv"
+    assert run("scan", "--backend", "dense", "--n", "10", "--g", "1", "--beta-grid", "0.5,1,2,4",
+               "--x-grid", "1:4", "--measure", "weak-x", "--out", str(out)) == 0
+    assert_matches_golden(out, "scan_dense_weak_n10.csv")
+
+
+def assert_matches_golden(out, golden):
+    """Column by column to 1e-10: the last printed digits of a dense row
+    depend on how H is diagonalized and its sectors summed."""
+    header, rows = parse_csv(out.read_text())
+    golden_header, expected_rows = parse_csv((GOLDEN / golden).read_text())
     assert header == golden_header
-    assert got["backend"] == expected["backend"]
-    for column in header[:-1]:
-        assert float(got[column]) == pytest.approx(float(expected[column]), rel=0, abs=1e-10), column
+    assert len(rows) == len(expected_rows)
+    for got, expected in zip(rows, expected_rows):
+        assert got["backend"] == expected["backend"]
+        for column in header[:-1]:
+            assert float(got[column]) == pytest.approx(float(expected[column]), rel=0, abs=1e-10), column
+
+
+@pytest.fixture
+def forbid_gibbs_state(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gibbs_state called on the run path")
+
+    monkeypatch.setattr(models, "gibbs_state", forbidden)
+    monkeypatch.setattr(cli, "gibbs_state", forbidden, raising=False)
+
+
+@pytest.mark.parametrize("measure", ["projective-x", "weak-x"])
+@pytest.mark.parametrize("where", [("--region-b", "4,0,1"), ("--x-grid", "1")])
+def test_dense_bound_forms_no_gibbs_state(forbid_gibbs_state, capsys, measure, where):
+    assert run("bound", "--n", "6", "--g", "0.8", "--beta", "1.5", "--measure", measure, *where) == 0
+    _, (row,) = parse_csv(capsys.readouterr().out)
+    assert float(row["chi_E"]) > 0
+
+
+@pytest.mark.parametrize("measure", ["projective-x", "weak-x"])
+def test_dense_scan_forms_no_gibbs_state(forbid_gibbs_state, tmp_path, measure):
+    out = tmp_path / "scan.csv"
+    assert run("scan", "--n", "6", "--g", "0.8", "--beta-grid", "0.5,2", "--x-grid", "1:2",
+               "--measure", measure, "--out", str(out)) == 0
+    _, rows = parse_csv(out.read_text())
+    assert len(rows) == 4 and "error" not in rows[0]
+
+
+def test_dense_out_of_memory_exits_3(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.linalg, "eigh", exhausted)
+    assert run("bound", "--n", "7", "--g", "1", "--beta", "1", "--x-grid", "1") == 3
+    err = capsys.readouterr().err
+    assert "capability error" in err and "n = 7" in err
 
 
 @pytest.fixture

@@ -204,6 +204,26 @@ def test_parity_blocks_match_full_eigh(seed):
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_sector_blocks_match_assembled_vectors(seed):
+    """Each sector embeds to eigenvectors of H, and X_site is block-diagonal
+    over the sectors with the blocks that rotate_x returns."""
+    rng = np.random.default_rng(seed)
+    ham = _parity_symmetric_model(rng)
+    h = ham.to_matrix()
+    eig = ThermalEigensystem.of(ham)
+    site = int(rng.integers(ham.n_sites))
+    x_full = embed_operator(X, (site,), ham.sites)
+    columns = [sector.embed(sector.vectors) for sector in eig.sectors]
+    for i, (sector, col) in enumerate(zip(eig.sectors, columns)):
+        assert np.linalg.norm(h @ col - col * sector.energies) < 1e-12
+        for j, other in enumerate(columns):
+            block = col.conj().T @ x_full @ other
+            expected = eig.rotate_x(site)[i] if i == j else 0.0
+            assert np.max(np.abs(block - expected)) < 1e-12
+
+
 @pytest.fixture
 def eigh_dims(monkeypatch):
     dims = []

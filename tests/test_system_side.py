@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthbound.cli import PAULI_X, _DenseContext, _DenseModel
-from depthbound.models import SpinHamiltonian, ThermalEigensystem, gibbs_state
+from depthbound.models import SpinHamiltonian, ThermalEigensystem, build_tfim, gibbs_state
 from depthbound.perturbative import chi2_E_eigenbasis, chi2_general, chi2_system
 from depthbound.purification import (
     MeasurementSpec,
@@ -110,3 +110,63 @@ def test_cli_dense_context_equals_purification(seed, measure):
         chi_e = holevo_information(ens, psi.env_sites)
     assert abs(ctx.chi_b(region) - chi_b) < TOL
     assert abs(ctx.chi_e - chi_e) < TOL
+
+
+def _parity_even_model(rng, n):
+    """The TFIM, or a custom chain whose terms each carry an even number of
+    Z and Y letters, so that H commutes with ∏X; sometimes complex."""
+    if rng.integers(2):
+        return build_tfim(n, float(rng.uniform(0.3, 1.7)))
+    terms = []
+    for s in range(n):
+        terms.append((float(rng.uniform(-1, 1)), ((s, "X"),)))
+    for s in range(n - 1):
+        pair = ["XX", "YY", "ZZ", "YZ", "ZY"][rng.integers(5)]
+        terms.append((float(rng.uniform(-1, 1)), ((s, pair[0]), (s + 1, pair[1]))))
+    if n >= 3 and rng.integers(2):
+        terms.append((float(rng.uniform(-1, 1)), ((0, "X"), (1, "Y"), (2, "Z"))))
+    return SpinHamiltonian(n, tuple(terms))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(("weak-x", "projective-x")),
+    st.sampled_from(("first", "last", "center")),
+)
+def test_cli_dense_context_in_parity_sectors(seed, measure, where):
+    """A ∏X-symmetric H runs on its two sector blocks: the context equals the
+    Gibbs-state routes to 1e-12 and the purification to 1e-10, with the
+    probe at site 0, at the far edge or at the centre."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    ham = _parity_even_model(rng, n)
+    beta = float(rng.uniform(0.2, 3.0))
+    site = {"first": 0, "last": n - 1, "center": (n - 1) // 2}[where]
+    others = [s for s in range(n) if s != site]
+    region = tuple(int(s) for s in rng.choice(others, size=int(rng.integers(1, n)), replace=False))
+    ctx = _DenseContext(_DenseModel(ham, measure, site), beta, 0.0)
+    assert len(ctx.model.eig.sectors) == 2
+    eig = ThermalEigensystem.of(ham)
+    rho = gibbs_state(eig, beta)
+    psi = canonical_purification(rho)
+    if measure == "weak-x":
+        rho_b = chi2_system(rho, PAULI_X, (site,), region).value
+        rho_e = chi2_E_eigenbasis(eig, beta, eig.rotate(PAULI_X, (site,))).value
+        psi_b = chi2_general(psi, PAULI_X, (site,), region).value
+        psi_e = chi2_general(psi, PAULI_X, (site,), psi.env_sites).value
+    else:
+        spec = MeasurementSpec.projective(PAULI_X, (site,))
+        rho_b = projective_chi_B(rho, spec, region)
+        rho_e = projective_chi_E(rho, spec)
+        ens = apply_measurement(psi, spec)
+        psi_b = holevo_information(ens, region)
+        psi_e = holevo_information(ens, psi.env_sites)
+    chi_b = ctx.chi_b(region)
+    assert abs(chi_b - rho_b) < 1e-12
+    assert abs(ctx.chi_e - rho_e) < 1e-12
+    assert abs(chi_b - psi_b) < TOL
+    assert abs(ctx.chi_e - psi_e) < TOL
+    marginal = ctx.marginal(region)
+    assert marginal.sites == (site,) + region
+    assert np.max(np.abs(marginal.matrix - rho.reduced((site,) + region).matrix)) < 1e-12
