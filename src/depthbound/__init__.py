@@ -53,6 +53,7 @@ from .cft import (
 from .fermion import (
     BogoliubovSpectrum,
     MajoranaCovariance,
+    XLineTable,
     bdg_diagonalize,
     chi2_E_quadratic,
     connected_xx,
@@ -66,6 +67,7 @@ from .fermion import (
     x_expectation,
 )
 from .models import (
+    LineGroups,
     OracleEstimate,
     ParitySector,
     SpectralLines,
@@ -178,6 +180,7 @@ __all__ = [
     "invert_k",
     "k_func",
     # models
+    "LineGroups",
     "OracleEstimate",
     "ParitySector",
     "SpectralLines",
@@ -190,6 +193,7 @@ __all__ = [
     # fermion
     "BogoliubovSpectrum",
     "MajoranaCovariance",
+    "XLineTable",
     "bdg_diagonalize",
     "chi2_E_quadratic",
     "connected_xx",

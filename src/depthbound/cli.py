@@ -37,14 +37,14 @@ from . import __version__
 from .bounds import approx_verdict, exact_verdict, invert_k, k_func
 from .cft import CftParams, chi2_E_cft, depth_bound_cft, c_constant, fit_kappa, k2_cft
 from .fermion import (
+    XLineTable,
     bdg_diagonalize,
-    chi2_E_quadratic,
     connected_xx,
     thermal_covariance,
     x_expectation,
 )
 from .models import SpinHamiltonian, ThermalEigensystem, build_tfim
-from .perturbative import chi2_E_eigenbasis, chi2_system, correlator_lb_value
+from .perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system, correlator_lb_value
 from .purification import MeasurementSpec, projective_chi_B, projective_chi_E_factors
 from .states import (
     DENSE_QUBIT_CAP,
@@ -298,6 +298,14 @@ def _check_values(opts: dict) -> None:
         raise ConfigError("the tfim chain needs --n >= 2")
 
 
+def _check_applicable(command: str, opts: dict) -> None:
+    """Reject options the command would ignore (exit 2)."""
+    if "region-b" in opts and not (command == "bound" and opts.get("backend", "dense") == "dense"):
+        raise ConfigError("--region-b applies only to a dense bound")
+    if command == "fig2" and "epsilon" in opts:
+        raise ConfigError("fig2 takes its approximate threshold from --k-eps, not --epsilon")
+
+
 def _threads(opts: dict) -> int:
     env = os.environ.get("DEPTHBOUND_THREADS")
     if env is not None:
@@ -458,7 +466,8 @@ class _DenseContext(_Context):
 
 
 class _FermionModel:
-    """One Bogoliubov spectrum of the tfim chain, and the probe site."""
+    """One Bogoliubov spectrum of the tfim chain, the probe site, and the
+    probe's weak-X line table, which every beta reweights for chi_E."""
 
     backend = "freefermion"
 
@@ -467,6 +476,7 @@ class _FermionModel:
         self.g = g
         self.site = site
         self.spectrum = bdg_diagonalize(n, g)
+        self.lines = XLineTable(self.spectrum, site)
 
     def context(self, beta: float, epsilon: float) -> "_FermionContext":
         return _FermionContext(self, beta, epsilon)
@@ -478,7 +488,7 @@ class _FermionContext(_Context):
     def __init__(self, model: _FermionModel, beta: float, epsilon: float):
         super().__init__(model, beta, epsilon)
         self.cov = thermal_covariance(model.spectrum, beta)
-        self.chi_e = chi2_E_quadratic(model.spectrum, beta, model.site).value
+        self.chi_e = chi2_E_spectral(model.lines.at(beta), beta).value
 
     def at(self, x: int) -> tuple[int, float]:
         _region_b_for_distance(self.model.n, x)  # x must leave region B a site
@@ -643,11 +653,12 @@ def _sidecar(path: Path, opts: dict, elapsed: float, n_rows: int) -> None:
 def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
     backend = opts.get("backend", "dense")
     epsilon, k_eps = _resolve_epsilon(opts)
+    _threads(opts)  # bound runs on one thread, but the setting is still checked
     start = time.perf_counter()
     if "beta" not in opts:
         raise ConfigError("--beta is required for bound")
     xs = _parse_grid(opts["x-grid"], integer=True) if "x-grid" in opts else []
-    region = _parse_sites(opts["region-b"]) if backend == "dense" and "region-b" in opts else None
+    region = _parse_sites(opts["region-b"]) if "region-b" in opts else None
     if backend == "dense" and region is None and not xs:
         raise ConfigError("dense bound needs --region-b or --x-grid")
     if backend == "freefermion" and not xs:
@@ -898,6 +909,7 @@ def main(argv: list[str] | None = None) -> int:
             _require(backend == "freefermion", "fig2 is a freefermion pipeline")
             opts.setdefault("model", "tfim")
         _check_capabilities(opts)
+        _check_applicable(args.command, opts)
         _check_values(opts)
         if args.command == "bound":
             return _cmd_bound(opts, terms_raw)

@@ -30,7 +30,7 @@ from scipy.linalg import schur
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf
 
-from .models import SpectralLines
+from .models import LineGroups, SpectralLines
 from .perturbative import Chi2Result, chi2_E_spectral
 from .states import entropy_from_spectrum
 
@@ -47,6 +47,7 @@ __all__ = [
     "string_x_expectation",
     "connected_xx",
     "gaussian_entropy",
+    "XLineTable",
     "weak_x_lines",
     "chi2_E_quadratic",
 ]
@@ -322,6 +323,65 @@ def _site_mode_amplitudes(spectrum: BogoliubovSpectrum, site: int) -> tuple[np.n
     return a, b
 
 
+class XLineTable:
+    """The β-independent part of :func:`weak_x_lines` for one spectrum and site.
+
+    Every line weight is an occupation factor times a mode-pair strength.
+    The strength depends only on the spectrum and the site; the occupation
+    is a product of two entries of g₂ = [1 − f, f], the Fermi factors
+    f_k = 1/(1 + e^{βε_k}) and their complements.  The table holds the
+    strengths, the line frequencies with their merge groups, and for each
+    line the two indices into g₂, all in sorted-frequency order, so that
+    :meth:`at` only forms the weights of one β and reduces them.
+    """
+
+    def __init__(
+        self,
+        spectrum: BogoliubovSpectrum,
+        site: int,
+        *,
+        group_atol: float | None = None,
+    ):
+        if not 0 <= site < spectrum.n_modes:
+            raise ValueError("site outside the chain")
+        n = spectrum.n_modes
+        eps = spectrum.energies
+        a, b = _site_mode_amplitudes(spectrum, site)
+        z = a * b.conj()
+        m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
+        sym = m1 + m1.T
+        s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
+        s_ph = sym - 2.0 * np.real(np.outer(z, z))
+        # Pair lines at ±(ε_k + ε_l), k < l, occupied by (1 − f_k)(1 − f_l)
+        # and f_k f_l; particle-hole lines at ε_k − ε_l over ordered pairs
+        # including k = l, occupied by (1 − f_k) f_l.
+        iu, il = np.triu_indices(n, k=1)
+        k, l = np.divmod(np.arange(n * n), n)
+        e_pair = eps[iu] + eps[il]
+        freq = np.concatenate([e_pair, -e_pair, (eps[:, None] - eps[None, :]).reshape(-1)])
+        strength = np.concatenate([s_pair[iu, il], s_pair[iu, il], s_ph.reshape(-1)])
+        occ_a = np.concatenate([iu, n + iu, k])
+        occ_b = np.concatenate([il, n + il, n + l])
+        if group_atol is None:
+            group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
+        self.energies = eps
+        self.groups = LineGroups.of(freq, group_atol)
+        order = self.groups.order
+        self.strengths = strength[order]
+        self.occ_a = occ_a[order]
+        self.occ_b = occ_b[order]
+
+    def at(self, beta: float) -> SpectralLines:
+        """The merged lines of the Gibbs state at inverse temperature β."""
+        with np.errstate(over="ignore"):
+            f = 1.0 / (1.0 + np.exp(beta * self.energies))
+        g2 = np.concatenate([1.0 - f, f])
+        weight = g2[self.occ_a] * g2[self.occ_b] * self.strengths
+        if weight.size and float(weight.min()) < -1e-10:
+            raise ValueError(f"negative line weight {weight.min()}")
+        return self.groups.reduce(np.clip(weight, 0.0, None))
+
+
 def weak_x_lines(
     spectrum: BogoliubovSpectrum,
     beta: float,
@@ -339,36 +399,9 @@ def weak_x_lines(
     with the disconnected ⟨X⟩² term dropped by the pairing structure.  Total
     weight is 1 − ⟨X_j⟩² and every weight is non-negative (AM–GM on the mode
     amplitudes); detailed balance w(−ω) = e^{−βω} w(ω) holds line by line.
+    Several β on one chain share an :class:`XLineTable` instead.
     """
-    if not 0 <= site < spectrum.n_modes:
-        raise ValueError("site outside the chain")
-    eps = spectrum.energies
-    a, b = _site_mode_amplitudes(spectrum, site)
-    z = a * b.conj()
-    with np.errstate(over="ignore"):
-        f = 1.0 / (1.0 + np.exp(beta * eps))
-    m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
-    sym = m1 + m1.T
-    s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
-    s_ph = sym - 2.0 * np.real(np.outer(z, z))
-    iu, il = np.triu_indices(spectrum.n_modes, k=1)
-    freqs = [eps[iu] + eps[il], -(eps[iu] + eps[il])]
-    occ_pair = np.outer(1.0 - f, 1.0 - f)
-    occ_pair_inv = np.outer(f, f)
-    weights = [occ_pair[iu, il] * s_pair[iu, il], occ_pair_inv[iu, il] * s_pair[iu, il]]
-    # particle-hole sector, ordered pairs including k = l
-    om_ph = eps[:, None] - eps[None, :]
-    w_ph = np.outer(1.0 - f, f) * s_ph
-    freqs.append(om_ph.reshape(-1))
-    weights.append(w_ph.reshape(-1))
-    freq = np.concatenate(freqs)
-    weight = np.concatenate(weights)
-    if weight.size and float(weight.min()) < -1e-10:
-        raise ValueError(f"negative line weight {weight.min()}")
-    weight = np.clip(weight, 0.0, None)
-    if group_atol is None:
-        group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
-    return SpectralLines.merged(freq, weight, group_atol)
+    return XLineTable(spectrum, site, group_atol=group_atol).at(beta)
 
 
 def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:

@@ -33,6 +33,7 @@ __all__ = [
     "ThermalEigensystem",
     "gibbs_state",
     "SpectralLines",
+    "LineGroups",
     "dynamical_correlation",
     "OracleEstimate",
     "holevo_finite_difference",
@@ -362,19 +363,8 @@ class SpectralLines:
         weight-averaged frequency, or at the plain mean when its weight is
         below 1e-300.
         """
-        order = np.argsort(frequencies)
-        freq = np.asarray(frequencies, dtype=float)[order]
-        weight = np.asarray(weights, dtype=float)[order]
-        if freq.size == 0:
-            return cls(freq, weight)
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(freq) > atol) + 1])
-        counts = np.diff(np.concatenate([starts, [freq.size]]))
-        merged_w = np.add.reduceat(weight, starts)
-        sum_fw = np.add.reduceat(freq * weight, starts)
-        sum_f = np.add.reduceat(freq, starts)
-        heavy = merged_w > 1e-300
-        merged_f = np.where(heavy, sum_fw / np.where(heavy, merged_w, 1.0), sum_f / counts)
-        return cls(merged_f, merged_w)
+        groups = LineGroups.of(frequencies, atol)
+        return groups.reduce(np.asarray(weights, dtype=float)[groups.order])
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -384,6 +374,43 @@ class SpectralLines:
         t = np.asarray(times, dtype=float)
         phases = np.exp(-1j * np.outer(t, self.frequencies))
         return phases @ self.weights.astype(complex)
+
+
+@dataclass(frozen=True)
+class LineGroups:
+    """The weight-independent half of :meth:`SpectralLines.merged`.
+
+    ``order`` sorts the input frequencies into ``frequencies``; the groups
+    start at ``starts`` in that order, and ``means`` holds each group's plain
+    mean frequency (its sum over its count).  One grouping serves any number
+    of weight vectors over the same lines, such as one per β.
+    """
+
+    order: np.ndarray
+    frequencies: np.ndarray
+    starts: np.ndarray
+    means: np.ndarray
+
+    @classmethod
+    def of(cls, frequencies: np.ndarray, atol: float) -> "LineGroups":
+        order = np.argsort(frequencies)
+        freq = np.asarray(frequencies, dtype=float)[order]
+        if freq.size == 0:
+            return cls(order, freq, np.zeros(0, dtype=int), freq)
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(freq) > atol) + 1])
+        counts = np.diff(np.concatenate([starts, [freq.size]]))
+        return cls(order, freq, starts, np.add.reduceat(freq, starts) / counts)
+
+    def reduce(self, weights: np.ndarray) -> SpectralLines:
+        """Merged lines for ``weights`` listed in sorted order (``order``)."""
+        weight = np.asarray(weights, dtype=float)
+        if weight.size == 0:
+            return SpectralLines(self.frequencies, weight)
+        merged_w = np.add.reduceat(weight, self.starts)
+        sum_fw = np.add.reduceat(self.frequencies * weight, self.starts)
+        heavy = merged_w > 1e-300
+        merged_f = np.where(heavy, sum_fw / np.where(heavy, merged_w, 1.0), self.means)
+        return SpectralLines(merged_f, merged_w)
 
 
 def dynamical_correlation(

@@ -174,10 +174,29 @@ def test_bound_cft_depth_at_largest_beta(capsys):
         ("bound", "--n", "6", "--g", "1", "--beta", "1", "--x-grid", "1",
          "--k-eps", "100"),  # k(eps) above k(1)
         ("fig2", "--n", "21", "--out", "/tmp/f2", "--k-eps", "100"),  # fig2 k(eps) above k(1)
+        ("bound", "--backend", "cft", "--beta", "50", "--threads", "0"),  # bound threads < 1
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
+         "--x-grid", "3", "--region-b", "0,1"),  # region B is a dense-bound option
+        ("fig2", "--n", "21", "--beta-grid", "5", "--x-grid", "2", "--out", "/tmp/f2",
+         "--epsilon", "0.5"),  # fig2 reads --k-eps only
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
     assert run(*argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("bound", "backend = freefermion\nn = 21\ng = 1\nbeta = 2\nx_grid = 3\nregion_b = 0,1\n"),
+        ("fig2", "n = 21\nbeta_grid = 5\nx_grid = 2\nout = /tmp/f2\nepsilon = 0.5\n"),
+    ],
+)
+def test_inapplicable_config_keys_exit_2(tmp_path, capsys, command, keys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\n" + keys)
+    assert run(command, "--config", str(cfg)) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -291,6 +310,12 @@ def test_threads_env_must_be_integer(tmp_path, monkeypatch):
     rc = run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
              "--beta", "2", "--x-grid", "3", "--out", str(tmp_path / "t.csv"))
     assert rc == 2
+
+
+def test_bound_checks_threads_env(monkeypatch, capsys):
+    monkeypatch.setenv("DEPTHBOUND_THREADS", "abc")
+    assert run("bound", "--backend", "cft", "--beta", "50") == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +576,31 @@ def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
     assert run("scan", "--backend", "cft", "--beta-grid", "10,20,30,40", "--x-grid", "1:3",
                "--threads", threads, "--out", str(tmp_path / "c.csv")) == 0
     assert bdg_calls == [(301, 1.0)]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    builds = []
+    original = cli.XLineTable
+
+    def counted(spectrum, site):
+        builds.append((spectrum.n_modes, site))
+        return original(spectrum, site)
+
+    monkeypatch.setattr(cli, "XLineTable", counted)
+    return builds
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_freefermion_builds_line_table_once(tmp_path, table_builds, threads):
+    assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
+               "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
+               "--out", str(tmp_path / "s.csv")) == 0
+    assert table_builds == [(21, 10)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fig2_builds_line_table_once_per_g(tmp_path, table_builds, threads):
+    assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
+               "--threads", threads, "--out", str(tmp_path / "f2")) == 0
+    assert table_builds == [(21, 10)] * 3

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from depthbound.fermion import (
     MajoranaCovariance,
+    XLineTable,
     _norm_below,
+    _site_mode_amplitudes,
     bdg_diagonalize,
     chi2_E_quadratic,
     connected_xx,
@@ -23,7 +25,7 @@ from depthbound.fermion import (
     weak_x_lines,
     x_expectation,
 )
-from depthbound.models import build_tfim, dynamical_correlation, gibbs_state
+from depthbound.models import SpectralLines, build_tfim, dynamical_correlation, gibbs_state
 from depthbound.perturbative import chi2_E_eigensum, chi2_E_spectral
 from depthbound.states import embed_operator, von_neumann_entropy
 
@@ -309,3 +311,67 @@ def test_chi2_E_decays_with_beta():
     center = 20
     vals = [chi2_E_quadratic(spec, b, center).value for b in (5.0, 10.0, 20.0)]
     assert vals[0] > vals[1] > vals[2] > 0.0
+
+
+def _weak_x_lines_rebuilt(spectrum, beta, site, *, group_atol=None):
+    """Every line rebuilt and merged at this beta, as before the line table."""
+    if not 0 <= site < spectrum.n_modes:
+        raise ValueError("site outside the chain")
+    eps = spectrum.energies
+    a, b = _site_mode_amplitudes(spectrum, site)
+    z = a * b.conj()
+    with np.errstate(over="ignore"):
+        f = 1.0 / (1.0 + np.exp(beta * eps))
+    m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
+    sym = m1 + m1.T
+    s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
+    s_ph = sym - 2.0 * np.real(np.outer(z, z))
+    iu, il = np.triu_indices(spectrum.n_modes, k=1)
+    freqs = [eps[iu] + eps[il], -(eps[iu] + eps[il])]
+    occ_pair = np.outer(1.0 - f, 1.0 - f)
+    occ_pair_inv = np.outer(f, f)
+    weights = [occ_pair[iu, il] * s_pair[iu, il], occ_pair_inv[iu, il] * s_pair[iu, il]]
+    # particle-hole sector, ordered pairs including k = l
+    om_ph = eps[:, None] - eps[None, :]
+    w_ph = np.outer(1.0 - f, f) * s_ph
+    freqs.append(om_ph.reshape(-1))
+    weights.append(w_ph.reshape(-1))
+    freq = np.concatenate(freqs)
+    weight = np.concatenate(weights)
+    if weight.size and float(weight.min()) < -1e-10:
+        raise ValueError(f"negative line weight {weight.min()}")
+    weight = np.clip(weight, 0.0, None)
+    if group_atol is None:
+        group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
+    return SpectralLines.merged(freq, weight, group_atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 41),
+    g=st.floats(0.3, 2.0),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.just(1e3)),
+    site_pick=st.one_of(st.just(0), st.just(-1), st.floats(0.0, 1.0)),
+)
+@example(n=41, g=1.0, beta=1e3, site_pick=0.5)  # exp(beta * eps) overflows to inf
+@example(n=2, g=0.3, beta=0.0, site_pick=-1)
+def test_line_table_bitwise_equals_rebuilt_lines(n, g, beta, site_pick):
+    """Reweighting the table's lines at one beta gives the bits of
+    rebuilding and merging them there, at either chain end and inside."""
+    site = n - 1 if site_pick == -1 else int(site_pick * (n - 1))
+    spectrum = bdg_diagonalize(n, g)
+    got = XLineTable(spectrum, site).at(beta)
+    ref = _weak_x_lines_rebuilt(spectrum, beta, site)
+    assert got.frequencies.tobytes() == ref.frequencies.tobytes()
+    assert got.weights.tobytes() == ref.weights.tobytes()
+
+
+def test_line_table_serves_many_betas():
+    spectrum = bdg_diagonalize(21, 1.0)
+    table = XLineTable(spectrum, 10)
+    for beta in (0.0, 2.0, 30.0):
+        ref = _weak_x_lines_rebuilt(spectrum, beta, 10)
+        got = table.at(beta)
+        assert got.weights.tobytes() == ref.weights.tobytes()
+    with pytest.raises(ValueError, match="site outside"):
+        XLineTable(spectrum, 21)
