@@ -14,9 +14,8 @@ criterion values and thresholds are in nats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 __all__ = [
     "STRICT_GUARD",
@@ -77,7 +76,57 @@ def invert_k(k_target: float, d_aprime: int, *, tol: float = 1e-12) -> float:
     top = k_func(1.0, d_aprime)
     if k_target > top:
         raise ValueError(f"k target {k_target} exceeds k(1) = {top}")
-    return float(brentq(lambda e: k_func(e, d_aprime) - k_target, 0.0, 1.0, xtol=tol))
+    return _brentq(lambda e: k_func(e, d_aprime) - k_target, 0.0, 1.0, xtol=tol)
+
+
+def _brentq(f, a: float, b: float, *, xtol: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent 1973, ch. 4).
+
+    The iterates, tolerances and stopping rule are those of
+    ``scipy.optimize.brentq`` at its defaults, so both return the same float;
+    this copy keeps ``scipy.optimize`` off the import path.  Stops when the
+    bracket is within xtol + rtol·|x| of the best estimate x, rtol = 4 eps.
+    """
+    rtol, maxiter = 4 * sys.float_info.epsilon, 100
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # Keep the best estimate in xcur, the bracket's other end in xblk.
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
 def _depth_from_distance(x_ab: float) -> int:

@@ -181,25 +181,26 @@ def _load_config_file(path: str) -> tuple[dict[str, str], dict[str, str]]:
     return flags, terms
 
 
-#: The options shared by every subcommand, as (name, type, choices, help).
-#: Each one is a long flag and a config-file key, parsed and checked alike.
+#: The options of the subcommands, as (name, type, choices, commands that
+#: read it, help).  Each one is a long flag and a config-file key, parsed and
+#: checked alike; a command given an option it does not read exits 2.
 OPTIONS = (
-    ("model", str, ("tfim", "custom"), "Hamiltonian family"),
-    ("n", int, None, "number of chain sites"),
-    ("g", float, None, "transverse field strength"),
-    ("beta", float, None, "single inverse temperature"),
-    ("beta-grid", str, None, "inverse-temperature grid: a,b,c or start:stop[:step]"),
-    ("x-grid", str, None, "A-B distance grid (integers)"),
-    ("backend", str, ("dense", "freefermion", "cft"), "compute backend"),
-    ("measure", str, ("projective-x", "weak-x"), "measurement family"),
-    ("site", int, None, "measured site (default: chain center)"),
-    ("region-b", str, None, "explicit region-B site list (dense bound only)"),
-    ("epsilon", float, None, "preparation error epsilon"),
-    ("k-eps", float, None, "threshold k(eps); inverted to epsilon"),
-    ("out", str, None, "output file path (scan/fig2) or record destination"),
-    ("format", str, ("csv", "json"), "output format (default csv)"),
-    ("threads", int, None, "worker threads (default 1)"),
-    ("seed", int, None, "seed for randomized suites"),
+    ("model", str, ("tfim", "custom"), ("bound", "scan", "fig2"), "Hamiltonian family"),
+    ("n", int, None, ("bound", "scan", "fig2"), "number of chain sites"),
+    ("g", float, None, ("bound", "scan"), "transverse field strength"),
+    ("beta", float, None, ("bound", "scan"), "single inverse temperature"),
+    ("beta-grid", str, None, ("scan", "fig2"), "inverse-temperature grid: a,b,c or start:stop[:step]"),
+    ("x-grid", str, None, ("bound", "scan", "fig2"), "A-B distance grid (integers)"),
+    ("backend", str, ("dense", "freefermion", "cft"), ("bound", "scan", "fig2"), "compute backend"),
+    ("measure", str, ("projective-x", "weak-x"), ("bound", "scan"), "measurement family"),
+    ("site", int, None, ("bound", "scan", "fig2"), "measured site (default: chain center)"),
+    ("region-b", str, None, ("bound",), "explicit region-B site list (dense bound only)"),
+    ("epsilon", float, None, ("bound", "scan"), "preparation error epsilon"),
+    ("k-eps", float, None, ("bound", "scan", "fig2"), "threshold k(eps); inverted to epsilon"),
+    ("out", str, None, ("bound", "scan", "fig2"), "output file path (scan/fig2) or record destination"),
+    ("format", str, ("csv", "json"), ("bound", "scan"), "output format (default csv)"),
+    ("threads", int, None, ("bound", "scan", "fig2"), "worker threads (default 1)"),
+    ("seed", int, None, ("selftest",), "seed for randomized suites"),
 )
 
 
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="INI-style config file; flags override its keys")
-        for key, kind, choices, help_text in OPTIONS:
+        for key, kind, choices, _, help_text in OPTIONS:
             p.add_argument("--" + key, type=kind, choices=choices, help=help_text)
     return parser
 
@@ -234,7 +235,7 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged: dict = {}
-    for key, kind, choices, _ in OPTIONS:
+    for key, kind, choices, _, _ in OPTIONS:
         if key in file_flags:
             raw = file_flags[key]
             try:
@@ -300,10 +301,11 @@ def _check_values(opts: dict) -> None:
 
 def _check_applicable(command: str, opts: dict) -> None:
     """Reject options the command would ignore (exit 2)."""
-    if "region-b" in opts and not (command == "bound" and opts.get("backend", "dense") == "dense"):
+    unread = [key for key, _, _, commands, _ in OPTIONS if key in opts and command not in commands]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join('--' + key for key in unread)}")
+    if "region-b" in opts and opts.get("backend", "dense") != "dense":
         raise ConfigError("--region-b applies only to a dense bound")
-    if command == "fig2" and "epsilon" in opts:
-        raise ConfigError("fig2 takes its approximate threshold from --k-eps, not --epsilon")
 
 
 def _threads(opts: dict) -> int:

@@ -164,7 +164,10 @@ class ThermalEigensystem:
     An H that commutes with the global flip ∏X (the TFIM, or any model whose
     terms each carry an even number of Z and Y letters) on n >= 2 sites is
     diagonalized in its two parity sectors of half the dimension, and its
-    eigenvectors stay in those ``sectors`` as two m×m blocks (m = d/2).
+    eigenvectors stay in those ``sectors`` as two m×m blocks (m = d/2).  A
+    sector block that is also symmetric under the chain reflection
+    j ↔ n−1−j, as the open TFIM's are, is diagonalized in the reflection's
+    two eigenspaces (:func:`_sector_eigh`).
     :meth:`marginal`, :meth:`rotate_x` and :meth:`projected_factors` work
     from the blocks and form no d×d state; ``vectors`` assembles the full V
     on each access.  ``energies`` are ascending for a sectored H and in the
@@ -204,8 +207,13 @@ class ThermalEigensystem:
         if h.shape[0] > 2 and np.array_equal(h, h[::-1, ::-1]):
             blocks = _parity_blocks(h)
             del h  # the blocks carry all of H; free it before the eigh
+            sectors = []
+            while blocks:  # each block is released before the next is split
+                sign, block = blocks.pop(0)
+                sectors.append(_sector_eigh(sign, block, len(sites)))
+                del block
             eig = cls.__new__(cls)
-            eig._set([ParitySector(sign, *np.linalg.eigh(block)) for sign, block in blocks], sites)
+            eig._set(sectors, sites)
             return eig
         w, v = np.linalg.eigh(h)
         return cls(w, v, sites)
@@ -313,6 +321,77 @@ def _parity_blocks(h: np.ndarray) -> list[tuple[int, np.ndarray]]:
     m = h.shape[0] // 2
     a, cj = h[:m, :m], h[:m, m:][:, ::-1]
     return [(sign, a + sign * cj) for sign in (1, -1)]
+
+
+def _reflection(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chain reflection j ↔ n−1−j on the basis of the ∏X sector ``sign``,
+    as a signed permutation R e_i = sigma_i e_perm(i).
+
+    R reverses the n bits of a basis index and commutes with ∏X.  With r the
+    reversal of i < m = 2ⁿ⁻¹, R maps (|i⟩ + sign|d−1−i⟩)/√2 to the sector
+    state of r when r < m, and to sign times that of d−1−r otherwise.
+    """
+    d, m = 2**n, 2 ** (n - 1)
+    index = np.arange(m)
+    r = np.zeros(m, dtype=index.dtype)
+    for k in range(n):
+        r |= ((index >> k) & 1) << (n - 1 - k)
+    high = r >= m
+    return np.where(high, d - 1 - r, r), np.where(high, float(sign), 1.0)
+
+
+def _sector_eigh(sign: int, block: np.ndarray, n: int) -> ParitySector:
+    """Eigenpairs of one parity block, split by the chain reflection when
+    the block is exactly symmetric under it.
+
+    R is an involution, so it pairs the sector basis states a < perm(a) and
+    fixes the others.  Its t = ±1 eigenspace is spanned by
+    (e_a + t·sigma_a e_perm(a))/√2 over the pairs and by the fixed e_a with
+    sigma_a = t; with R B R = B the block there has the entries
+    c_a c_a′ (B[a, a′] + t·sigma_a′ B[a, perm(a′)]), with c = 1 on pairs and
+    1/√2 on fixed points.  Each half is diagonalized on its own, and the
+    eigenvectors are written back in the sector basis, in ascending energy.
+    """
+    perm, sigma = _reflection(n, sign)
+    mirrored = block[np.ix_(perm, perm)]
+    mirrored *= sigma[:, None]
+    mirrored *= sigma
+    symmetric = np.array_equal(mirrored, block)
+    del mirrored
+    if not symmetric:
+        return ParitySector(sign, *np.linalg.eigh(block))
+    m = block.shape[0]
+    # The long-lived output first, before the transient halves.
+    vectors = np.zeros((m, m), dtype=block.dtype)
+    index = np.arange(m)
+    pairs = index[index < perm]
+    fixed = index[index == perm]
+    halves = []
+    for t in (1.0, -1.0):
+        rows = np.concatenate([pairs, fixed[sigma[fixed] == t]])
+        half = block[np.ix_(rows, rows)]
+        partner = block[np.ix_(rows, perm[rows])]
+        partner *= t * sigma[rows]
+        half += partner
+        del partner
+        scale = np.ones(rows.size)
+        scale[pairs.size:] = math.sqrt(0.5)
+        half *= scale[:, None]
+        half *= scale
+        halves.append((t, rows, *np.linalg.eigh(half)))
+        del half
+    energies = np.concatenate([w for _, _, w, _ in halves])
+    order = np.argsort(energies, kind="stable")
+    rank = np.argsort(order)
+    start = 0
+    for t, rows, w, y in halves:
+        cols = rank[start:start + w.size]
+        start += w.size
+        paired = y[:pairs.size] * math.sqrt(0.5)
+        vectors[np.ix_(pairs, cols)] = paired
+        vectors[np.ix_(perm[pairs], cols)] = (t * sigma[pairs])[:, None] * paired
+        vectors[np.ix_(rows[pairs.size:], cols)] = y[pairs.size:]
+    return ParitySector(sign, energies[order], vectors)
 
 
 def gibbs_state(

@@ -1,7 +1,12 @@
 """Continuity functions g and k, their inversion, and depth verdicts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +21,7 @@ from depthbound.bounds import (
 )
 
 LN2 = math.log(2.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +100,29 @@ def test_invert_k_edge_values():
         invert_k(-1e-3, 2)
     with pytest.raises(ValueError):
         invert_k(k_func(1.0, 2) * 1.01, 2)  # beyond the range of k
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_invert_k_matches_scipy_brentq_bitwise(d):
+    """The in-module Brent solver returns scipy's float on every target:
+    5000 log-spaced and 5000 uniform k, and the ends of the range."""
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(d)
+    top = k_func(1.0, d)
+    targets = np.concatenate([np.logspace(-14, math.log10(top), 5001)[:-1],
+                              rng.uniform(0.0, top, 5000), [top, 1e-300, 5e-324]])
+    for k in targets.tolist():
+        expected = brentq(lambda e: k_func(e, d) - k, 0.0, 1.0, xtol=1e-12)
+        assert invert_k(k, d) == expected, k
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, depthbound.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

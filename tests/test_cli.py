@@ -179,6 +179,16 @@ def test_bound_cft_depth_at_largest_beta(capsys):
          "--x-grid", "3", "--region-b", "0,1"),  # region B is a dense-bound option
         ("fig2", "--n", "21", "--beta-grid", "5", "--x-grid", "2", "--out", "/tmp/f2",
          "--epsilon", "0.5"),  # fig2 reads --k-eps only
+        ("fig2", "--n", "21", "--beta-grid", "5", "--x-grid", "2", "--out", "/tmp/f2",
+         "--g", "0.7"),  # fig2 runs its own g values
+        ("fig2", "--n", "21", "--beta-grid", "5", "--x-grid", "2", "--out", "/tmp/f2",
+         "--beta", "3"),  # fig2 reads --beta-grid
+        ("fig2", "--n", "21", "--beta-grid", "5", "--x-grid", "2", "--out", "/tmp/f2",
+         "--format", "json"),  # fig2 writes CSV only
+        ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta", "10", "--x-grid", "1",
+         "--seed", "5"),  # only selftest is seeded
+        ("bound", "--backend", "cft", "--beta", "50", "--beta-grid", "1,2"),  # bound takes --beta
+        ("selftest", "--n", "4"),  # selftest reads --seed only
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -191,6 +201,7 @@ def test_config_errors_exit_2(argv, capsys):
     [
         ("bound", "backend = freefermion\nn = 21\ng = 1\nbeta = 2\nx_grid = 3\nregion_b = 0,1\n"),
         ("fig2", "n = 21\nbeta_grid = 5\nx_grid = 2\nout = /tmp/f2\nepsilon = 0.5\n"),
+        ("selftest", "seed = 1\nthreads = 2\n"),
     ],
 )
 def test_inapplicable_config_keys_exit_2(tmp_path, capsys, command, keys):
@@ -207,6 +218,8 @@ def test_inapplicable_config_keys_exit_2(tmp_path, capsys, command, keys):
         ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
          "--x-grid", "3", "--measure", "projective-x"),
         ("fig2", "--backend", "dense", "--out", "/tmp/f2"),
+        ("fig2", "--backend", "dense", "--out", "/tmp/f2", "--format", "json"),  # 3 before 2
+        ("fig2", "--measure", "projective-x", "--out", "/tmp/f2"),
         ("bound", "--backend", "cft", "--beta", "50", "--model", "custom"),
     ],
 )

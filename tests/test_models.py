@@ -1,6 +1,7 @@
 """Spin-chain Hamiltonians, Gibbs states, and dynamical correlators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,6 +225,54 @@ def test_sector_blocks_match_assembled_vectors(seed):
             assert np.max(np.abs(block - expected)) < 1e-12
 
 
+def _mirror_symmetric_model(rng):
+    """Random ∏X-symmetric model made symmetric under the reflection
+    j ↔ n−1−j by adding each term's mirror image with the same coefficient.
+    The coefficients are dyadic, so every sum in the built H is exact and the
+    blocks are symmetric bit for bit."""
+    n = int(rng.integers(2, 8))
+    terms = {}
+    for _ in range(int(rng.integers(1, 6))):
+        sites = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        letters = ["XYZ"[rng.integers(3)] for _ in sites]
+        z_or_y = [i for i, letter in enumerate(letters) if letter != "X"]
+        if len(z_or_y) % 2:
+            letters[z_or_y[-1]] = "X"
+        ops = tuple(sorted(zip((int(s) for s in sites), letters)))
+        coeff = float(rng.integers(-8, 9)) / 8.0
+        for term in (ops, tuple(sorted((n - 1 - s, letter) for s, letter in ops))):
+            terms[term] = coeff
+    if n >= 3 and rng.integers(2):
+        ops = ((0, "X"), (1, "Y"), (2, "Z"))  # with its mirror image, a complex H
+        terms[ops] = terms[tuple(sorted((n - 1 - s, letter) for s, letter in ops))] = 0.25
+    return SpinHamiltonian(n, tuple((coeff, ops) for ops, coeff in terms.items()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_reflection_blocks_match_full_eigh(seed):
+    rng = np.random.default_rng(seed)
+    ham = _mirror_symmetric_model(rng)
+    h = ham.to_matrix()
+    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as counted:
+        eig = ThermalEigensystem.of(ham)
+    m = h.shape[0] // 2
+    # Both parity blocks were split in two.
+    dims = [call.args[0].shape[0] for call in counted.call_args_list]
+    assert len(dims) == 4 and sum(dims) == 2 * m
+    w, v = np.linalg.eigh(h)
+    e, vec = eig.energies, eig.vectors
+    assert vec.dtype == h.dtype
+    assert np.all(np.diff(e) >= 0)
+    assert np.max(np.abs(e - w)) < 1e-12
+    assert np.linalg.norm(h @ vec - vec * e) < 1e-12
+    assert np.linalg.norm(vec.conj().T @ vec - np.eye(len(w))) < 1e-12
+    beta = float(rng.uniform(0.0, 3.0))
+    got = gibbs_state(eig, beta).matrix
+    expected = gibbs_state(ThermalEigensystem(w, v, ham.sites), beta).matrix
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
 @pytest.fixture
 def eigh_dims(monkeypatch):
     dims = []
@@ -238,9 +287,22 @@ def eigh_dims(monkeypatch):
 
 
 def test_tfim_is_diagonalized_in_two_parity_blocks(eigh_dims):
+    """Each parity block of the mirror-symmetric chain is split again by the
+    reflection.  Its fixed sector states are the 4 palindromes and the 4
+    anti-palindromes below m = 32; they carry R = +1 in sector + (20 + 12),
+    and the anti-palindromes carry R = −1 in sector − (16 + 16)."""
     eig = ThermalEigensystem.of(build_tfim(6, 0.8))
-    assert eigh_dims == [32, 32]
+    assert eigh_dims == [20, 12, 16, 16]
     assert eig.vectors.shape == (64, 64)
+
+
+def test_mirror_breaking_field_keeps_one_eigh_per_parity_block(eigh_dims):
+    tfim = build_tfim(6, 0.8)
+    ham = SpinHamiltonian(6, tfim.terms + ((0.3, ((0, "X"),)),))
+    eig = ThermalEigensystem.of(ham)
+    assert eigh_dims == [32, 32]
+    h = ham.to_matrix()
+    assert np.linalg.norm(h @ eig.vectors - eig.vectors * eig.energies) < 1e-12
 
 
 def test_complex_parity_symmetric_model_uses_blocks(eigh_dims):
