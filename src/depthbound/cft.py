@@ -28,6 +28,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from .states import NumericalConsistencyError
+
 __all__ = [
     "CftParams",
     "CrossingResult",
@@ -227,7 +229,7 @@ def fit_kappa(
     resid = lc - (slope * lx + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
     if rms > max_residual_rms:
-        raise ValueError(
+        raise NumericalConsistencyError(
             f"power-law fit rejected: residual RMS {rms:.3g} exceeds {max_residual_rms}"
         )
     return KappaFit(kappa=float(np.exp(intercept)), slope=float(slope), residual_rms=rms)

@@ -5,16 +5,24 @@ Subcommands
 * ``bound`` — one criterion evaluation and verdict record.
 * ``scan`` — a (beta, x) grid swept into a CSV dataset plus a JSON sidecar.
 * ``fig2`` — the standard g ∈ {0.5, 1.0, 1.5} ratio/depth datasets.
-* ``selftest`` — condensed oracle and property suites.
+* ``selftest`` — condensed oracle and property suites (``depthbound.checks``).
 
 The dense backend measures projectively or weakly on small chains; the
 freefermion backend evaluates the weak-X second-order proxy at n ≈ 300;
 the cft backend evaluates the continuum closed forms (unit-velocity units),
 fitting the two-point amplitude from lattice data rather than hardcoding it.
 
+``OPTIONS`` states what each option accepts, and ``EXCLUSIVE`` which pairs
+exclude each other; flags, config-file keys and ``DEPTHBOUND_THREADS``
+(which overrides ``--threads``) are checked against them in one pass.
+Checks that need the model or the backend stay with them: ``--site`` and
+``--region-b`` against the chain, the cft beta window and kappa fit, and
+the dense cap.
+
 Exit codes: 0 success, 2 configuration error, 3 backend-capability error
-(including running out of memory), 4 numerical-consistency failure.
-``DEPTHBOUND_THREADS`` overrides ``--threads``.  Output floats are printed
+(including running out of memory; reported before configuration errors),
+4 numerical-consistency failure (a library tolerance gate, raised as
+``NumericalConsistencyError``).  Output floats are printed
 with 12 significant digits and a fixed row order (beta outer, x inner), so
 identical configurations produce byte-identical files.
 """
@@ -30,6 +38,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,7 +108,7 @@ def _fmt(value) -> str:
     return "%.12g" % float(value)
 
 
-def _parse_grid(text: str, *, integer: bool = False) -> list[float] | list[int]:
+def _parse_grid(text: str) -> list[float]:
     """Parse '1,2,3' or 'start:stop[:step]' (inclusive stop) grids."""
     text = text.strip()
     try:
@@ -123,14 +132,16 @@ def _parse_grid(text: str, *, integer: bool = False) -> list[float] | list[int]:
             raise ValueError("empty grid")
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
-    if integer:
-        out = []
-        for v in values:
-            if abs(v - round(v)) > 1e-9:
-                raise ConfigError(f"grid value {v} is not an integer")
-            out.append(int(round(v)))
-        return out
     return values
+
+
+def _x_grid(text: str) -> list[int]:
+    """A grid of integer distances."""
+    values = _parse_grid(text)
+    for v in values:
+        if abs(v - round(v)) > 1e-9:
+            raise ConfigError(f"grid value {v} is not an integer")
+    return [int(round(v)) for v in values]
 
 
 def _parse_sites(text: str) -> tuple[int, ...]:
@@ -181,27 +192,51 @@ def _load_config_file(path: str) -> tuple[dict[str, str], dict[str, str]]:
     return flags, terms
 
 
-#: The options of the subcommands, as (name, type, choices, commands that
-#: read it, help).  Each one is a long flag and a config-file key, parsed and
-#: checked alike; a command given an option it does not read exits 2.
+BACKENDS = ("dense", "freefermion", "cft")
+_RUNS = ("bound", "scan", "fig2")
+
+
+class Option(NamedTuple):
+    """One option of the subcommands: a long flag and a config-file key,
+    parsed and checked alike.  Every number it holds (each grid value, for
+    a grid's text) must be finite and lie in [low, high]; a command or a
+    backend given an option it does not read exits 2."""
+
+    name: str
+    kind: type
+    commands: tuple[str, ...]
+    help: str
+    choices: tuple[str, ...] | None = None
+    low: float = -math.inf
+    high: float = math.inf
+    backends: tuple[str, ...] = BACKENDS
+    parse: Callable[[str], list] | None = None  # the numbers in a text value
+
+
 OPTIONS = (
-    ("model", str, ("tfim", "custom"), ("bound", "scan", "fig2"), "Hamiltonian family"),
-    ("n", int, None, ("bound", "scan", "fig2"), "number of chain sites"),
-    ("g", float, None, ("bound", "scan"), "transverse field strength"),
-    ("beta", float, None, ("bound", "scan"), "single inverse temperature"),
-    ("beta-grid", str, None, ("scan", "fig2"), "inverse-temperature grid: a,b,c or start:stop[:step]"),
-    ("x-grid", str, None, ("bound", "scan", "fig2"), "A-B distance grid (integers)"),
-    ("backend", str, ("dense", "freefermion", "cft"), ("bound", "scan", "fig2"), "compute backend"),
-    ("measure", str, ("projective-x", "weak-x"), ("bound", "scan"), "measurement family"),
-    ("site", int, None, ("bound", "scan", "fig2"), "measured site (default: chain center)"),
-    ("region-b", str, None, ("bound",), "explicit region-B site list (dense bound only)"),
-    ("epsilon", float, None, ("bound", "scan"), "preparation error epsilon"),
-    ("k-eps", float, None, ("bound", "scan", "fig2"), "threshold k(eps); inverted to epsilon"),
-    ("out", str, None, ("bound", "scan", "fig2"), "output file path (scan/fig2) or record destination"),
-    ("format", str, ("csv", "json"), ("bound", "scan"), "output format (default csv)"),
-    ("threads", int, None, ("bound", "scan", "fig2"), "worker threads (default 1)"),
-    ("seed", int, None, ("selftest",), "seed for randomized suites"),
+    Option("model", str, _RUNS, "Hamiltonian family", choices=("tfim", "custom")),
+    Option("n", int, _RUNS, "number of chain sites", low=2),
+    Option("g", float, ("bound", "scan"), "transverse field strength"),
+    Option("beta", float, ("bound", "scan"), "single inverse temperature", low=0.0),
+    Option("beta-grid", str, ("scan", "fig2"), "inverse-temperature grid: a,b,c or start:stop[:step]",
+           low=0.0, parse=_parse_grid),
+    Option("x-grid", str, _RUNS, "A-B distance grid (integers)", low=1, parse=_x_grid),
+    Option("backend", str, _RUNS, "compute backend", choices=BACKENDS),
+    Option("measure", str, ("bound", "scan"), "measurement family", choices=("projective-x", "weak-x")),
+    Option("site", int, _RUNS, "measured site (default: chain center)", backends=("dense", "freefermion")),
+    Option("region-b", str, ("bound",), "explicit region-B site list (dense bound only)",
+           backends=("dense",)),
+    Option("epsilon", float, ("bound", "scan"), "preparation error epsilon", low=0.0, high=1.0),
+    # k is inverted with d_A' = 2 (a qubit flag register), so k(1) caps it.
+    Option("k-eps", float, _RUNS, "threshold k(eps); inverted to epsilon", low=0.0, high=k_func(1.0, 2)),
+    Option("out", str, _RUNS, "output file path (scan/fig2) or record destination"),
+    Option("format", str, ("bound", "scan"), "output format (default csv)", choices=("csv", "json")),
+    Option("threads", int, _RUNS, "worker threads (default 1)", low=1),
+    Option("seed", int, ("selftest",), "seed for randomized suites", low=0),
 )
+
+#: Pairs of options that exclude each other.
+EXCLUSIVE = (("epsilon", "k-eps"), ("beta", "beta-grid"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,9 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="INI-style config file; flags override its keys")
-        for key, kind, choices, _, help_text in OPTIONS:
-            p.add_argument("--" + key, type=kind, choices=choices, help=help_text)
+        for option in OPTIONS:
+            p.add_argument("--" + option.name, type=option.kind, choices=option.choices, help=option.help)
     return parser
+
+
+def _typed(option: Option, raw: str, source: str):
+    """A text value (config key or environment) with its flag's type and choices."""
+    try:
+        value = option.kind(raw)
+    except ValueError:
+        raise ConfigError(f"{source}: bad value {raw!r}") from None
+    if option.choices is not None and value not in option.choices:
+        raise ConfigError(f"{source}: {raw!r} is not one of {', '.join(option.choices)}")
+    return value
 
 
 def _merged_options(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
@@ -231,95 +277,84 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
     terms: dict[str, str] = {}
     if args.config:
         file_flags, terms = _load_config_file(args.config)
-    unknown = set(file_flags) - {key for key, *_ in OPTIONS}
+    unknown = set(file_flags) - {option.name for option in OPTIONS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged: dict = {}
-    for key, kind, choices, _, _ in OPTIONS:
-        if key in file_flags:
-            raw = file_flags[key]
-            try:
-                merged[key] = kind(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-            if choices is not None and merged[key] not in choices:
-                raise ConfigError(f"config key {key!r}: {raw!r} is not one of {', '.join(choices)}")
-        cli_value = getattr(args, key.replace("-", "_"))
+    for option in OPTIONS:
+        if option.name in file_flags:
+            merged[option.name] = _typed(option, file_flags[option.name], f"config key {option.name!r}")
+        cli_value = getattr(args, option.name.replace("-", "_"))
         if cli_value is not None:
-            merged[key] = cli_value
+            merged[option.name] = cli_value
     return merged, terms
 
 
-def _epsilon_of_k(k_eps: float) -> float:
-    """The epsilon with k(epsilon) = k_eps for d_A' = 2 (a qubit flag)."""
-    top = k_func(1.0, 2)
-    if not 0 <= k_eps <= top:
-        raise ConfigError(f"--k-eps must lie in [0, k(1) = {top:.6g}]")
-    return float(invert_k(float(k_eps), 2))
+def _check_value(option: Option, value, source: str) -> None:
+    """Every number in ``value`` must be finite and within the option's bounds."""
+    numbers = option.parse(value) if option.parse else [] if option.kind is str else [value]
+    for number in numbers:
+        if not math.isfinite(number):
+            raise ConfigError(f"{source} = {number:g} is not finite")
+        if not option.low <= number <= option.high:
+            raise ConfigError(f"{source} = {number:g} lies outside [{option.low:.6g}, {option.high:.6g}]")
 
 
-def _resolve_epsilon(opts: dict) -> tuple[float, float | None]:
-    """Return (epsilon, k_eps or None), inverting --k-eps with d_A' = 2."""
-    eps = opts.get("epsilon")
-    k_eps = opts.get("k-eps")
-    if eps is not None and k_eps is not None:
-        raise ConfigError("give either --epsilon or --k-eps, not both")
+def _check_options(command: str, opts: dict) -> None:
+    """Check the merged options and DEPTHBOUND_THREADS against OPTIONS and
+    EXCLUSIVE (exit 2): each option must be read by the command and the
+    backend, and its numbers must lie within the option's bounds."""
+    backend = opts.get("backend", "dense")
+    for option in OPTIONS:
+        if option.name not in opts:
+            continue
+        if command not in option.commands:
+            raise ConfigError(f"{command} does not read --{option.name}")
+        if backend not in option.backends:
+            raise ConfigError(f"the {backend} backend does not read --{option.name}")
+        _check_value(option, opts[option.name], "--" + option.name)
+    for first, second in EXCLUSIVE:
+        if first in opts and second in opts:
+            raise ConfigError(f"give either --{first} or --{second}, not both")
+    env = os.environ.get("DEPTHBOUND_THREADS")
+    threads = next(option for option in OPTIONS if option.name == "threads")
+    if env is not None and command in threads.commands:
+        _check_value(threads, _typed(threads, env, "DEPTHBOUND_THREADS"), "DEPTHBOUND_THREADS")
+
+
+def _betas(opts: dict) -> list[float]:
+    """The --beta-grid values, or the single --beta."""
+    if "beta-grid" in opts:
+        return _parse_grid(opts["beta-grid"])
+    if "beta" not in opts:
+        raise ConfigError("--beta or --beta-grid is required")
+    return [float(opts["beta"])]
+
+
+def _check_cft_betas(opts: dict) -> None:
+    """The cft closed forms are written in the temperature 1/beta, and they
+    raise both 2 pi/beta and beta to the power 2 Delta: each beta must keep
+    both finite, which rules out beta = 0 too (exit 2)."""
+    limit = sys.float_info.max ** (0.5 / CFT_DELTA)
+    for beta in _betas(opts):
+        if not (beta <= limit and 2.0 * math.pi <= beta * limit):
+            raise ConfigError(
+                f"cft backend: beta = {beta:g} overflows the closed forms "
+                f"(need {2.0 * math.pi / limit:.4g} <= beta <= {limit:.4g})"
+            )
+
+
+def _epsilon(opts: dict, k_default: float | None = None) -> float:
+    """--epsilon, or --k-eps (else ``k_default``) inverted with d_A' = 2 (a qubit flag)."""
+    k_eps = opts.get("k-eps", k_default)
     if k_eps is not None:
-        return _epsilon_of_k(k_eps), float(k_eps)
-    if eps is None:
-        return 0.0, None
-    if not 0 <= eps <= 1:
-        raise ConfigError("--epsilon must lie in [0, 1]")
-    return float(eps), None
-
-
-def _check_values(opts: dict) -> None:
-    """Range checks on resolved options that need no model (exit 2)."""
-    betas = [opts["beta"]] if "beta" in opts else []
-    if not all(math.isfinite(b) for b in betas):
-        raise ConfigError("--beta must be finite")
-    if any(b < 0 for b in betas):
-        raise ConfigError("--beta must be non-negative")
-    grid = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else []
-    if any(b < 0 for b in grid):
-        raise ConfigError("--beta-grid values must be non-negative")
-    if opts.get("backend") == "cft":
-        # The continuum forms are written in the temperature 1/beta, and they
-        # raise both 2 pi/beta and beta to the power 2 Delta.
-        if 0 in betas + grid:
-            raise ConfigError("cft backend needs beta > 0")
-        limit = sys.float_info.max ** (0.5 / CFT_DELTA)
-        for beta in betas + grid:
-            if not (beta <= limit and 2.0 * math.pi / beta <= limit):
-                raise ConfigError(
-                    f"cft backend: beta = {beta:g} overflows the closed forms "
-                    f"(need {2.0 * math.pi / limit:.4g} <= beta <= {limit:.4g})"
-                )
-    if opts.get("model", "tfim") == "tfim" and opts.get("n", 2) < 2:
-        raise ConfigError("the tfim chain needs --n >= 2")
-
-
-def _check_applicable(command: str, opts: dict) -> None:
-    """Reject options the command would ignore (exit 2)."""
-    unread = [key for key, _, _, commands, _ in OPTIONS if key in opts and command not in commands]
-    if unread:
-        raise ConfigError(f"{command} does not read {', '.join('--' + key for key in unread)}")
-    if "region-b" in opts and opts.get("backend", "dense") != "dense":
-        raise ConfigError("--region-b applies only to a dense bound")
+        return float(invert_k(float(k_eps), 2))
+    return float(opts.get("epsilon", 0.0))
 
 
 def _threads(opts: dict) -> int:
-    env = os.environ.get("DEPTHBOUND_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"DEPTHBOUND_THREADS={env!r} is not an integer") from None
-    else:
-        value = int(opts.get("threads", 1))
-    if value < 1:
-        raise ConfigError("thread count must be at least 1")
-    return value
+    """DEPTHBOUND_THREADS, else --threads, else 1."""
+    return int(os.environ.get("DEPTHBOUND_THREADS", opts.get("threads", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +550,12 @@ def _fit_lattice_kappa(n: int, g: float) -> float:
         center = _center_site(n)
         seps = np.arange(10, min(51, center))
         cors = np.array([connected_xx(cov, center, center - int(s)) for s in seps])
-        _KAPPA_CACHE[key] = fit_kappa(seps, cors, 1.0).kappa
+        try:
+            _KAPPA_CACHE[key] = fit_kappa(seps, cors, 1.0).kappa
+        except NumericalConsistencyError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"cft backend cannot fit the amplitude on an n = {n} chain: {exc}") from None
     return _KAPPA_CACHE[key]
 
 
@@ -625,10 +665,12 @@ def _pool_map(workers: int, fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_rows(path: Path, rows: list[list], errors: list[str | None]) -> None:
+def _write_rows(path: Path, rows: list[list], errors: list[str | None] | None = None,
+                columns: tuple[str, ...] = COLUMNS) -> None:
+    """CSV rows under ``columns``, plus an error column when a row failed."""
+    errors = errors or [None] * len(rows)
     has_errors = any(e is not None for e in errors)
-    header = ", ".join(COLUMNS) + (", error" if has_errors else "")
-    lines = [header]
+    lines = [", ".join(columns) + (", error" if has_errors else "")]
     for row, err in zip(rows, errors):
         cells = [_fmt(v) for v in row]
         if has_errors:
@@ -637,12 +679,15 @@ def _write_rows(path: Path, rows: list[list], errors: list[str | None]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sidecar(path: Path, opts: dict, elapsed: float, n_rows: int) -> None:
+def _sidecar(path: Path, opts: dict, elapsed: float, rows: int | list[dict], **extra) -> None:
+    """The run's JSON record: resolved options, version, timing and ``rows``
+    (a count beside a CSV, the rows themselves for ``scan --format json``)."""
     payload = {
         "config": {k: opts[k] for k in sorted(opts)},
         "version": __version__,
         "timing_seconds": round(elapsed, 6),
-        "rows": n_rows,
+        "rows": rows,
+        **extra,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -654,12 +699,11 @@ def _sidecar(path: Path, opts: dict, elapsed: float, n_rows: int) -> None:
 
 def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
     backend = opts.get("backend", "dense")
-    epsilon, k_eps = _resolve_epsilon(opts)
-    _threads(opts)  # bound runs on one thread, but the setting is still checked
+    epsilon = _epsilon(opts)
     start = time.perf_counter()
     if "beta" not in opts:
         raise ConfigError("--beta is required for bound")
-    xs = _parse_grid(opts["x-grid"], integer=True) if "x-grid" in opts else []
+    xs = _x_grid(opts["x-grid"]) if "x-grid" in opts else []
     region = _parse_sites(opts["region-b"]) if "region-b" in opts else None
     if backend == "dense" and region is None and not xs:
         raise ConfigError("dense bound needs --region-b or --x-grid")
@@ -696,8 +740,8 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
     record = dict(zip(COLUMNS, row))
     record["wall_time_seconds"] = round(elapsed, 6)
     record["version"] = __version__
-    if k_eps is not None:
-        record["k_eps"] = k_eps
+    if "k-eps" in opts:
+        record["k_eps"] = float(opts["k-eps"])
     record.update(extras)
     fmt = opts.get("format", "csv")
     if fmt == "json":
@@ -728,16 +772,11 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
             opts["n"] = 301  # continuum rows; n only sizes the amplitude fit
         else:
             raise ConfigError("scan requires --n")
-    epsilon, _ = _resolve_epsilon(opts)
-    if "beta-grid" in opts:
-        betas = _parse_grid(opts["beta-grid"])
-    elif "beta" in opts:
-        betas = [float(opts["beta"])]
-    else:
-        raise ConfigError("scan requires --beta-grid or --beta")
+    epsilon = _epsilon(opts)
+    betas = _betas(opts)
     if "x-grid" not in opts:
         raise ConfigError("scan requires --x-grid")
-    xs = _parse_grid(opts["x-grid"], integer=True)
+    xs = _x_grid(opts["x-grid"])
     start = time.perf_counter()
     workers = _threads(opts)
     model = _build_model(opts, terms_raw, opts.get("measure", "weak-x"))
@@ -745,18 +784,11 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     rows = [row for r, _ in results for row in r]
     errors = [err for _, e in results for err in e]
     out = Path(opts["out"])
-    fmt = opts.get("format", "csv")
     elapsed = time.perf_counter() - start
-    if fmt == "json":
-        payload = {
-            "config": {k: opts[k] for k in sorted(opts)},
-            "version": __version__,
-            "timing_seconds": round(elapsed, 6),
-            "rows": [dict(zip(COLUMNS, [_json_num(v) if not isinstance(v, str) else v for v in row]))
-                     for row in rows],
-            "errors": [e for e in errors if e] or None,
-        }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if opts.get("format", "csv") == "json":
+        records = [dict(zip(COLUMNS, [v if isinstance(v, str) else _json_num(v) for v in row]))
+                   for row in rows]
+        _sidecar(out, opts, elapsed, records, errors=[e for e in errors if e] or None)
     else:
         _write_rows(out, rows, errors)
         _sidecar(out.with_suffix(".json"), opts, elapsed, len(rows))
@@ -768,8 +800,8 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
         raise ConfigError("fig2 requires --out (dataset stem)")
     n = int(opts.get("n", 301))
     betas = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else [10.0 * i for i in range(1, 11)]
-    xs = _parse_grid(opts["x-grid"], integer=True) if "x-grid" in opts else list(range(1, 61))
-    eps_approx = _epsilon_of_k(float(opts.get("k-eps", 1e-5)))
+    xs = _x_grid(opts["x-grid"]) if "x-grid" in opts else list(range(1, 61))
+    eps_approx = _epsilon(opts, k_default=1e-5)
     gs = (0.5, 1.0, 1.5)
     site = _probe_site(opts, n)
     start = time.perf_counter()
@@ -797,107 +829,16 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     stem = Path(opts["out"])
     ratio_path = stem.parent / (stem.name + "_ratio.csv")
     depth_path = stem.parent / (stem.name + "_depth.csv")
-    _write_rows(ratio_path, ratio_rows, [None] * len(ratio_rows))
-    depth_header = "beta, g, n, epsilon, depth_lb, backend"
-    lines = [depth_header] + [", ".join(_fmt(v) for v in row) for row in depth_rows]
-    depth_path.write_text("\n".join(lines) + "\n")
+    _write_rows(ratio_path, ratio_rows)
+    _write_rows(depth_path, depth_rows, columns=("beta", "g", "n", "epsilon", "depth_lb", "backend"))
     _sidecar(stem.parent / (stem.name + ".json"), opts, time.perf_counter() - start, len(ratio_rows))
     return 0
 
 
 def _cmd_selftest(opts: dict) -> int:
-    from .models import gibbs_state, holevo_finite_difference
-    from .fermion import MajoranaCovariance, gaussian_entropy, many_body_energies, pfaffian
-    from .perturbative import chi2_E_eigensum, chi2_general, lieb_R_map, lieb_T_map
-    from .purification import canonical_purification
-    from .bounds import g_func
-    from .cft import alpha_delta, h_delta
-    from .states import DensityOperator, embed_operator
+    from .checks import selftest
 
-    rng = np.random.default_rng(int(opts.get("seed", 0)))
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        line = f"[{status}] {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-
-    worst = 0.0
-    for val, ref in (
-        (h_delta(1.0), 2.0 / 3.0),
-        (h_delta(0.5), math.pi / 4.0),
-        (alpha_delta(1.0), 8.0 / 3.0),
-        (g_func(1.0), 2.0 * math.log(2.0)),
-        (k_func(0.0, 2), 0.0),
-    ):
-        worst = max(worst, abs(val - ref))
-    report("special values", worst < 1e-12, f"max |err| = {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(3):
-        n = 3
-        ham = build_tfim(n, float(rng.uniform(0.4, 1.6)))
-        beta = float(rng.uniform(0.5, 3.0))
-        site = int(rng.integers(0, n))
-        psi = canonical_purification(gibbs_state(ham, beta))
-        general = chi2_general(psi, PAULI_X, (site,), psi.env_sites).value
-        oracle = holevo_finite_difference(ham, beta, PAULI_X, (site,), "env")
-        worst = max(worst, abs(general - oracle.value) / max(abs(oracle.value), 1e-12))
-    report("finite-difference oracle", worst < 1e-4, f"max rel err = {worst:.2e}")
-
-    ham = build_tfim(6, 1.0)
-    eig = chi2_E_eigensum(ham, 2.0, embed_operator(PAULI_X, (3,), ham.sites))
-    psi = canonical_purification(gibbs_state(ham, 2.0))
-    gen = chi2_general(psi, PAULI_X, (3,), psi.env_sites).value
-    report("route equality (n=6)", abs(eig.value - gen) < 1e-8, f"|diff| = {abs(eig.value - gen):.2e}")
-
-    worst = 0.0
-    for _ in range(100):
-        dim = 4
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho_m = a @ a.conj().T
-        rho_m /= np.trace(rho_m).real
-        rho = DensityOperator(rho_m, (0, 1))
-        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = h + h.conj().T
-        h /= np.linalg.norm(h, 2)
-        w, v = np.linalg.eigh(rho_m)
-        xi = rho_m @ (v @ np.diag(rng.uniform(-1, 1, dim)) @ v.conj().T)
-        xi = 0.5 * (xi + xi.conj().T)
-        t_norm = np.linalg.norm(lieb_T_map(rho, xi), 2)
-        r_norm = np.linalg.norm(lieb_R_map(rho, xi), 2)
-        worst = max(worst, t_norm - 1.0, r_norm - 1.0)
-    report("map contraction", worst < 1e-9, f"max excess = {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(20):
-        dim = 2 * int(rng.integers(2, 5))
-        a = rng.normal(size=(dim, dim))
-        a = a - a.T
-        pf = pfaffian(a)
-        det = np.linalg.det(a)
-        worst = max(worst, abs(pf * pf - det) / max(abs(det), 1e-12))
-    report("pfaffian consistency", worst < 1e-8, f"max rel err = {worst:.2e}")
-
-    n = 8
-    spectrum = bdg_diagonalize(n, 1.0)
-    dense_spec = np.sort(np.linalg.eigvalsh(build_tfim(n, 1.0).to_matrix()))
-    ff_spec = np.sort(many_body_energies(spectrum))
-    err = float(np.max(np.abs(dense_spec - ff_spec)))
-    cov = thermal_covariance(spectrum, 2.0)
-    rho = gibbs_state(build_tfim(n, 1.0), 2.0)
-    err2 = abs(x_expectation(cov, 3) - rho.expectation(PAULI_X, (3,)))
-    err3 = abs(gaussian_entropy(cov, range(4)) - von_neumann_entropy(rho.reduced(tuple(range(4)))))
-    ok = err < 1e-9 and err2 < 1e-9 and err3 < 1e-8
-    report("cross-backend (n=8)", ok, f"spec {err:.1e}, <X> {err2:.1e}, S {err3:.1e}")
-
-    print(f"selftest: {6 - failures}/6 suites passed")
-    return 0 if failures == 0 else 4
+    return selftest(int(opts.get("seed", 0)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -911,8 +852,9 @@ def main(argv: list[str] | None = None) -> int:
             _require(backend == "freefermion", "fig2 is a freefermion pipeline")
             opts.setdefault("model", "tfim")
         _check_capabilities(opts)
-        _check_applicable(args.command, opts)
-        _check_values(opts)
+        _check_options(args.command, opts)
+        if opts.get("backend") == "cft":
+            _check_cft_betas(opts)
         if args.command == "bound":
             return _cmd_bound(opts, terms_raw)
         if args.command == "scan":

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .models import LineGroups, SpectralLines
 from .perturbative import Chi2Result, chi2_E_spectral
-from .states import entropy_from_spectrum
+from .states import NumericalConsistencyError, entropy_from_spectrum
 
 __all__ = [
     "BogoliubovSpectrum",
@@ -85,12 +85,12 @@ class BogoliubovSpectrum:
             raise ValueError("inconsistent spectrum shapes")
         err = float(np.max(np.abs(self.q @ self.q.T - np.eye(n2))))
         if err > _ORTHO_ATOL:
-            raise ValueError(f"Q deviates from orthogonality by {err}")
+            raise NumericalConsistencyError(f"Q deviates from orthogonality by {err}")
         # T has mode blocks [[0, ε_k], [−ε_k, 0]], that is t_k = −ε_k.
         recon = _times_mode_blocks(self.q, -self.energies) @ self.q.T
         rerr = float(np.max(np.abs(recon - self.couplings)))
         if rerr > _ORTHO_ATOL * max(1.0, float(np.max(np.abs(self.couplings)))):
-            raise ValueError(f"spectrum does not reconstruct h (error {rerr})")
+            raise NumericalConsistencyError(f"spectrum does not reconstruct h (error {rerr})")
 
 
 def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -168,7 +168,7 @@ class MajoranaCovariance:
         if not (np.isrealobj(g) and _norm_below(g, _NORM_LIMIT)):
             smax = float(np.linalg.norm(g, 2))
             if smax > _NORM_LIMIT:
-                raise ValueError(f"covariance singular value {smax} exceeds 1")
+                raise NumericalConsistencyError(f"covariance singular value {smax} exceeds 1")
 
     @property
     def n_sites(self) -> int:
@@ -378,7 +378,7 @@ class XLineTable:
         g2 = np.concatenate([1.0 - f, f])
         weight = g2[self.occ_a] * g2[self.occ_b] * self.strengths
         if weight.size and float(weight.min()) < -1e-10:
-            raise ValueError(f"negative line weight {weight.min()}")
+            raise NumericalConsistencyError(f"negative line weight {weight.min()}")
         return self.groups.reduce(np.clip(weight, 0.0, None))
 
 

@@ -21,6 +21,7 @@ from scipy.special import logsumexp
 from .states import (
     DENSE_QUBIT_CAP,
     DensityOperator,
+    NumericalConsistencyError,
     apply_on_sites,
 )
 from .purification import MeasurementSpec, apply_measurement, canonical_purification, holevo_information
@@ -286,7 +287,7 @@ class ThermalEigensystem:
         mat = sum(part(sector, p) for sector, p in zip(self.sectors, self.sector_weights(beta)))
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"Gibbs marginal trace deviates by {tr - 1.0}")
+            raise NumericalConsistencyError(f"Gibbs marginal trace deviates by {tr - 1.0}")
         return DensityOperator(mat, keep, check=False)
 
     def projected_factors(self, beta: float, site: int) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -404,7 +405,7 @@ def gibbs_state(
     mat = (v * p) @ v.conj().T
     tr = float(np.real(np.trace(mat)))
     if abs(tr - 1.0) > 1e-12:
-        raise ValueError(f"Gibbs state trace deviates by {tr - 1.0}")
+        raise NumericalConsistencyError(f"Gibbs state trace deviates by {tr - 1.0}")
     return DensityOperator(mat, eig.sites, check=False)
 
 
@@ -531,7 +532,7 @@ def dynamical_correlation(
         zero_idx = freqs.size - 1
     wts[zero_idx] -= mean * mean
     if wts[zero_idx] < -1e-10:
-        raise ValueError(f"static connected weight {wts[zero_idx]} below -1e-10")
+        raise NumericalConsistencyError(f"static connected weight {wts[zero_idx]} below -1e-10")
     wts[zero_idx] = max(wts[zero_idx], 0.0)
     lines = SpectralLines(freqs, wts)
     if times is not None:

@@ -35,6 +35,7 @@ from .states import (
     EIG_FLOOR,
     NEG_EIG_TOL,
     DensityOperator,
+    NumericalConsistencyError,
     StateVector,
     apply_on_sites,
     operator_norm,
@@ -191,7 +192,7 @@ def build_xi(
 def _hermitian_xi(xi: np.ndarray) -> np.ndarray:
     herm_err = float(np.max(np.abs(xi - xi.conj().T)))
     if herm_err > 1e-9:
-        raise ValueError(f"xi not Hermitian (deviation {herm_err}); check region/support")
+        raise NumericalConsistencyError(f"xi not Hermitian (deviation {herm_err}); check region/support")
     return 0.5 * (xi + xi.conj().T)
 
 
@@ -322,7 +323,7 @@ def chi2_E_spectral(lines, beta: float) -> Chi2Result:
     if freqs.shape != weights.shape:
         raise ValueError("frequencies and weights must have equal shapes")
     if weights.size and float(weights.min()) < -1e-10:
-        raise ValueError(f"negative spectral weight {weights.min()}")
+        raise NumericalConsistencyError(f"negative spectral weight {weights.min()}")
     weights = np.clip(weights, 0.0, None)
     value = 0.5 * float(np.sum(weights * f_beta_weight(freqs, beta)))
     return Chi2Result(value, "E", "spectral")

@@ -430,7 +430,7 @@ def projective_chi_E_factors(factors: Sequence[Sequence[np.ndarray]], entropy: f
     """
     probs = [sum(float(np.real(np.vdot(y, y))) for y in blocks) for blocks in factors]
     if abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"outcome probabilities sum to 1 + {sum(probs) - 1.0}")
+        raise NumericalConsistencyError(f"outcome probabilities sum to 1 + {sum(probs) - 1.0}")
     kept = [(p, blocks) for p, blocks in zip(probs, factors) if p >= OUTCOME_PRUNE_TOL]
     if not kept:
         raise ValueError("all outcomes pruned; invalid measurement/state pair")

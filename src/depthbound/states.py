@@ -65,8 +65,10 @@ DENSE_QUBIT_CAP = 14
 VECTOR_QUBIT_CAP = 26
 
 
-class NumericalConsistencyError(RuntimeError):
-    """Two routes to the same quantity disagreed beyond tolerance."""
+class NumericalConsistencyError(RuntimeError, ValueError):
+    """A library tolerance gate failed, such as two routes to one quantity
+    disagreeing (exit code 4).  Also a ``ValueError``, so callers that treat
+    bad values alike (a scan's per-row errors) need no second clause."""
 
 
 def _as_register(sites: Iterable[int]) -> tuple[int, ...]:

@@ -10,39 +10,23 @@ import time
 import numpy as np
 import pytest
 
-from depthbound.bounds import g_func, k_func
-from depthbound.cft import (
-    alpha_delta,
-    depth_bound_cft,
-    find_crossing,
-    h_delta,
+from depthbound.cft import depth_bound_cft, find_crossing
+from depthbound.checks import (
+    cross_backend_errors,
+    finite_difference_error,
+    perturbation_violation,
+    route_equality_error,
+    special_values_error,
 )
 from depthbound.cli import main as cli_main
 from depthbound.fermion import (
     bdg_diagonalize,
     chi2_E_quadratic,
     connected_xx,
-    gaussian_entropy,
-    many_body_energies,
     thermal_covariance,
     x_expectation,
 )
-from depthbound.models import (
-    SpinHamiltonian,
-    build_tfim,
-    dynamical_correlation,
-    gibbs_state,
-    holevo_finite_difference,
-)
-from depthbound.perturbative import (
-    build_xi,
-    chi2_E_eigensum,
-    chi2_E_spectral,
-    chi2_general,
-    correlator_lb_value,
-    lieb_R_map,
-    lieb_T_map,
-)
+from depthbound.perturbative import correlator_lb_value
 from depthbound.purification import (
     IsometryChannel,
     MeasurementSpec,
@@ -53,14 +37,7 @@ from depthbound.purification import (
     holevo_information,
     theorem_criterion,
 )
-from depthbound.states import (
-    DensityOperator,
-    StateVector,
-    embed_operator,
-    mutual_information,
-    operator_norm,
-    von_neumann_entropy,
-)
+from depthbound.states import DensityOperator, StateVector, mutual_information
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -72,12 +49,6 @@ def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _random_observable(rng) -> np.ndarray:
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h = a + a.conj().T
-    return h / operator_norm(h)
 
 
 def _random_density(rng, sites, rank) -> DensityOperator:
@@ -127,37 +98,8 @@ def _random_ensemble_purification(rho: DensityOperator, rng):
 
 
 def test_criterion_01_quadratic_coefficient_matches_finite_difference():
-    rng = np.random.default_rng(101)
-    letters = "XYZ"
     start = time.perf_counter()
-    worst = 0.0
-    for k in range(20):
-        n = int(rng.integers(2, 5))
-        terms = []
-        for s in range(n):
-            terms.append((float(rng.uniform(-1, 1)), ((s, letters[rng.integers(3)]),)))
-        for s in range(n - 1):
-            terms.append(
-                (
-                    float(rng.uniform(-1, 1)),
-                    ((s, letters[rng.integers(3)]), (s + 1, letters[rng.integers(3)])),
-                )
-            )
-        ham = SpinHamiltonian(n, tuple(terms))
-        beta = float(rng.uniform(0.4, 2.5))
-        obs = _random_observable(rng)
-        site = int(rng.integers(0, n))
-        psi = canonical_purification(gibbs_state(ham, beta))
-        if k % 2 == 0 or n == 2:
-            region, oracle_region = psi.env_sites, "env"
-        else:
-            others = [s for s in range(n) if s != site]
-            size = int(rng.integers(1, len(others) + 1))
-            region = tuple(sorted(int(s) for s in rng.choice(others, size=size, replace=False)))
-            oracle_region = region
-        value = chi2_general(psi, obs, (site,), region).value
-        est = holevo_finite_difference(ham, beta, obs, (site,), oracle_region)
-        worst = max(worst, abs(value - est.value) / max(abs(est.value), 1e-10))
+    worst = finite_difference_error(np.random.default_rng(101), 20)
     elapsed = time.perf_counter() - start
     _verdict(
         1,
@@ -169,22 +111,7 @@ def test_criterion_01_quadratic_coefficient_matches_finite_difference():
 
 def test_criterion_02_environment_route_equality():
     start = time.perf_counter()
-    worst = 0.0
-    for n in (6, 8):
-        ham = build_tfim(n, 1.0)
-        beta = 2.0
-        site = (n - 1) // 2
-        x_emb = embed_operator(X, (site,), ham.sites)
-        eigensum = chi2_E_eigensum(ham, beta, x_emb).value
-        spectral = chi2_E_spectral(dynamical_correlation(ham, beta, x_emb), beta).value
-        psi = canonical_purification(gibbs_state(ham, beta))
-        general = chi2_general(psi, X, (site,), psi.env_sites).value
-        worst = max(
-            worst,
-            abs(eigensum - spectral),
-            abs(eigensum - general),
-            abs(spectral - general),
-        )
+    worst = route_equality_error((6, 8))
     elapsed = time.perf_counter() - start
     _verdict(
         2,
@@ -195,27 +122,7 @@ def test_criterion_02_environment_route_equality():
 
 
 def test_criterion_03_perturbation_inequalities():
-    rng = np.random.default_rng(303)
-    regions = ((1,), (2,), (1, 2))
-    worst = -np.inf
-    for _ in range(1000):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        vec = StateVector(amps / np.linalg.norm(amps), (0, 1, 2))
-        obs = _random_observable(rng)
-        region = regions[int(rng.integers(3))]
-        xi = build_xi(vec, obs, (0,), region)
-        sigma = vec.reduced(region)
-        t_xi = lieb_T_map(sigma, xi.matrix)
-        r_xi = lieb_R_map(sigma, xi.matrix)
-        trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(xi.matrix))))
-        worst = max(
-            worst,
-            trace_norm - 1.0,
-            operator_norm(t_xi) - 1.0,
-            operator_norm(r_xi) - 1.0,
-            -float(np.linalg.eigvalsh(sigma.matrix - xi.matrix).min()),
-            -float(np.linalg.eigvalsh(sigma.matrix + xi.matrix).min()),
-        )
+    worst = perturbation_violation(np.random.default_rng(303), 1000)
     _verdict(
         3,
         "perturbation inequalities, 1000 instances",
@@ -325,34 +232,7 @@ def test_criterion_06_data_processing_monotonicity():
 
 def test_criterion_07_cross_backend_equality():
     start = time.perf_counter()
-    worst = 0.0
-    for n in (8, 10, 12):
-        beta = 2.0
-        ham = build_tfim(n, 1.0)
-        spectrum = bdg_diagonalize(n, 1.0)
-        dense_spec = np.sort(np.linalg.eigvalsh(ham.to_matrix()))
-        free_spec = np.sort(many_body_energies(spectrum))
-        worst = max(worst, float(np.max(np.abs(dense_spec - free_spec))))
-        rho = gibbs_state(ham, beta)
-        cov = thermal_covariance(spectrum, beta)
-        site = (n - 1) // 2
-        worst = max(worst, abs(x_expectation(cov, site) - rho.expectation(X, (site,))))
-        xx_dense = rho.expectation(np.kron(X, X), (1, site)) - rho.expectation(
-            X, (1,)
-        ) * rho.expectation(X, (site,))
-        worst = max(worst, abs(connected_xx(cov, 1, site) - xx_dense))
-        for block in (2, n // 2):
-            region = tuple(range(block))
-            worst = max(
-                worst,
-                abs(
-                    gaussian_entropy(cov, region)
-                    - von_neumann_entropy(rho.reduced(region))
-                ),
-            )
-        chi_free = chi2_E_quadratic(spectrum, beta, site).value
-        chi_dense = chi2_E_eigensum(ham, beta, embed_operator(X, (site,), ham.sites)).value
-        worst = max(worst, abs(chi_free - chi_dense))
+    worst = max(max(cross_backend_errors(n).values()) for n in (8, 10, 12))
     elapsed = time.perf_counter() - start
     _verdict(
         7,
@@ -462,12 +342,5 @@ def test_criterion_10_depth_curve_shapes(fig2_depth_series):
 
 
 def test_criterion_11_special_values():
-    checks = (
-        (h_delta(1.0), 2.0 / 3.0),
-        (h_delta(0.5), math.pi / 4.0),
-        (alpha_delta(1.0), 8.0 / 3.0),
-        (g_func(1.0), 2.0 * math.log(2.0)),
-        (k_func(0.0, 2), 0.0),
-    )
-    worst = max(abs(a - b) for a, b in checks)
+    worst = special_values_error()
     _verdict(11, "special values to 1e-12", worst <= 1e-12, f"max |err| {worst:.1e}")

@@ -189,6 +189,25 @@ def test_bound_cft_depth_at_largest_beta(capsys):
          "--seed", "5"),  # only selftest is seeded
         ("bound", "--backend", "cft", "--beta", "50", "--beta-grid", "1,2"),  # bound takes --beta
         ("selftest", "--n", "4"),  # selftest reads --seed only
+        ("bound", "--n", "4", "--g", "nan", "--beta", "1", "--x-grid", "1"),  # dense nan field
+        ("bound", "--n", "4", "--g", "inf", "--beta", "1", "--x-grid", "1"),  # dense inf field
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "nan", "--beta", "1",
+         "--x-grid", "1"),  # freefermion nan field
+        ("scan", "--out", "/tmp/x.csv", "--backend", "freefermion", "--n", "21", "--g", "inf",
+         "--beta", "1", "--x-grid", "1"),  # freefermion inf field
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
+         "--x-grid", "0"),  # the probe is not its own region B
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
+         "--x-grid=-1"),  # negative distance
+        ("bound", "--backend", "cft", "--beta", "10", "--x-grid", "0"),  # cft x = 0
+        ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--beta", "10", "--beta-grid", "20",
+         "--x-grid", "1"),  # --beta and --beta-grid exclude each other
+        ("bound", "--backend", "cft", "--beta", "10", "--site", "7"),  # cft has no probe site
+        ("bound", "--backend", "cft", "--beta", "10", "--site", "9999"),
+        ("bound", "--backend", "cft", "--beta", "10", "--n", "10"),  # too few kappa-fit samples
+        ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--n", "10", "--beta", "10",
+         "--x-grid", "1"),
+        ("selftest", "--seed=-1"),  # seeds are non-negative
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -226,6 +245,13 @@ def test_inapplicable_config_keys_exit_2(tmp_path, capsys, command, keys):
 def test_capability_errors_exit_3(argv, capsys):
     assert run(*argv) == 3
     assert "capability error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("bound",), ("scan", "--x-grid", "1", "--out", "/tmp/x.csv")])
+def test_rejected_kappa_fit_exits_4(command, capsys):
+    """At n = 60 the samples exist but miss the power law."""
+    assert run(*command, "--backend", "cft", "--n", "60", "--beta", "10") == 4
+    assert "numerical-consistency failure: power-law fit rejected" in capsys.readouterr().err
 
 
 def test_version_flag_exits_zero():
@@ -490,6 +516,8 @@ def test_readme_cft_bound_matches_golden(tmp_path):
         ("bound_dense_n11.csv", ("--n", "11", "--g", "1", "--beta", "2", "--x-grid", "2")),
         ("bound_dense_n10.csv", ("--n", "10", "--g", "0.5", "--beta", "1", "--x-grid", "1")),
         ("bound_dense_n9.csv", ("--n", "9", "--g", "1.5", "--beta", "4", "--x-grid", "3")),
+        # bound reads --threads, which the benchmark passes, and runs on one thread.
+        ("bound_dense_n8.csv", ("--n", "8", "--g", "1.0", "--beta", "2.0", "--x-grid", "2", "--threads", "2")),
     ],
 )
 def test_dense_bound_matches_golden(tmp_path, golden, argv):

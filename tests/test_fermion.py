@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from depthbound.checks import pfaffian_error
 from depthbound.fermion import (
     MajoranaCovariance,
     XLineTable,
@@ -220,12 +221,9 @@ def test_gaussian_entropy_matches_dense():
 
 
 def test_pfaffian_squares_to_determinant():
-    for dim in (2, 4, 6, 8):
-        for _ in range(5):
-            a = RNG.normal(size=(dim, dim))
-            m = a - a.T
-            pf = pfaffian(m)
-            assert pf * pf == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-12)
+    # |Pf² − det| <= max(1e-10 |det|, 1e-12), five matrices of each dimension.
+    dims = [dim for dim in (2, 4, 6, 8) for _ in range(5)]
+    assert pfaffian_error(RNG, dims, floor=1e-12 / 1e-10) <= 1e-10
 
 
 def test_pfaffian_closed_forms():
