@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .states import NumericalConsistencyError
 
@@ -87,7 +86,7 @@ def h_delta(delta: float) -> float:
     d = float(delta)
     if d <= 0:
         raise ValueError("scaling dimension must be positive")
-    return 0.5 * math.sqrt(math.pi) * math.exp(gammaln(d + 1.0) - gammaln(d + 1.5))
+    return 0.5 * math.sqrt(math.pi) * math.exp(math.lgamma(d + 1.0) - math.lgamma(d + 1.5))
 
 
 def alpha_delta(delta: float) -> float:

@@ -13,11 +13,9 @@ the cft backend evaluates the continuum closed forms (unit-velocity units),
 fitting the two-point amplitude from lattice data rather than hardcoding it.
 
 ``OPTIONS`` states what each option accepts, and ``EXCLUSIVE`` which pairs
-exclude each other; flags, config-file keys and ``DEPTHBOUND_THREADS``
-(which overrides ``--threads``) are checked against them in one pass.
-Checks that need the model or the backend stay with them: ``--site`` and
-``--region-b`` against the chain, the cft beta window and kappa fit, and
-the dense cap.
+exclude each other; flags, config-file keys and ``DEPTHBOUND_THREADS`` are
+checked against them in one pass.  ``bound`` evaluates one point of a scan,
+through the same backend contexts, region-B check and writers.
 
 Exit codes: 0 success, 2 configuration error, 3 backend-capability error
 (including running out of memory; reported before configuration errors),
@@ -37,6 +35,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -59,9 +58,7 @@ from .states import (
     DENSE_QUBIT_CAP,
     DensityOperator,
     NumericalConsistencyError,
-    QubitGraph,
     entropy_from_spectrum,
-    graph_distance,
     von_neumann_entropy,
 )
 
@@ -108,8 +105,18 @@ def _fmt(value) -> str:
     return "%.12g" % float(value)
 
 
+#: The most points a grid, and the most rows a scan or fig2 run, may hold.
+MAX_POINTS = 10**6
+
+
+def _check_count(count: float, what: str) -> None:
+    if count > MAX_POINTS:
+        raise ConfigError(f"{count} {what} exceed the limit of {MAX_POINTS}")
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Parse '1,2,3' or 'start:stop[:step]' (inclusive stop) grids."""
+    """Parse '1,2,3' or 'start:stop[:step]' (inclusive stop) grids; a range
+    is counted before it is built."""
     text = text.strip()
     try:
         if ":" in text:
@@ -126,12 +133,15 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = parts if len(parts) == 3 else (*parts, 1.0)
             if step <= 0 or stop < start:
                 raise ValueError("need start <= stop and step > 0")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step + 1e-9
+            count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+            _check_count(count, f"points in grid {text!r}")
             values = [start + i * step for i in range(count)]
         if not values:
             raise ValueError("empty grid")
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
+    _check_count(len(values), f"points in grid {text!r}")
     return values
 
 
@@ -236,7 +246,7 @@ OPTIONS = (
 )
 
 #: Pairs of options that exclude each other.
-EXCLUSIVE = (("epsilon", "k-eps"), ("beta", "beta-grid"))
+EXCLUSIVE = (("epsilon", "k-eps"), ("beta", "beta-grid"), ("x-grid", "region-b"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,15 +397,34 @@ def _region_b_for_distance(n: int, x: int) -> tuple[int, ...]:
     return tuple(range(count))
 
 
+def _region_b(n: int, site: int, point: int | tuple[int, ...]) -> tuple[int, ...]:
+    """Region B of a point, the fig.-2 prefix for a grid distance or the
+    given sites: distinct sites of the chain, the probe ``site`` not among them."""
+    region = _region_b_for_distance(n, point) if isinstance(point, int) else point
+    if len(set(region)) != len(region) or not all(0 <= s < n for s in region):
+        raise ConfigError(f"region B {region} must hold distinct sites of the chain [0, {n})")
+    if site in region:
+        raise ConfigError(f"measured site {site} must lie outside region B")
+    return region
+
+
+def _point(opts: dict) -> int | tuple[int, ...] | None:
+    """bound's point: the --region-b sites or the one --x-grid distance.
+    Only the cft backend has a row without one: the closed-form depth."""
+    if "region-b" in opts:
+        return _parse_sites(opts["region-b"])
+    xs = _x_grid(opts["x-grid"]) if "x-grid" in opts else []
+    if len(xs) > 1 or (not xs and opts.get("backend") != "cft"):
+        raise ConfigError(f"bound reads one point, --region-b or one --x-grid distance, not {len(xs)}")
+    return xs[0] if xs else None
+
+
 def _tfim_chain(opts: dict) -> tuple[int, float]:
     """(n, g) of the tfim chain; both are required."""
-    n = opts.get("n")
-    if n is None:
-        raise ConfigError("--n is required for the tfim model")
-    g = opts.get("g")
-    if g is None:
-        raise ConfigError("--g is required for the tfim model")
-    return int(n), float(g)
+    for key in ("n", "g"):
+        if opts.get(key) is None:
+            raise ConfigError(f"--{key} is required for the tfim model")
+    return int(opts["n"]), float(opts["g"])
 
 
 def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian:
@@ -418,8 +447,9 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
 # Each backend has a model, its beta-independent setup built once per command,
 # and a per-beta context made by ``model.context(beta, epsilon)``.  A model
 # carries the ``backend``, ``g`` and ``n`` columns of its rows; a context
-# carries ``beta``, ``chi_e``, ``at(x) -> (x_ab, chi_b)`` for a grid distance
-# x, and ``verdict(chi_b, x_ab)``.
+# carries ``beta``, ``chi_e``, ``at(point) -> (x_ab, chi_b)`` for a point
+# (a grid distance x, or for the dense backend the --region-b sites),
+# ``verdict(chi_b, x_ab)``, and ``extras()``, the bound record's extra values.
 
 
 class _Context:
@@ -435,6 +465,9 @@ class _Context:
     def verdict(self, chi_b: float, x_ab):
         return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
 
+    def extras(self) -> dict:
+        return {}
+
 
 class _DenseModel:
     """Model-level dense setup: one eigendecomposition of H, and the probe
@@ -448,7 +481,6 @@ class _DenseModel:
         self.site = site
         self.g = g
         self.n = ham.n_sites
-        self.graph = QubitGraph.path(self.n)
         self.eig = ThermalEigensystem.of(ham)
         if measure == "projective-x":
             self.spec = MeasurementSpec.projective(PAULI_X, (site,))
@@ -457,9 +489,6 @@ class _DenseModel:
 
     def context(self, beta: float, epsilon: float) -> "_DenseContext":
         return _DenseContext(self, beta, epsilon)
-
-    def distance(self, region: tuple[int, ...]) -> int:
-        return int(graph_distance(self.graph, (self.site,), region))
 
 
 class _DenseContext(_Context):
@@ -489,9 +518,15 @@ class _DenseContext(_Context):
             return projective_chi_B(rho, self.model.spec, region)
         return chi2_system(rho, PAULI_X, (self.model.site,), region).value
 
-    def at(self, x: int) -> tuple[int, float]:
-        region = _region_b_for_distance(self.model.n, x)
-        return self.model.distance(region), self.chi_b(region)
+    def at(self, point: int | tuple[int, ...]) -> tuple[int, float]:
+        region = _region_b(self.model.n, self.model.site, point)
+        self.last = region, self.marginal(region)  # kept for extras()
+        return min(abs(self.model.site - s) for s in region), self.chi_b(*self.last)
+
+    def extras(self) -> dict:
+        """S of the last point's region B, and of the whole Gibbs state."""
+        region, rho = self.last
+        return {"s_b": float(von_neumann_entropy(rho.reduced(region))), "s_abc": self.entropy}
 
     def verdict(self, chi_b: float, x_ab):
         if self.model.measure == "weak-x":
@@ -581,12 +616,20 @@ class _CftContext(_Context):
         self.params = CftParams(CFT_DELTA, model.kappa, 1.0 / beta)
         self.chi_e = chi2_E_cft(self.params)
 
-    def at(self, x: int) -> tuple[int, float]:
-        return x, self.chi_e + k2_cft(self.params, float(x))
+    def at(self, x: int | None) -> tuple[float, float]:
+        """No distance (bound's closed-form row): no x_AB and no chi_B."""
+        return (math.nan, math.nan) if x is None else (x, self.chi_e + k2_cft(self.params, float(x)))
 
-    def depth_closed_form(self) -> float:
+    def verdict(self, chi_b: float, x_ab):
+        """Without a distance, the depth is the closed form's."""
+        verdict = super().verdict(chi_b, x_ab)
+        if not math.isnan(x_ab):
+            return verdict
         c = c_constant(CFT_DELTA, self.model.kappa)
-        return depth_bound_cft(self.beta, self.epsilon, CFT_DELTA, c)
+        return replace(verdict, depth_lower_bound=depth_bound_cft(self.beta, self.epsilon, CFT_DELTA, c))
+
+    def extras(self) -> dict:
+        return {"kappa": self.model.kappa}
 
 
 def _build_model(opts: dict, terms_raw: dict[str, str], measure: str):
@@ -665,8 +708,8 @@ def _pool_map(workers: int, fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_rows(path: Path, rows: list[list], errors: list[str | None] | None = None,
-                columns: tuple[str, ...] = COLUMNS) -> None:
+def _csv(rows: list[list], errors: list[str | None] | None = None,
+         columns: tuple[str, ...] = COLUMNS) -> str:
     """CSV rows under ``columns``, plus an error column when a row failed."""
     errors = errors or [None] * len(rows)
     has_errors = any(e is not None for e in errors)
@@ -676,7 +719,17 @@ def _write_rows(path: Path, rows: list[list], errors: list[str | None] | None = 
         if has_errors:
             cells.append("" if err is None else err.replace(",", ";"))
         lines.append(", ".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _json_value(v):
+    """A row or record value in JSON: non-finite floats as their repr."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    v = float(v)
+    return v if math.isfinite(v) else repr(v)
 
 
 def _sidecar(path: Path, opts: dict, elapsed: float, rows: int | list[dict], **extra) -> None:
@@ -698,70 +751,26 @@ def _sidecar(path: Path, opts: dict, elapsed: float, rows: int | list[dict], **e
 
 
 def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
-    backend = opts.get("backend", "dense")
-    epsilon = _epsilon(opts)
-    start = time.perf_counter()
     if "beta" not in opts:
         raise ConfigError("--beta is required for bound")
-    xs = _x_grid(opts["x-grid"]) if "x-grid" in opts else []
-    region = _parse_sites(opts["region-b"]) if "region-b" in opts else None
-    if backend == "dense" and region is None and not xs:
-        raise ConfigError("dense bound needs --region-b or --x-grid")
-    if backend == "freefermion" and not xs:
-        raise ConfigError("freefermion bound needs --x-grid with a single distance")
+    point = _point(opts)
+    start = time.perf_counter()
     model = _build_model(opts, terms_raw, opts.get("measure", "projective-x"))
-    if backend == "dense":
-        if region is None:
-            region = _region_b_for_distance(model.n, xs[0])
-        if len(set(region)) != len(region):
-            raise ConfigError(f"--region-b {opts['region-b']!r} repeats a site")
-        for s in region:
-            if not 0 <= s < model.n:
-                raise ConfigError(f"--region-b site {s} lies outside the chain [0, {model.n})")
-        if model.site in region:
-            raise ConfigError("measured site must lie outside region B")
-    ctx = model.context(float(opts["beta"]), epsilon)
-    extras: dict = {}
-    if backend == "dense":
-        rho = ctx.marginal(region)
-        row = _row(ctx, model.distance(region), ctx.chi_b(region, rho))
-        extras["s_b"] = float(von_neumann_entropy(rho.reduced(region)))
-        extras["s_abc"] = ctx.entropy
-    elif xs:
-        row = _row(ctx, *ctx.at(xs[0]))
+    ctx = model.context(float(opts["beta"]), _epsilon(opts))
+    row = _row(ctx, *ctx.at(point))
+    if opts.get("format", "csv") == "csv":
+        text = _csv([row])
     else:
-        row = [
-            ctx.beta, model.g, model.n, float("nan"), float("nan"), ctx.chi_e,
-            float("nan"), float("nan"), 12.0 * epsilon, epsilon, ctx.depth_closed_form(), backend,
-        ]
-    if backend == "cft":
-        extras["kappa"] = model.kappa
-    elapsed = time.perf_counter() - start
-    record = dict(zip(COLUMNS, row))
-    record["wall_time_seconds"] = round(elapsed, 6)
-    record["version"] = __version__
-    if "k-eps" in opts:
-        record["k_eps"] = float(opts["k-eps"])
-    record.update(extras)
-    fmt = opts.get("format", "csv")
-    if fmt == "json":
-        text = json.dumps({k: (v if isinstance(v, str) else _json_num(v)) for k, v in record.items()},
-                          indent=2, sort_keys=True) + "\n"
-    else:
-        text = ", ".join(COLUMNS) + "\n" + ", ".join(_fmt(v) for v in row) + "\n"
-    out = opts.get("out")
-    if out:
-        Path(out).write_text(text)
+        record = dict(zip(COLUMNS, row), wall_time_seconds=round(time.perf_counter() - start, 6),
+                      version=__version__, **ctx.extras())
+        if "k-eps" in opts:
+            record["k_eps"] = float(opts["k-eps"])
+        text = json.dumps({k: _json_value(v) for k, v in record.items()}, indent=2, sort_keys=True) + "\n"
+    if "out" in opts:
+        Path(opts["out"]).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _json_num(v):
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    v = float(v)
-    return v if math.isfinite(v) else repr(v)
 
 
 def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
@@ -777,6 +786,7 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     if "x-grid" not in opts:
         raise ConfigError("scan requires --x-grid")
     xs = _x_grid(opts["x-grid"])
+    _check_count(len(betas) * len(xs), "scan rows")
     start = time.perf_counter()
     workers = _threads(opts)
     model = _build_model(opts, terms_raw, opts.get("measure", "weak-x"))
@@ -786,11 +796,10 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     out = Path(opts["out"])
     elapsed = time.perf_counter() - start
     if opts.get("format", "csv") == "json":
-        records = [dict(zip(COLUMNS, [v if isinstance(v, str) else _json_num(v) for v in row]))
-                   for row in rows]
+        records = [{k: _json_value(v) for k, v in zip(COLUMNS, row)} for row in rows]
         _sidecar(out, opts, elapsed, records, errors=[e for e in errors if e] or None)
     else:
-        _write_rows(out, rows, errors)
+        out.write_text(_csv(rows, errors))
         _sidecar(out.with_suffix(".json"), opts, elapsed, len(rows))
     return 0
 
@@ -803,6 +812,7 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     xs = _x_grid(opts["x-grid"]) if "x-grid" in opts else list(range(1, 61))
     eps_approx = _epsilon(opts, k_default=1e-5)
     gs = (0.5, 1.0, 1.5)
+    _check_count(len(gs) * len(betas) * len(xs), "fig2 rows")
     site = _probe_site(opts, n)
     start = time.perf_counter()
     workers = _threads(opts)
@@ -827,10 +837,9 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     ratio_rows = [row for rr, _ in per_g for row in rr]
     depth_rows = [row for _, dr in per_g for row in dr]
     stem = Path(opts["out"])
-    ratio_path = stem.parent / (stem.name + "_ratio.csv")
-    depth_path = stem.parent / (stem.name + "_depth.csv")
-    _write_rows(ratio_path, ratio_rows)
-    _write_rows(depth_path, depth_rows, columns=("beta", "g", "n", "epsilon", "depth_lb", "backend"))
+    (stem.parent / (stem.name + "_ratio.csv")).write_text(_csv(ratio_rows))
+    depth_columns = ("beta", "g", "n", "epsilon", "depth_lb", "backend")
+    (stem.parent / (stem.name + "_depth.csv")).write_text(_csv(depth_rows, columns=depth_columns))
     _sidecar(stem.parent / (stem.name + ".json"), opts, time.perf_counter() - start, len(ratio_rows))
     return 0
 
@@ -874,8 +883,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         # The dense backend's arrays grow as 4^n; name the size that did not fit.
         size = f" at n = {opts['n']}" if opts.get("n") is not None else ""
-        print(f"capability error: out of memory{size}; the dense backend needs O(4^n) memory",
-              file=sys.stderr)
+        dense = "; the dense backend needs O(4^n) memory" if opts.get("backend", "dense") == "dense" else ""
+        print(f"capability error: out of memory{size}{dense}", file=sys.stderr)
         return 3
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .states import (
     DENSE_QUBIT_CAP,
@@ -231,11 +230,12 @@ class ThermalEigensystem:
         return out
 
     def weights(self, beta: float) -> np.ndarray:
-        """Gibbs weights p_i = e^{−beta E_i}/Z, max-shift stabilized."""
+        """Gibbs weights p_i = e^{−beta E_i}/Z, max-shift stabilized: with
+        the ground energy at 0, sum(e^{−beta E_i}) lies in [1, d]."""
         if beta < 0:
             raise ValueError("beta must be non-negative")
         e = self.energies - self.energies.min()
-        logz = float(logsumexp(-beta * e))
+        logz = float(np.log(np.sum(np.exp(-beta * e))))
         return np.exp(-beta * e - logz)
 
     def sector_weights(self, beta: float) -> tuple[np.ndarray, ...]:

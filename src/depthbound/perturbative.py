@@ -341,7 +341,7 @@ def correlator_lb_value(connected: float, mean_b: float) -> float:
     """
     denom = 1.0 - mean_b * mean_b
     if denom < 1e-12:
-        raise ValueError("1 − <O_B>² below 1e-12; bound denominator underflow")
+        raise NumericalConsistencyError("1 − <O_B>² below 1e-12; bound denominator underflow")
     return connected * connected / (2.0 * denom)
 
 

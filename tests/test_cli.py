@@ -125,8 +125,8 @@ def test_bound_cft_depth_at_largest_beta(capsys):
         ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2"),  # no x
         ("scan", "--n", "21", "--backend", "freefermion", "--g", "1", "--beta", "2",
          "--x-grid", "3"),  # no --out
-        ("bound", "--n", "6", "--g", "1.0", "--beta", "1.0", "--x-grid", "0:9",
-         "--region-b", "2", "--site", "2"),  # probe inside B
+        ("bound", "--n", "6", "--g", "1.0", "--beta", "1.0", "--region-b", "2",
+         "--site", "2"),  # probe inside B
         ("fig2",),  # no --out
         ("scan", "--out", "/tmp/x.csv", "--n", "9", "--g", "1", "--beta", "1",
          "--x-grid", "1,2,x"),  # bad grid
@@ -208,6 +208,10 @@ def test_bound_cft_depth_at_largest_beta(capsys):
         ("scan", "--out", "/tmp/x.csv", "--backend", "cft", "--n", "10", "--beta", "10",
          "--x-grid", "1"),
         ("selftest", "--seed=-1"),  # seeds are non-negative
+        ("bound", "--n", "8", "--g", "1", "--beta", "2", "--x-grid", "1:3"),  # bound reads one x
+        ("bound", "--n", "8", "--g", "1", "--beta", "2", "--x-grid", "1",
+         "--region-b", "0"),  # --x-grid and --region-b exclude each other
+        ("bound", "--n", "8", "--g", "1", "--beta", "2"),  # dense bound without a point
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
@@ -221,6 +225,7 @@ def test_config_errors_exit_2(argv, capsys):
         ("bound", "backend = freefermion\nn = 21\ng = 1\nbeta = 2\nx_grid = 3\nregion_b = 0,1\n"),
         ("fig2", "n = 21\nbeta_grid = 5\nx_grid = 2\nout = /tmp/f2\nepsilon = 0.5\n"),
         ("selftest", "seed = 1\nthreads = 2\n"),
+        ("bound", "n = 8\ng = 1\nbeta = 2\nx_grid = 1\nregion_b = 0\n"),  # an exclusive pair
     ],
 )
 def test_inapplicable_config_keys_exit_2(tmp_path, capsys, command, keys):
@@ -252,6 +257,52 @@ def test_rejected_kappa_fit_exits_4(command, capsys):
     """At n = 60 the samples exist but miss the power law."""
     assert run(*command, "--backend", "cft", "--n", "60", "--beta", "10") == 4
     assert "numerical-consistency failure: power-law fit rejected" in capsys.readouterr().err
+
+
+def test_correlator_bound_underflow_exits_4(tmp_path, capsys):
+    """At g = 1e7 the probe's neighbour is polarized: 1 - <X>^2 underflows.
+    bound stops with exit 4; scan records the message as a row error."""
+    args = ("--backend", "freefermion", "--n", "21", "--g", "1e7", "--beta", "100", "--x-grid", "3")
+    assert run("bound", *args) == 4
+    assert "numerical-consistency failure: 1 − <O_B>² below 1e-12" in capsys.readouterr().err
+    out = tmp_path / "scan.csv"
+    assert run("scan", *args, "--out", str(out)) == 0
+    assert "below 1e-12" in out.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bound", "--backend", "cft", "--beta", "10", "--x-grid", "1:1e9"),
+         "1000000000 points in grid '1:1e9' exceed the limit of 1000000"),
+        (("bound", "--n", "8", "--g", "1", "--beta", "2", "--x-grid", "1:1e300:1e-300"),
+         "inf points in grid"),
+        (("scan", "--backend", "cft", "--beta-grid", "1:1000", "--x-grid", "1:1001", "--out", "/tmp/x.csv"),
+         "1001000 scan rows exceed the limit of 1000000"),
+        (("fig2", "--beta-grid", "1:600", "--x-grid", "1:600", "--out", "/tmp/f2"),
+         "1080000 fig2 rows exceed the limit of 1000000"),
+    ],
+)
+def test_oversized_grids_exit_2(argv, message, capsys):
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_out_of_memory_off_the_dense_backend(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "bdg_diagonalize", exhausted)
+    assert run("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
+               "--x-grid", "3") == 3
+    err = capsys.readouterr().err
+    assert "capability error: out of memory at n = 21" in err and "dense" not in err
+
+
+@pytest.mark.parametrize("n, code", [(142, 4), (143, 0)])
+def test_cft_needs_143_fit_sites(n, code, capsys):
+    """The README's lower limit for a cft --n: the kappa fit passes from n = 143."""
+    assert run("bound", "--backend", "cft", "--beta", "10", "--x-grid", "2", "--n", str(n)) == code
 
 
 def test_version_flag_exits_zero():
@@ -318,6 +369,31 @@ def test_scan_dense_row_matches_bound_off_center(tmp_path, capsys):
         assert run("bound", *args, "--x-grid", str(x)) == 0
         _, (bound_row,) = parse_csv(capsys.readouterr().out)
         assert scan_row == bound_row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "8", "--g", "1", "--measure", "projective-x"),
+        ("--n", "8", "--g", "1", "--measure", "weak-x"),
+        ("--n", "8", "--g", "1", "--measure", "projective-x", "--site", "6", "--epsilon", "0.01"),
+        ("--n", "8", "--g", "1", "--measure", "weak-x", "--site", "6"),
+        ("--backend", "freefermion", "--n", "41", "--g", "1", "--k-eps", "1e-5"),
+        ("--backend", "cft", "--epsilon", "1e-4"),
+    ],
+)
+def test_bound_prints_the_scan_row(tmp_path, capsys, argv):
+    """bound is a one-point scan: the same CSV row and JSON values."""
+    args = (*argv, "--beta", "2", "--x-grid", "2")
+    out = tmp_path / "scan.csv"
+    assert run("scan", *args, "--out", str(out)) == 0
+    assert run("bound", *args) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert run("scan", *args, "--format", "json", "--out", str(out)) == 0
+    assert run("bound", *args, "--format", "json") == 0
+    record = json.loads(capsys.readouterr().out)
+    (scan_record,) = json.loads(out.read_text())["rows"]
+    assert {k: record[k] for k in scan_record} == scan_record
 
 
 def test_scan_json_format(tmp_path):
