@@ -56,7 +56,6 @@ from .perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system, corre
 from .purification import MeasurementSpec, projective_chi_B, projective_chi_E_factors
 from .states import (
     DENSE_QUBIT_CAP,
-    DensityOperator,
     NumericalConsistencyError,
     entropy_from_spectrum,
     von_neumann_entropy,
@@ -389,20 +388,19 @@ def _probe_site(opts: dict, n: int) -> int:
     return site
 
 
-def _region_b_for_distance(n: int, x: int) -> tuple[int, ...]:
-    """Fig.-2 geometry: B is the first (n+1)//2 - x sites of the chain."""
-    count = (n + 1) // 2 - x
-    if count < 1:
-        raise ConfigError(f"x = {x} leaves region B empty on an n = {n} chain")
-    return tuple(range(count))
-
-
 def _region_b(n: int, site: int, point: int | tuple[int, ...]) -> tuple[int, ...]:
-    """Region B of a point, the fig.-2 prefix for a grid distance or the
-    given sites: distinct sites of the chain, the probe ``site`` not among them."""
-    region = _region_b_for_distance(n, point) if isinstance(point, int) else point
-    if len(set(region)) != len(region) or not all(0 <= s < n for s in region):
-        raise ConfigError(f"region B {region} must hold distinct sites of the chain [0, {n})")
+    """Region B of a point: for a grid distance x, the sites 0 … site - x,
+    each at least x left of the probe ``site`` (at the centre probe, the
+    fig.-2 prefix of (n+1)//2 - x sites); otherwise the given sites, which
+    must be distinct sites of the chain.  The probe must lie outside B."""
+    if isinstance(point, int):
+        region = tuple(range(site - point + 1))
+        if not region:
+            raise ConfigError(f"x = {point} leaves region B empty left of site {site}")
+    else:
+        region = point
+        if len(set(region)) != len(region) or not all(0 <= s < n for s in region):
+            raise ConfigError(f"region B {region} must hold distinct sites of the chain [0, {n})")
     if site in region:
         raise ConfigError(f"measured site {site} must lie outside region B")
     return region
@@ -450,6 +448,8 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
 # carries ``beta``, ``chi_e``, ``at(point) -> (x_ab, chi_b)`` for a point
 # (a grid distance x, or for the dense backend the --region-b sites),
 # ``verdict(chi_b, x_ab)``, and ``extras()``, the bound record's extra values.
+# The dense and freefermion contexts give ``chi_b(region)`` and share
+# ``_Context.at``; the cft context has its own ``at``.
 
 
 class _Context:
@@ -461,6 +461,12 @@ class _Context:
         self.model = model
         self.beta = beta
         self.epsilon = epsilon
+
+    def at(self, point: int | tuple[int, ...]) -> tuple[int, float]:
+        """x_AB, the distance from the probe to region B, and chi_B."""
+        site = self.model.site
+        region = _region_b(self.model.n, site, point)
+        return min(abs(site - s) for s in region), self.chi_b(region)
 
     def verdict(self, chi_b: float, x_ab):
         return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
@@ -506,22 +512,14 @@ class _DenseContext(_Context):
         else:
             self.chi_e = chi2_E_eigenbasis(eig, beta, model.x_blocks).value
 
-    def marginal(self, region: tuple[int, ...]) -> DensityOperator:
-        """The Gibbs marginal on the probe site followed by ``region``."""
-        return self.model.eig.marginal(self.beta, (self.model.site,) + region)
-
-    def chi_b(self, region: tuple[int, ...], rho: DensityOperator | None = None) -> float:
-        """chi_B of ``region`` from its :meth:`marginal` ``rho``, formed here
-        when not given."""
-        rho = self.marginal(region) if rho is None else rho
+    def chi_b(self, region: tuple[int, ...]) -> float:
+        """chi_B of ``region`` from the Gibbs marginal on the probe site
+        followed by ``region``; the two are kept for extras()."""
+        rho = self.model.eig.marginal(self.beta, (self.model.site,) + region)
+        self.last = region, rho
         if self.model.measure == "projective-x":
             return projective_chi_B(rho, self.model.spec, region)
         return chi2_system(rho, PAULI_X, (self.model.site,), region).value
-
-    def at(self, point: int | tuple[int, ...]) -> tuple[int, float]:
-        region = _region_b(self.model.n, self.model.site, point)
-        self.last = region, self.marginal(region)  # kept for extras()
-        return min(abs(self.model.site - s) for s in region), self.chi_b(*self.last)
 
     def extras(self) -> dict:
         """S of the last point's region B, and of the whole Gibbs state."""
@@ -562,14 +560,10 @@ class _FermionContext(_Context):
         self.cov = thermal_covariance(model.spectrum, beta)
         self.chi_e = chi2_E_spectral(model.lines.at(beta), beta).value
 
-    def at(self, x: int) -> tuple[int, float]:
-        _region_b_for_distance(self.model.n, x)  # x must leave region B a site
+    def chi_b(self, region: tuple[int, ...]) -> float:
         site = self.model.site
-        j_b = site - x
-        if j_b < 0:
-            raise ConfigError(f"x = {x} walks off the chain")
-        conn = connected_xx(self.cov, site, j_b)
-        return x, correlator_lb_value(conn, x_expectation(self.cov, j_b))
+        j_b = min(region, key=lambda s: abs(site - s))
+        return correlator_lb_value(connected_xx(self.cov, site, j_b), x_expectation(self.cov, j_b))
 
 
 _KAPPA_CACHE: dict[tuple[int, float], float] = {}
@@ -820,24 +814,26 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     def g_task(g: float):
         model = _FermionModel(n, g, site)
         ratio_rows: list[list] = []
+        ratio_errors: list[str | None] = []
         depth_rows: list[list] = []
         for beta in betas:
             rows, errors = _beta_rows(model, beta, xs, 0.0)
-            rows = [row for row, err in zip(rows, errors) if err is None]
             ratio_rows += rows
-            records = [dict(zip(COLUMNS, row)) for row in rows]
+            ratio_errors += errors
+            records = [dict(zip(COLUMNS, row)) for row, err in zip(rows, errors) if err is None]
             exact = [r["depth_lb"] for r in records]
             approx = [approx_verdict(r["criterion"], r["x_ab"], eps_approx, weak=True).depth_lower_bound
                       for r in records]
             for eps, depths in ((0.0, exact), (eps_approx, approx)):
                 depth_rows.append([beta, g, n, eps, max(depths, default=0), model.backend])
-        return ratio_rows, depth_rows
+        return ratio_rows, ratio_errors, depth_rows
 
     per_g = _pool_map(workers, g_task, gs)
-    ratio_rows = [row for rr, _ in per_g for row in rr]
-    depth_rows = [row for _, dr in per_g for row in dr]
+    ratio_rows = [row for rr, _, _ in per_g for row in rr]
+    ratio_errors = [err for _, er, _ in per_g for err in er]
+    depth_rows = [row for _, _, dr in per_g for row in dr]
     stem = Path(opts["out"])
-    (stem.parent / (stem.name + "_ratio.csv")).write_text(_csv(ratio_rows))
+    (stem.parent / (stem.name + "_ratio.csv")).write_text(_csv(ratio_rows, ratio_errors))
     depth_columns = ("beta", "g", "n", "epsilon", "depth_lb", "backend")
     (stem.parent / (stem.name + "_depth.csv")).write_text(_csv(depth_rows, columns=depth_columns))
     _sidecar(stem.parent / (stem.name + ".json"), opts, time.perf_counter() - start, len(ratio_rows))

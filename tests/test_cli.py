@@ -10,6 +10,8 @@ import pytest
 from depthbound import cli, models
 from depthbound.cft import c_constant
 from depthbound.cli import main
+from depthbound.fermion import bdg_diagonalize, connected_xx, thermal_covariance, x_expectation
+from depthbound.perturbative import correlator_lb_value
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -358,17 +360,55 @@ def test_scan_cft_rows_use_n_zero(tmp_path):
 
 
 def test_scan_dense_row_matches_bound_off_center(tmp_path, capsys):
-    """x_ab is the graph distance from the probe to region B, which exceeds
-    the grid x when the probe sits right of the center."""
+    """Off the center, region B is still every site at least x left of the
+    probe, so x_ab is the grid x."""
     args = ("--n", "6", "--g", "1", "--beta", "1", "--site", "4", "--measure", "weak-x")
     out = tmp_path / "dense.csv"
     assert run("scan", *args, "--x-grid", "1:2", "--out", str(out)) == 0
     _, scan_rows = parse_csv(out.read_text())
-    assert [r["x_ab"] for r in scan_rows] == ["3", "4"]
+    assert [r["x_ab"] for r in scan_rows] == ["1", "2"]
     for x, scan_row in zip((1, 2), scan_rows):
         assert run("bound", *args, "--x-grid", str(x)) == 0
         _, (bound_row,) = parse_csv(capsys.readouterr().out)
         assert scan_row == bound_row
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [8, 9])
+def test_chain_backends_describe_one_region(n, g):
+    """At every probe site and x, the dense and freefermion backends both put
+    region B x away from the probe; the freefermion chi_B, the correlator
+    bound of one site of B, cannot exceed the dense chi_B of all of B."""
+    ham = models.build_tfim(n, g)
+    for site in range(1, n):
+        dense = cli._DenseModel(ham, "weak-x", site, g)
+        fermion = cli._FermionModel(n, g, site)
+        for beta in (0.5, 2.0, 8.0):
+            dense_ctx = dense.context(beta, 0.0)
+            fermion_ctx = fermion.context(beta, 0.0)
+            for x in range(1, site + 1):
+                x_dense, chi_dense = dense_ctx.at(x)
+                x_fermion, chi_fermion = fermion_ctx.at(x)
+                assert x_dense == x_fermion == x
+                assert chi_dense >= chi_fermion - 1e-12, (site, beta, x)
+
+
+def test_scan_freefermion_off_center_reaches_the_chain_end(tmp_path):
+    """With the probe at site 15 of 21, every x up to 15 leaves region B a
+    site; chi_B correlates the probe with site 15 - x."""
+    out = tmp_path / "ff.csv"
+    assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
+               "--site", "15", "--x-grid", "10:14", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == HEADER
+    assert lines[1] == ("2, 1, 21, 10, 1.84086628224e-15, 0.0246519967216, 7.46741249008e-14, "
+                        "-0.0246519967216, 0, 0, 0, freefermion")
+    _, rows = parse_csv(out.read_text())
+    assert [r["x_ab"] for r in rows] == ["10", "11", "12", "13", "14"]
+    cov = thermal_covariance(bdg_diagonalize(21, 1.0), 2.0)
+    for x, row in zip(range(10, 15), rows):
+        chi_b = correlator_lb_value(connected_xx(cov, 15, 15 - x), x_expectation(cov, 15 - x))
+        assert row["chi_B"] == "%.12g" % chi_b
 
 
 @pytest.mark.parametrize(
@@ -539,6 +579,25 @@ class TestFig2:
         payload = json.loads((dataset.parent / "panels.json").read_text())
         assert payload["config"]["n"] == 41
         assert payload["rows"] > 0
+
+
+def test_fig2_failed_points_get_error_rows(tmp_path):
+    """x = 11 and 12 leave region B empty left of the centre site 10: their
+    ratio rows carry the message, and the depth rows are those of the clean x."""
+    args = ("fig2", "--n", "21", "--beta-grid", "5,10")
+    assert run(*args, "--x-grid", "9:12", "--out", str(tmp_path / "all")) == 0
+    assert run(*args, "--x-grid", "9:10", "--out", str(tmp_path / "clean")) == 0
+    text = (tmp_path / "all_ratio.csv").read_text()
+    assert text.splitlines()[0] == HEADER + ", error"
+    _, rows = parse_csv(text)
+    assert len(rows) == 3 * 2 * 4
+    for row in rows:
+        failed = row["x_ab"] in ("11", "12")
+        assert ("region B" in row["error"]) == failed
+        assert (row["chi_B"] == "nan") == failed
+    assert json.loads((tmp_path / "all.json").read_text())["rows"] == 24
+    depth = (tmp_path / "all_depth.csv").read_bytes()
+    assert depth == (tmp_path / "clean_depth.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

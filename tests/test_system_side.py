@@ -167,6 +167,6 @@ def test_cli_dense_context_in_parity_sectors(seed, measure, where):
     assert abs(ctx.chi_e - rho_e) < 1e-12
     assert abs(chi_b - psi_b) < TOL
     assert abs(ctx.chi_e - psi_e) < TOL
-    marginal = ctx.marginal(region)
+    _, marginal = ctx.last  # the marginal chi_B was computed from
     assert marginal.sites == (site,) + region
     assert np.max(np.abs(marginal.matrix - rho.reduced((site,) + region).matrix)) < 1e-12
