@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "STRICT_GUARD",
@@ -136,17 +136,9 @@ def _depth_from_distance(x_ab: float) -> int:
 
 
 def exact_verdict(criterion_value: float, x_ab: float) -> DepthBoundResult:
-    """Exact-preparation verdict: active iff the criterion exceeds 0 (guarded)."""
-    active = float(criterion_value) > STRICT_GUARD
-    return DepthBoundResult(
-        criterion_value=float(criterion_value),
-        threshold=0.0,
-        x_ab=x_ab,
-        bound_active=active,
-        depth_lower_bound=_depth_from_distance(x_ab) if active else 0,
-        mode="exact",
-        epsilon=0.0,
-    )
+    """Exact-preparation verdict: the approximate one at eps = 0, where both
+    thresholds vanish; active iff the criterion exceeds 0 (guarded)."""
+    return replace(approx_verdict(criterion_value, x_ab, 0.0, weak=True), mode="exact")
 
 
 def approx_verdict(
@@ -157,36 +149,24 @@ def approx_verdict(
     d_aprime: int | None = None,
     weak: bool = False,
 ) -> DepthBoundResult:
-    """Approximate-preparation verdict.
+    """Approximate-preparation verdict: active iff the criterion exceeds the
+    threshold (guarded).
 
     weak=False compares the exact-channel criterion against k(eps) (requires
-    the output dimension d_A'); weak=True compares the second-order
-    weak-measurement criterion against 12 eps.
+    the output dimension d_A' unless eps = 0, where k vanishes); weak=True
+    compares the second-order weak-measurement criterion against 12 eps.
     """
-    eps = float(epsilon)
+    eps = float(epsilon) + 0.0  # -0.0 reads as 0.0
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
-    if eps == 0.0:
-        base = exact_verdict(criterion_value, x_ab)
-        mode = "approx-weak" if weak else "approx-general"
-        return DepthBoundResult(
-            criterion_value=base.criterion_value,
-            threshold=0.0,
-            x_ab=x_ab,
-            bound_active=base.bound_active,
-            depth_lower_bound=base.depth_lower_bound,
-            mode=mode,
-            epsilon=0.0,
-            d_aprime=None if weak else d_aprime,
-        )
     if weak:
         threshold = 12.0 * eps
-        d_out = None
-    else:
-        if d_aprime is None:
-            raise ValueError("approx-general mode requires d_aprime")
+    elif d_aprime is not None:
         threshold = k_func(eps, d_aprime)
-        d_out = int(d_aprime)
+    elif eps == 0.0:
+        threshold = 0.0  # k(0) = 0 for every d_A'
+    else:
+        raise ValueError("approx-general mode requires d_aprime")
     active = float(criterion_value) - threshold > STRICT_GUARD
     return DepthBoundResult(
         criterion_value=float(criterion_value),
@@ -196,5 +176,5 @@ def approx_verdict(
         depth_lower_bound=_depth_from_distance(x_ab) if active else 0,
         mode="approx-weak" if weak else "approx-general",
         epsilon=eps,
-        d_aprime=d_out,
+        d_aprime=None if weak or d_aprime is None else int(d_aprime),
     )

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bounds import approx_verdict, exact_verdict, invert_k, k_func
+from .bounds import approx_verdict, invert_k, k_func
 from .cft import CftParams, chi2_E_cft, depth_bound_cft, c_constant, fit_kappa, k2_cft
 from .fermion import (
     XLineTable,
@@ -172,8 +172,10 @@ def _parse_terms(raw: dict[str, str]) -> tuple[tuple[float, tuple[tuple[int, str
             raise ConfigError(f"term {key!r} needs a coefficient and at least one Pauli")
         try:
             coeff = float(tokens[0])
+            if not math.isfinite(coeff):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"term {key!r}: bad coefficient {tokens[0]!r}") from None
+            raise ConfigError(f"term {key!r}: bad coefficient {tokens[0]!r}, not a finite number") from None
         ops = []
         for tok in tokens[1:]:
             letter = tok[0].upper()
@@ -309,10 +311,13 @@ def _check_value(option: Option, value, source: str) -> None:
             raise ConfigError(f"{source} = {number:g} lies outside [{option.low:.6g}, {option.high:.6g}]")
 
 
-def _check_options(command: str, opts: dict) -> None:
+def _check_options(command: str, opts: dict, terms: dict[str, str]) -> None:
     """Check the merged options and DEPTHBOUND_THREADS against OPTIONS and
     EXCLUSIVE (exit 2): each option must be read by the command and the
-    backend, and its numbers must lie within the option's bounds."""
+    backend, and its numbers must lie within the option's bounds.  Custom
+    terms are read by the custom model only."""
+    if terms and opts.get("model") != "custom":
+        raise ConfigError("the config file's [terms] section defines a custom model; it needs model = custom")
     backend = opts.get("backend", "dense")
     for option in OPTIONS:
         if option.name not in opts:
@@ -527,12 +532,8 @@ class _DenseContext(_Context):
         return {"s_b": float(von_neumann_entropy(rho.reduced(region))), "s_abc": self.entropy}
 
     def verdict(self, chi_b: float, x_ab):
-        if self.model.measure == "weak-x":
-            return super().verdict(chi_b, x_ab)
-        criterion = chi_b - self.chi_e
-        if self.epsilon == 0.0:
-            return exact_verdict(criterion, x_ab)
-        return approx_verdict(criterion, x_ab, self.epsilon, d_aprime=self.model.spec.n_outcomes)
+        weak = self.model.measure == "weak-x"  # projective-x: k(eps) of a qubit outcome register
+        return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, d_aprime=2, weak=weak)
 
 
 class _FermionModel:
@@ -702,6 +703,13 @@ def _pool_map(workers: int, fn, items) -> list:
         return list(pool.map(fn, items))
 
 
+def _grid_rows(model, betas: list[float], xs: list[int], epsilon: float, workers: int):
+    """Rows and per-row errors of the (beta, x) grid, beta outer, with the
+    betas spread over ``workers`` threads."""
+    results = _pool_map(workers, lambda beta: _beta_rows(model, beta, xs, epsilon), betas)
+    return [row for r, _ in results for row in r], [err for _, e in results for err in e]
+
+
 def _csv(rows: list[list], errors: list[str | None] | None = None,
          columns: tuple[str, ...] = COLUMNS) -> str:
     """CSV rows under ``columns``, plus an error column when a row failed."""
@@ -782,16 +790,14 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     xs = _x_grid(opts["x-grid"])
     _check_count(len(betas) * len(xs), "scan rows")
     start = time.perf_counter()
-    workers = _threads(opts)
     model = _build_model(opts, terms_raw, opts.get("measure", "weak-x"))
-    results = _pool_map(workers, lambda beta: _beta_rows(model, beta, xs, epsilon), betas)
-    rows = [row for r, _ in results for row in r]
-    errors = [err for _, e in results for err in e]
+    rows, errors = _grid_rows(model, betas, xs, epsilon, _threads(opts))
     out = Path(opts["out"])
     elapsed = time.perf_counter() - start
     if opts.get("format", "csv") == "json":
-        records = [{k: _json_value(v) for k, v in zip(COLUMNS, row)} for row in rows]
-        _sidecar(out, opts, elapsed, records, errors=[e for e in errors if e] or None)
+        records = [{k: _json_value(v) for k, v in zip(COLUMNS, row)} | ({"error": err} if err else {})
+                   for row, err in zip(rows, errors)]
+        _sidecar(out, opts, elapsed, records)
     else:
         out.write_text(_csv(rows, errors))
         _sidecar(out.with_suffix(".json"), opts, elapsed, len(rows))
@@ -809,26 +815,22 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     _check_count(len(gs) * len(betas) * len(xs), "fig2 rows")
     site = _probe_site(opts, n)
     start = time.perf_counter()
-    workers = _threads(opts)
 
     def g_task(g: float):
+        # The task builds its model, so that a worker holds one model at a time.
         model = _FermionModel(n, g, site)
-        ratio_rows: list[list] = []
-        ratio_errors: list[str | None] = []
-        depth_rows: list[list] = []
-        for beta in betas:
-            rows, errors = _beta_rows(model, beta, xs, 0.0)
-            ratio_rows += rows
-            ratio_errors += errors
-            records = [dict(zip(COLUMNS, row)) for row, err in zip(rows, errors) if err is None]
-            exact = [r["depth_lb"] for r in records]
-            approx = [approx_verdict(r["criterion"], r["x_ab"], eps_approx, weak=True).depth_lower_bound
-                      for r in records]
-            for eps, depths in ((0.0, exact), (eps_approx, approx)):
+        rows, errors = _grid_rows(model, betas, xs, 0.0, 1)
+        depth_rows = []
+        for i, beta in enumerate(betas):
+            block = slice(i * len(xs), (i + 1) * len(xs))
+            clean = [dict(zip(COLUMNS, row)) for row, err in zip(rows[block], errors[block]) if err is None]
+            for eps in (0.0, eps_approx):
+                depths = [approx_verdict(r["criterion"], r["x_ab"], eps, weak=True).depth_lower_bound
+                          for r in clean]
                 depth_rows.append([beta, g, n, eps, max(depths, default=0), model.backend])
-        return ratio_rows, ratio_errors, depth_rows
+        return rows, errors, depth_rows
 
-    per_g = _pool_map(workers, g_task, gs)
+    per_g = _pool_map(_threads(opts), g_task, gs)
     ratio_rows = [row for rr, _, _ in per_g for row in rr]
     ratio_errors = [err for _, er, _ in per_g for err in er]
     depth_rows = [row for _, _, dr in per_g for row in dr]
@@ -857,7 +859,7 @@ def main(argv: list[str] | None = None) -> int:
             _require(backend == "freefermion", "fig2 is a freefermion pipeline")
             opts.setdefault("model", "tfim")
         _check_capabilities(opts)
-        _check_options(args.command, opts)
+        _check_options(args.command, opts, terms_raw)
         if opts.get("backend") == "cft":
             _check_cft_betas(opts)
         if args.command == "bound":

@@ -109,6 +109,8 @@ def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
 def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     """Mode energies and Bogoliubov rotation of the open TFIM chain."""
     h = majorana_couplings(n, g)
+    if not np.isfinite(h).all():
+        raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
     t, z = schur(h, output="real")
     scale = max(1.0, float(np.max(np.abs(h))))
     ztol = 1e-12 * scale

@@ -196,6 +196,10 @@ class ThermalEigensystem:
         if isinstance(hamiltonian, ThermalEigensystem):
             return hamiltonian
         if isinstance(hamiltonian, SpinHamiltonian):
+            # sum |c| bounds |E|; past the float range the eigensolver fails.
+            scale = sum(abs(c) for c, _ in hamiltonian.terms)
+            if not math.isfinite(scale):
+                raise NumericalConsistencyError(f"the energies overflow: sum of |coefficients| = {scale:g}")
             h, sites = hamiltonian.to_matrix(), hamiltonian.sites
         else:
             h = np.asarray(hamiltonian)

@@ -261,6 +261,13 @@ def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
     return out
 
 
+def _chi2_E(value: float, method: str) -> Chi2Result:
+    """chi2_E of ``method``; beta*omega past the float range leaves it nan."""
+    if not np.isfinite(value):
+        raise NumericalConsistencyError(f"chi_E = {value} is not finite: beta*omega overflows")
+    return Chi2Result(value, "E", method)
+
+
 def chi2_E_eigensum(
     hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem,
     beta: float,
@@ -305,7 +312,7 @@ def chi2_E_eigenbasis(
             om = e[None, :] - e[i0:i1, None]
             fw = f_beta_weight(om, beta)
             total += float(np.sum(abs2[i0:i1] * (p[i0:i1, None] * fw)))
-    return Chi2Result(0.5 * (total - mean * mean), "E", "eigensum")
+    return _chi2_E(0.5 * (total - mean * mean), "eigensum")
 
 
 def chi2_E_spectral(lines, beta: float) -> Chi2Result:
@@ -325,8 +332,7 @@ def chi2_E_spectral(lines, beta: float) -> Chi2Result:
     if weights.size and float(weights.min()) < -1e-10:
         raise NumericalConsistencyError(f"negative spectral weight {weights.min()}")
     weights = np.clip(weights, 0.0, None)
-    value = 0.5 * float(np.sum(weights * f_beta_weight(freqs, beta)))
-    return Chi2Result(value, "E", "spectral")
+    return _chi2_E(0.5 * float(np.sum(weights * f_beta_weight(freqs, beta))), "spectral")
 
 
 def correlator_lb_value(connected: float, mean_b: float) -> float:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthbound.bounds import (
+    STRICT_GUARD,
     DepthBoundResult,
     approx_verdict,
     exact_verdict,
@@ -185,6 +186,39 @@ def test_epsilon_zero_reduces_to_exact():
     assert res_w.depth_lower_bound == res_e.depth_lower_bound
     assert res_w.threshold == 0.0
     assert res_w.mode == "approx-weak"
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1e-12, max_value=1e-12)),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+def test_epsilon_zero_is_the_exact_verdict(value, x_ab):
+    """At eps = 0 both thresholds vanish: the weak and the general verdict,
+    with or without d_A', are the exact one in all but their mode."""
+    exact = exact_verdict(value, x_ab)
+    assert (exact.threshold, exact.epsilon, exact.mode, exact.d_aprime) == (0.0, 0.0, "exact", None)
+    for kwargs in ({"weak": True}, {}, {"d_aprime": 2}, {"d_aprime": 4}):
+        res = approx_verdict(value, x_ab, 0.0, **kwargs)
+        assert res.threshold == 0.0 and res.epsilon == 0.0
+        assert res.bound_active == exact.bound_active
+        assert res.depth_lower_bound == exact.depth_lower_bound
+        assert res.criterion_value == exact.criterion_value
+        assert res.d_aprime == kwargs.get("d_aprime")
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.floats(min_value=-1.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.sampled_from([2, 4]),
+)
+def test_general_threshold_is_k_at_positive_epsilon(value, x_ab, eps, d_aprime):
+    res = approx_verdict(value, x_ab, eps, d_aprime=d_aprime)
+    assert res.threshold == k_func(eps, d_aprime)
+    assert res.bound_active == (value - res.threshold > STRICT_GUARD)
+    assert res.mode == "approx-general" and res.d_aprime == d_aprime
 
 
 def test_negative_epsilon_rejected():

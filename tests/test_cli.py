@@ -214,9 +214,17 @@ def test_bound_cft_depth_at_largest_beta(capsys):
         ("bound", "--n", "8", "--g", "1", "--beta", "2", "--x-grid", "1",
          "--region-b", "0"),  # --x-grid and --region-b exclude each other
         ("bound", "--n", "8", "--g", "1", "--beta", "2"),  # dense bound without a point
+        ("bound", "--region-b", "1", "--site", "0", "--config",
+         "[run]\nmodel = custom\nbeta = 1\n[terms]\nt1 = nan Z0 Z1\n"),  # nan coefficient
+        ("bound", "--region-b", "1", "--site", "0", "--config",
+         "[run]\nmodel = custom\nbeta = 1\n[terms]\nt1 = -inf Z0 Z1\n"),  # infinite coefficient
     ],
 )
-def test_config_errors_exit_2(argv, capsys):
+def test_config_errors_exit_2(argv, capsys, tmp_path):
+    if "--config" in argv:  # the text of the config file follows the flag
+        i = argv.index("--config") + 1
+        (tmp_path / "run.ini").write_text(argv[i])
+        argv = (*argv[:i], str(tmp_path / "run.ini"), *argv[i + 1:])
     assert run(*argv) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -259,6 +267,32 @@ def test_rejected_kappa_fit_exits_4(command, capsys):
     """At n = 60 the samples exist but miss the power law."""
     assert run(*command, "--backend", "cft", "--n", "60", "--beta", "10") == 4
     assert "numerical-consistency failure: power-law fit rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--n", "6", "--g", "1e308", "--beta", "1", "--x-grid", "1"),
+        ("scan", "--n", "6", "--g", "1e308", "--beta", "1", "--x-grid", "1", "--measure", "projective-x"),
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1e308", "--beta", "1", "--x-grid", "1"),
+        ("scan", "--backend", "freefermion", "--n", "21", "--g", "1e308", "--beta", "1", "--x-grid", "1"),
+        ("bound", "--n", "6", "--g", "1", "--beta", "1e308", "--x-grid", "1", "--measure", "weak-x"),
+        ("scan", "--n", "6", "--g", "1", "--beta", "3e307", "--x-grid", "1"),
+        ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "1e308", "--x-grid", "1"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_field_or_beta_exits_4(argv, tmp_path, capsys):
+    """Energies past the float range (2g, or the sum of the couplings) and a
+    beta*omega that overflows into a nan chi_E stop the run with exit 4."""
+    if argv[0] == "scan":
+        argv += ("--out", str(tmp_path / "s.csv"))
+    assert run(*argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-consistency failure:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_correlator_bound_underflow_exits_4(tmp_path, capsys):
@@ -443,8 +477,28 @@ def test_scan_json_format(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert len(payload["rows"]) == 2
-    assert payload["errors"] is None
+    assert "errors" not in payload
+    assert not any("error" in record for record in payload["rows"])
     assert payload["rows"][0]["backend"] == "freefermion"
+
+
+def test_scan_json_errors_stay_on_their_rows(tmp_path):
+    """A failed row carries its message as its own ``error`` field, as the
+    CSV error column does; clean rows carry none."""
+    out = tmp_path / "sweep.json"
+    assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta-grid", "1,2",
+               "--x-grid", "9:12", "--format", "json", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert "errors" not in payload
+    rows = payload["rows"]
+    assert [r["x_ab"] for r in rows] == [9, 10, 11, 12] * 2
+    for record in rows:
+        if record["x_ab"] > 10:
+            assert record["error"] == f"x = {record['x_ab']} leaves region B empty left of site 10"
+            assert record["chi_B"] == "nan"
+        else:
+            assert "error" not in record
+            assert math.isfinite(record["chi_B"])
 
 
 def test_scan_threads_determinism(tmp_path, monkeypatch):
@@ -509,6 +563,20 @@ def test_config_file_values_checked_against_choices(tmp_path, capsys, key, value
 
 def test_config_file_missing(tmp_path):
     assert run("bound", "--config", str(tmp_path / "nope.ini"), "--beta", "1.0") == 2
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("bound", ""),
+    ("bound", "backend = freefermion\n"),
+    ("scan", "out = /tmp/x.csv\n"),
+])
+def test_terms_without_custom_model_exit_2(tmp_path, capsys, command, keys):
+    """A [terms] section is read by the custom model only; without
+    model = custom it would be ignored silently."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nn = 4\ng = 1\nbeta = 1\nx_grid = 1\n{keys}[terms]\nt1 = -1.0 Z0 Z1\n")
+    assert run(command, "--config", str(cfg)) == 2
+    assert "[terms] section" in capsys.readouterr().err
 
 
 def test_custom_model_terms(tmp_path, capsys):
