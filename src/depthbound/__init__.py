@@ -59,6 +59,7 @@ from .fermion import (
     connected_xx,
     energy_expectation,
     gaussian_entropy,
+    ground_state_covariance,
     many_body_energies,
     pfaffian,
     string_x_expectation,
@@ -199,6 +200,7 @@ __all__ = [
     "connected_xx",
     "energy_expectation",
     "gaussian_entropy",
+    "ground_state_covariance",
     "many_body_energies",
     "pfaffian",
     "string_x_expectation",

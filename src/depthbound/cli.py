@@ -48,6 +48,7 @@ from .fermion import (
     XLineTable,
     bdg_diagonalize,
     connected_xx,
+    ground_state_covariance,
     thermal_covariance,
     x_expectation,
 )
@@ -554,11 +555,13 @@ class _FermionModel:
 
 
 class _FermionContext(_Context):
-    """chi_B is the correlator lower bound with the nearest site of region B."""
+    """chi_B is the correlator lower bound with the nearest site of region B.
+    Region B lies left of the probe, so only the covariance of the sites up
+    to the probe is formed."""
 
     def __init__(self, model: _FermionModel, beta: float, epsilon: float):
         super().__init__(model, beta, epsilon)
-        self.cov = thermal_covariance(model.spectrum, beta)
+        self.cov = thermal_covariance(model.spectrum, beta, prefix=model.site + 1)
         self.chi_e = chi2_E_spectral(model.lines.at(beta), beta).value
 
     def chi_b(self, region: tuple[int, ...]) -> float:
@@ -571,12 +574,10 @@ _KAPPA_CACHE: dict[tuple[int, float], float] = {}
 
 
 def _fit_lattice_kappa(n: int, g: float) -> float:
-    """Two-point amplitude of the X correlator from near-ground-state data."""
+    """Two-point amplitude of the X correlator from ground-state data."""
     key = (n, g)
     if key not in _KAPPA_CACHE:
-        spectrum = bdg_diagonalize(n, g)
-        beta0 = 50.0 * n  # beta eps_min >> 1 even at the critical gap ~ 1/n
-        cov = thermal_covariance(spectrum, beta0)
+        cov = ground_state_covariance(n, g)
         center = _center_site(n)
         seps = np.arange(10, min(51, center))
         cors = np.array([connected_xx(cov, center, center - int(s)) for s in seps])

@@ -11,7 +11,9 @@ antisymmetric single-particle matrix
 
 minus transposes.  A real Schur decomposition h = Q T Qᵀ with canonical
 2×2 blocks [[0, ε_k], [−ε_k, 0]], ε_k ≥ 0, gives mode energies: the
-many-body spectrum is Σ_k ε_k n_k − ½ Σ_k ε_k.
+many-body spectrum is Σ_k ε_k n_k − ½ Σ_k ε_k.  The ground state alone
+needs no Schur form: its covariance is the polar factor of h's n × n
+coupling block (:func:`ground_state_covariance`).
 
 Everything downstream (thermal covariance, Wick/Pfaffian correlators,
 Gaussian subsystem entropies, and the spectral decomposition of the X_j
@@ -41,6 +43,7 @@ __all__ = [
     "bdg_diagonalize",
     "many_body_energies",
     "thermal_covariance",
+    "ground_state_covariance",
     "energy_expectation",
     "pfaffian",
     "x_expectation",
@@ -192,15 +195,70 @@ def _norm_below(gamma: np.ndarray, limit: float) -> bool:
     return info == 0
 
 
-def thermal_covariance(spectrum: BogoliubovSpectrum, beta: float) -> MajoranaCovariance:
+def thermal_covariance(
+    spectrum: BogoliubovSpectrum, beta: float, prefix: int | None = None
+) -> MajoranaCovariance:
     """Gibbs-state covariance Γ = Q Γ′ Qᵀ, mode blocks [[0, −t_k], [t_k, 0]]
-    with t_k = tanh(β ε_k / 2)."""
+    with t_k = tanh(β ε_k / 2).
+
+    With ``prefix`` only the covariance of sites 0 … prefix − 1 is formed,
+    from the first 2·prefix rows of Q.  A Gaussian state's reduced state is
+    fixed by the covariance restricted to the subsystem (Peschel, J. Phys. A
+    36, L205, 2003), so that block is itself the covariance of those sites,
+    and the norm guard runs on it.
+    """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    tk = np.tanh(0.5 * beta * spectrum.energies)
-    gamma = _times_mode_blocks(spectrum.q, tk) @ spectrum.q.T
+    n = spectrum.n_modes
+    if prefix is None:
+        prefix = n
+    elif not 1 <= prefix <= n:
+        raise ValueError("prefix outside the chain")
+    # beta ε_k past the float range is inf, and tanh(inf) = 1.
+    with np.errstate(over="ignore"):
+        tk = np.tanh(0.5 * beta * spectrum.energies)
+    q = spectrum.q[: 2 * prefix]
+    gamma = _times_mode_blocks(q, tk) @ q.T
     gamma = 0.5 * (gamma - gamma.T)
     return MajoranaCovariance(gamma, float(beta))
+
+
+def ground_state_covariance(n: int, g: float) -> MajoranaCovariance:
+    """Ground-state covariance of the open chain from the polar factor of
+    its coupling block, with no Schur form.
+
+    h couples only x to p Majoranas, so its nonzero part is the n × n block
+    M = h[0::2, 1::2] = U Σ Vᵀ, whose singular values Σ are the mode
+    energies.  At T = 0, Γ[0::2, 1::2] = −U Vᵀ, Γ[1::2, 0::2] = (U Vᵀ)ᵀ and
+    the rest is 0 (Surace & Tagliacozzo, SciPost Phys. Lect. Notes 54,
+    2022): the β → ∞ limit of :func:`thermal_covariance`.  A gapless Σ
+    leaves that polar factor, and so the ground state, undetermined.
+    """
+    h = majorana_couplings(n, g)
+    if not np.isfinite(h).all():
+        raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
+    m = h[0::2, 1::2]
+    u, sigma, vt = np.linalg.svd(m)
+    eye = np.eye(n)
+    for name, w in (("U", u), ("V", vt)):
+        err = float(np.max(np.abs(w @ w.T - eye)))
+        if err > _ORTHO_ATOL:
+            raise NumericalConsistencyError(f"{name} deviates from orthogonality by {err}")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    rerr = float(np.max(np.abs((u * sigma) @ vt - m)))
+    if rerr > _ORTHO_ATOL * scale:
+        raise NumericalConsistencyError(f"SVD does not reconstruct the couplings (error {rerr})")
+    # The SVD perturbs U Vᵀ by about eps·σ_max/σ_min; past _ORTHO_ATOL the
+    # smallest mode energy cannot be told from a zero mode.
+    if sigma[-1] * _ORTHO_ATOL <= np.finfo(float).eps * sigma[0]:
+        raise NumericalConsistencyError(
+            f"gapless chain: smallest mode energy {sigma[-1]:.3g} leaves the ground state undetermined"
+        )
+    polar = u @ vt
+    gamma = np.zeros((2 * n, 2 * n))
+    gamma[0::2, 1::2] = -polar
+    gamma[1::2, 0::2] = polar.T
+    return MajoranaCovariance(gamma, math.inf)
 
 
 def energy_expectation(spectrum: BogoliubovSpectrum, beta: float) -> float:
@@ -261,8 +319,14 @@ def _interleaved_indices(sites: Sequence[int]) -> list[int]:
     return idx
 
 
+def _require_sites(cov: MajoranaCovariance, *sites: int) -> None:
+    if any(not 0 <= j < cov.n_sites for j in sites):
+        raise ValueError("site outside the chain")
+
+
 def x_expectation(cov: MajoranaCovariance, site: int) -> float:
     """⟨X_j⟩ = −Γ[2j, 2j+1]."""
+    _require_sites(cov, site)
     return float(-cov.gamma[2 * site, 2 * site + 1])
 
 
@@ -271,8 +335,7 @@ def string_x_expectation(cov: MajoranaCovariance, sites: Sequence[int]) -> float
     s = sorted(set(int(j) for j in sites))
     if not s:
         return 1.0
-    if s[0] < 0 or s[-1] >= cov.n_sites:
-        raise ValueError("site outside the chain")
+    _require_sites(cov, s[0], s[-1])
     idx = _interleaved_indices(s)
     sub = cov.gamma[np.ix_(idx, idx)]
     return float((-1.0) ** len(s) * pfaffian(sub))
@@ -283,6 +346,7 @@ def connected_xx(cov: MajoranaCovariance, i: int, j: int) -> float:
     if i == j:
         xi = x_expectation(cov, i)
         return 1.0 - xi * xi
+    _require_sites(cov, i, j)
     g = cov.gamma
     return float(
         g[2 * i, 2 * j + 1] * g[2 * i + 1, 2 * j]
@@ -300,8 +364,7 @@ def gaussian_entropy(cov: MajoranaCovariance, sites: Sequence[int]) -> float:
     s = sorted(set(int(j) for j in sites))
     if not s:
         return 0.0
-    if s[0] < 0 or s[-1] >= cov.n_sites:
-        raise ValueError("site outside the chain")
+    _require_sites(cov, s[0], s[-1])
     idx = _interleaved_indices(s)
     sub = cov.gamma[np.ix_(idx, idx)]
     lam = np.linalg.eigvalsh(1j * sub.astype(np.complex128))

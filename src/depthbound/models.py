@@ -239,8 +239,11 @@ class ThermalEigensystem:
         if beta < 0:
             raise ValueError("beta must be non-negative")
         e = self.energies - self.energies.min()
-        logz = float(np.log(np.sum(np.exp(-beta * e))))
-        return np.exp(-beta * e - logz)
+        # beta E_i past the float range is inf, and exp(−inf) = 0.
+        with np.errstate(over="ignore"):
+            x = -beta * e
+        logz = float(np.log(np.sum(np.exp(x))))
+        return np.exp(x - logz)
 
     def sector_weights(self, beta: float) -> tuple[np.ndarray, ...]:
         """:meth:`weights` split by sector, each in its sector's order."""

@@ -251,9 +251,9 @@ def chi2_system(
 
 def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
     """f_beta(omega) = beta*omega / (e^{beta*omega} − 1), with f(0) = 1."""
-    x = np.asarray(beta * np.asarray(omega, dtype=float))
-    small = np.abs(x) < 1e-8
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.asarray(beta * np.asarray(omega, dtype=float))
+        small = np.abs(x) < 1e-8
         em = np.expm1(np.where(small, 1.0, x))
         out = np.where(small, 1.0 - x / 2.0 + x * x / 12.0, x / em)
     if np.isscalar(omega) or np.ndim(omega) == 0:
@@ -311,7 +311,8 @@ def chi2_E_eigenbasis(
             i1 = min(i0 + chunk, e.size)
             om = e[None, :] - e[i0:i1, None]
             fw = f_beta_weight(om, beta)
-            total += float(np.sum(abs2[i0:i1] * (p[i0:i1, None] * fw)))
+            with np.errstate(invalid="ignore"):  # an overflowed fw; _chi2_E rejects the nan
+                total += float(np.sum(abs2[i0:i1] * (p[i0:i1, None] * fw)))
     return _chi2_E(0.5 * (total - mean * mean), "eigensum")
 
 
@@ -332,7 +333,9 @@ def chi2_E_spectral(lines, beta: float) -> Chi2Result:
     if weights.size and float(weights.min()) < -1e-10:
         raise NumericalConsistencyError(f"negative spectral weight {weights.min()}")
     weights = np.clip(weights, 0.0, None)
-    return _chi2_E(0.5 * float(np.sum(weights * f_beta_weight(freqs, beta))), "spectral")
+    with np.errstate(invalid="ignore"):  # an overflowed f_beta; _chi2_E rejects the nan
+        total = float(np.sum(weights * f_beta_weight(freqs, beta)))
+    return _chi2_E(0.5 * total, "spectral")
 
 
 def correlator_lb_value(connected: float, mean_b: float) -> float:

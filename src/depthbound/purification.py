@@ -439,7 +439,13 @@ def projective_chi_E_factors(factors: Sequence[Sequence[np.ndarray]], entropy: f
     for p, blocks in kept:
         spectrum = np.concatenate([np.linalg.eigvalsh(y @ y.conj().T) for y in blocks])
         conditioned += (p / total) * entropy_from_spectrum(spectrum / p)
-    return entropy - conditioned
+    chi = entropy - conditioned
+    # A Holevo quantity is non-negative: a residue down to -ROUTE_TOL is rounding.
+    if chi <= 0.0:
+        if chi < -ROUTE_TOL:
+            raise NumericalConsistencyError(f"projective chi_E = {chi} is negative")
+        return 0.0
+    return chi
 
 
 @dataclass(frozen=True)

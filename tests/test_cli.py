@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from depthbound import cli, models
-from depthbound.cft import c_constant
+from depthbound.cft import c_constant, fit_kappa
 from depthbound.cli import main
 from depthbound.fermion import bdg_diagonalize, connected_xx, thermal_covariance, x_expectation
 from depthbound.perturbative import correlator_lb_value
@@ -281,18 +281,34 @@ def test_rejected_kappa_fit_exits_4(command, capsys):
         ("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "1e308", "--x-grid", "1"),
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_overflowing_field_or_beta_exits_4(argv, tmp_path, capsys):
+def test_overflowing_field_or_beta_exits_4(argv, tmp_path, capsys, recwarn):
     """Energies past the float range (2g, or the sum of the couplings) and a
-    beta*omega that overflows into a nan chi_E stop the run with exit 4."""
+    beta*omega that overflows into a nan chi_E stop the run with exit 4,
+    with the one-line message as the only output: no numpy warning."""
     if argv[0] == "scan":
         argv += ("--out", str(tmp_path / "s.csv"))
     assert run(*argv) == 4
+    assert [str(w.message) for w in recwarn] == []
     err = capsys.readouterr().err
     assert err.startswith("numerical-consistency failure:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--g", "1", "--beta", "1e308", "--measure", "projective-x"),
+        ("--g", "1e307", "--beta", "1"),
+    ],
+)
+def test_projective_chi_E_rounding_residue_prints_0(argv, capsys):
+    """A Holevo quantity is non-negative: the rounding residue of S(rho)
+    minus the conditioned entropies prints as 0, not as -6.4e-17 or -0."""
+    assert run("bound", "--n", "6", "--x-grid", "1", *argv) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    (row,) = rows
+    assert row["chi_E"] == "0"
 
 
 def test_correlator_bound_underflow_exits_4(tmp_path, capsys):
@@ -339,6 +355,19 @@ def test_out_of_memory_off_the_dense_backend(monkeypatch, capsys):
 def test_cft_needs_143_fit_sites(n, code, capsys):
     """The README's lower limit for a cft --n: the kappa fit passes from n = 143."""
     assert run("bound", "--backend", "cft", "--beta", "10", "--x-grid", "2", "--n", str(n)) == code
+
+
+@pytest.mark.parametrize("n", [143, 301])
+def test_kappa_fit_matches_schur_route(n, monkeypatch):
+    """The ground-state fit reads the state that the Schur route gave at
+    beta = 50n, here through the prefix covariance the freefermion rows use."""
+    monkeypatch.setattr(cli, "_KAPPA_CACHE", {})
+    center = cli._center_site(n)
+    cov = thermal_covariance(bdg_diagonalize(n, 1.0), 50.0 * n, prefix=center + 1)
+    seps = np.arange(10, min(51, center))
+    cors = [connected_xx(cov, center, center - int(s)) for s in seps]
+    schur_kappa = fit_kappa(seps, np.array(cors), 1.0).kappa
+    assert cli._fit_lattice_kappa(n, 1.0) == pytest.approx(schur_kappa, rel=1e-12, abs=0)
 
 
 def test_version_flag_exits_zero():
@@ -439,10 +468,17 @@ def test_scan_freefermion_off_center_reaches_the_chain_end(tmp_path):
                         "-0.0246519967216, 0, 0, 0, freefermion")
     _, rows = parse_csv(out.read_text())
     assert [r["x_ab"] for r in rows] == ["10", "11", "12", "13", "14"]
-    cov = thermal_covariance(bdg_diagonalize(21, 1.0), 2.0)
+    # The run forms the covariance of sites 0..15 only; its bits set the
+    # rounding-level rows, and it agrees with the full covariance to 1e-15.
+    spectrum = bdg_diagonalize(21, 1.0)
+    cov = thermal_covariance(spectrum, 2.0, prefix=16)
+    full = thermal_covariance(spectrum, 2.0)
     for x, row in zip(range(10, 15), rows):
         chi_b = correlator_lb_value(connected_xx(cov, 15, 15 - x), x_expectation(cov, 15 - x))
         assert row["chi_B"] == "%.12g" % chi_b
+        full_chi_b = correlator_lb_value(connected_xx(full, 15, 15 - x), x_expectation(full, 15 - x))
+        assert chi_b == pytest.approx(full_chi_b, rel=0, abs=1e-15)
+    np.testing.assert_allclose(cov.gamma, full.gamma[:32, :32], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -816,10 +852,20 @@ def test_fig2_diagonalizes_once_per_g(tmp_path, bdg_calls, threads):
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
+    """One ground-state covariance for the whole grid, and no Schur form."""
     monkeypatch.setattr(cli, "_KAPPA_CACHE", {})
+    fits = []
+    original = cli.ground_state_covariance
+
+    def counted(n, g):
+        fits.append((n, g))
+        return original(n, g)
+
+    monkeypatch.setattr(cli, "ground_state_covariance", counted)
     assert run("scan", "--backend", "cft", "--beta-grid", "10,20,30,40", "--x-grid", "1:3",
                "--threads", threads, "--out", str(tmp_path / "c.csv")) == 0
-    assert bdg_calls == [(301, 1.0)]
+    assert fits == [(301, 1.0)]
+    assert bdg_calls == []
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from depthbound.fermion import (
     connected_xx,
     energy_expectation,
     gaussian_entropy,
+    ground_state_covariance,
     majorana_couplings,
     many_body_energies,
     pfaffian,
@@ -28,7 +29,7 @@ from depthbound.fermion import (
 )
 from depthbound.models import SpectralLines, build_tfim, dynamical_correlation, gibbs_state
 from depthbound.perturbative import chi2_E_eigensum, chi2_E_spectral
-from depthbound.states import embed_operator, von_neumann_entropy
+from depthbound.states import NumericalConsistencyError, embed_operator, von_neumann_entropy
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 RNG = np.random.default_rng(8861)
@@ -124,6 +125,30 @@ def test_covariance_equals_dense_block_product_bitwise(g, beta):
     assert got.tobytes() == gamma.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    g=st.floats(0.2, 2.0),
+    beta=st.floats(0.0, 200.0),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_prefix_covariance_is_the_leading_block(n, g, beta, fraction):
+    """The covariance of sites 0..prefix-1 is the full covariance's leading
+    block: the same sums over modes, from fewer rows of Q."""
+    prefix = 1 + round(fraction * (n - 1))
+    spectrum = bdg_diagonalize(n, g)
+    block = thermal_covariance(spectrum, beta, prefix=prefix)
+    full = thermal_covariance(spectrum, beta)
+    assert block.n_sites == prefix
+    assert np.max(np.abs(block.gamma - full.gamma[: 2 * prefix, : 2 * prefix])) <= 1e-14
+
+
+@pytest.mark.parametrize("prefix", [0, 42])
+def test_prefix_outside_the_chain_is_rejected(prefix):
+    with pytest.raises(ValueError, match="prefix outside the chain"):
+        thermal_covariance(bdg_diagonalize(41, 1.0), 2.0, prefix=prefix)
+
+
 NORM_LIMIT = 1.0 + 1e-10
 
 
@@ -144,6 +169,13 @@ def test_covariance_guard_sees_one_large_singular_value_in_small_entries():
     assert not _norm_below(gamma, NORM_LIMIT)
     with pytest.raises(ValueError, match="singular value"):
         MajoranaCovariance(gamma, 1.0)
+
+
+def test_covariance_guard_rejects_scaled_prefix_block():
+    cov = thermal_covariance(bdg_diagonalize(41, 1.0), 50.0, prefix=21)
+    assert cov.gamma.shape == (42, 42)
+    with pytest.raises(ValueError, match="singular value .* exceeds 1"):
+        MajoranaCovariance(1.001 * cov.gamma, cov.beta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e3])
@@ -206,6 +238,28 @@ def test_string_x_matches_dense():
         assert string_x_expectation(cov, sites) == pytest.approx(dense_val, abs=1e-10)
 
 
+def test_reads_outside_the_covariance_are_rejected():
+    """Negative sites would wrap around, and sites past a prefix block
+    would read past it; both are rejected."""
+    spectrum = bdg_diagonalize(6, 1.0)
+    full = thermal_covariance(spectrum, 2.0)
+    block = thermal_covariance(spectrum, 2.0, prefix=3)
+    reads = [
+        lambda: x_expectation(full, -1),
+        lambda: x_expectation(full, 6),
+        lambda: x_expectation(block, 3),
+        lambda: connected_xx(full, 2, -1),
+        lambda: connected_xx(full, -1, -1),
+        lambda: connected_xx(block, 2, 4),
+        lambda: string_x_expectation(block, (0, 3)),
+        lambda: gaussian_entropy(block, (3,)),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match="site outside the chain"):
+            read()
+    assert x_expectation(block, 2) == x_expectation(full, 2)
+
+
 def test_gaussian_entropy_matches_dense():
     n, g, beta = 5, 1.0, 1.3
     _, rho = dense_reference(n, g, beta)
@@ -213,6 +267,24 @@ def test_gaussian_entropy_matches_dense():
     for sites in [(0,), (0, 1), (1, 2, 3), tuple(range(n))]:
         dense_s = von_neumann_entropy(rho.reduced(sites))
         assert gaussian_entropy(cov, sites) == pytest.approx(dense_s, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [143, 301])
+def test_ground_state_covariance_matches_schur_route(n):
+    """At beta = 50n, (1/2) beta eps_min is far past the 19.1 at which tanh
+    rounds to 1, so the thermal covariance is the ground state's."""
+    gs = ground_state_covariance(n, 1.0)
+    assert gs.gamma.shape == (2 * n, 2 * n)
+    schur_route = thermal_covariance(bdg_diagonalize(n, 1.0), 50.0 * n)
+    assert np.max(np.abs(gs.gamma - schur_route.gamma)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, g", [(301, 0.5), (301, 0.9), (8, 0.0)])
+def test_ground_state_covariance_rejects_a_gapless_chain(n, g):
+    """Below g = 1 the edge mode's energy falls like g^n, and at g = 0 it
+    is 0: the ground state is degenerate to rounding."""
+    with pytest.raises(NumericalConsistencyError, match="gapless chain"):
+        ground_state_covariance(n, g)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from depthbound.states import (
     DensityOperator,
+    NumericalConsistencyError,
     StateVector,
     mutual_information,
     partial_trace,
@@ -14,6 +15,7 @@ from depthbound.states import (
     von_neumann_entropy,
 )
 from depthbound.purification import (
+    ROUTE_TOL,
     IsometryChannel,
     MeasurementSpec,
     TraceOutChannel,
@@ -23,6 +25,7 @@ from depthbound.purification import (
     holevo_information,
     measurement_dilation,
     private_information,
+    projective_chi_E_factors,
     theorem_criterion,
 )
 
@@ -186,6 +189,18 @@ def test_holevo_bounded_by_outcome_entropy():
     for region in [(0,), (2,), psi.env_sites]:
         chi = holevo_information(ens, region)
         assert -1e-10 <= chi <= h_p + 1e-10
+
+
+def test_projective_chi_E_factors_is_non_negative():
+    """Two equally likely outcomes, each leaving a maximally mixed qubit: the
+    conditioned entropy is ln 2.  An S(rho) below it within ROUTE_TOL is a
+    rounding residue and gives 0; below that it is an error."""
+    y = 0.5 * np.eye(2)
+    factors = [[y], [y]]
+    assert projective_chi_E_factors(factors, 2 * LN2) == pytest.approx(LN2, abs=1e-14)
+    assert projective_chi_E_factors(factors, LN2 - 0.5 * ROUTE_TOL) == 0.0
+    with pytest.raises(NumericalConsistencyError, match="negative"):
+        projective_chi_E_factors(factors, LN2 - 2 * ROUTE_TOL)
 
 
 def test_private_information_components():
