@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,34 +73,81 @@ class SpinHamiltonian:
     def sites(self) -> tuple[int, ...]:
         return tuple(range(self.n_sites))
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix, built column-wise from bit masks.
+    @property
+    def flip_symmetric(self) -> bool:
+        """Whether H commutes with the global flip ∏X, read from the terms:
+        a Pauli string commutes with ∏X iff it has an even number of Z and Y
+        letters."""
+        return all(sum(letter != "X" for _, letter in ops) % 2 == 0 for _, ops in self.terms)
 
-        A Pauli string maps basis state |j> to phase(j) |j XOR flip>, where
-        X and Y set the flip bits, Z and Y contribute (−1)^{bit}, and each Y
-        a factor i.  Real unless an odd number of Y letters survives.
-        """
+    def _entries(self, columns: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Each term as a signed permutation over ``columns``: its flip mask
+        and its entries, the term mapping basis state |j⟩ to entry(j)·|j XOR
+        flip⟩.  X and Y set the flip bits, Z and Y contribute (−1)^{bit}, and
+        each Y a factor i."""
         n = self.n_sites
-        d = 2**n
-        cols = np.arange(d)
         # bits[s] is the state of site s in every column; site 0 is the MSB.
-        bits = (cols[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1
-        n_y = [sum(letter == "Y" for _, letter in ops) for _, ops in self.terms]
-        out = np.zeros((d, d), dtype=np.complex128 if any(k % 2 for k in n_y) else np.float64)
-        flat = out.reshape(-1)
-        for (coeff, ops), k in zip(self.terms, n_y):
+        bits = (columns[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1
+        for coeff, ops in self.terms:
             flip = 0
-            signs = np.ones(d)
+            signs = np.ones(columns.size)
             for site, letter in ops:
                 if letter != "Z":
                     flip |= 1 << (n - 1 - site)
                 if letter != "X":
                     signs *= 1 - 2 * bits[site]
-            phase = (1, 1j, -1, -1j)[k % 4]
-            flat[(cols ^ flip) * d + cols] += (coeff * phase) * signs
-        if out.dtype == np.complex128 and float(np.max(np.abs(out.imag))) == 0.0:
-            return np.ascontiguousarray(out.real)
-        return out
+            phase = (1, 1j, -1, -1j)[sum(letter == "Y" for _, letter in ops) % 4]
+            yield flip, (coeff * phase) * signs
+
+    def _zeros(self, dim: int) -> np.ndarray:
+        """A zero matrix of H's type: complex when an odd number of Y letters
+        survives in some term."""
+        odd_y = any(sum(letter == "Y" for _, letter in ops) % 2 for _, ops in self.terms)
+        return np.zeros((dim, dim), dtype=np.complex128 if odd_y else np.float64)
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense matrix, built column-wise from bit masks; real unless an odd
+        number of Y letters survives."""
+        d = 2**self.n_sites
+        cols = np.arange(d)
+        out = self._zeros(d)
+        flat = out.reshape(-1)
+        for flip, entries in self._entries(cols):
+            flat[(cols ^ flip) * d + cols] += entries
+        return _real_if_exact(out)
+
+    def sector_block(self, sign: int) -> np.ndarray:
+        """The block of H in the ∏X sector ``sign`` = ±1, from the terms.
+
+        With site 0 the most significant bit, ∏X is the exchange matrix J,
+        and a ∏X-symmetric H = [[A, C], [JCJ, JAJ]] has the eigenvectors
+        [x; sign·Jx]/√2 for the eigenvectors x of the m×m blocks A + sign·CJ
+        (m = d/2).  A term whose flip leaves site 0 alone writes into A; one
+        that flips site 0 writes into C, and its column d−1−j of H reaches
+        column j of CJ, at row (d−1−j) XOR flip < m with the entry of column
+        j (an even number of Z and Y letters makes the signs of j and d−1−j
+        agree).  H itself is never formed.
+        """
+        if self.n_sites < 2 or not self.flip_symmetric:
+            raise ValueError("the sector blocks need n >= 2 and terms that commute with the global flip")
+        d = 2**self.n_sites
+        m = d // 2
+        cols = np.arange(m)
+        out = self._zeros(m)
+        flat = out.reshape(-1)
+        for flip, entries in self._entries(cols):
+            if flip & m:
+                flat[(cols ^ flip ^ (d - 1)) * m + cols] += sign * entries
+            else:
+                flat[(cols ^ flip) * m + cols] += entries
+        return _real_if_exact(out)
+
+
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """A complex matrix with no imaginary part, as a real one."""
+    if mat.dtype == np.complex128 and float(np.max(np.abs(mat.imag))) == 0.0:
+        return np.ascontiguousarray(mat.real)
+    return mat
 
 
 def build_tfim(n: int, g: float) -> SpinHamiltonian:
@@ -161,13 +208,15 @@ class ThermalEigensystem:
 
     Diagonalize once per model; the Gibbs weights, the Gibbs state and every
     eigenbasis quantity then follow at any beta without another ``eigh``.
-    An H that commutes with the global flip ∏X (the TFIM, or any model whose
-    terms each carry an even number of Z and Y letters) on n >= 2 sites is
-    diagonalized in its two parity sectors of half the dimension, and its
-    eigenvectors stay in those ``sectors`` as two m×m blocks (m = d/2).  A
-    sector block that is also symmetric under the chain reflection
-    j ↔ n−1−j, as the open TFIM's are, is diagonalized in the reflection's
-    two eigenspaces (:func:`_sector_eigh`).
+    A :class:`SpinHamiltonian` on n >= 2 sites whose terms each carry an even
+    number of Z and Y letters (the TFIM, say) commutes with the global flip
+    ∏X: it is diagonalized in its two parity sectors of half the dimension,
+    each block built from the terms (:meth:`SpinHamiltonian.sector_block`)
+    with no 2ⁿ×2ⁿ matrix, and its eigenvectors stay in those ``sectors`` as
+    two m×m blocks (m = d/2).  A sector block that is also symmetric under
+    the chain reflection j ↔ n−1−j, as the open TFIM's are, is diagonalized
+    in the reflection's two eigenspaces (:func:`_sector_eigh`).  Any other
+    model, and a Hamiltonian given as a matrix, is diagonalized in full.
     :meth:`marginal`, :meth:`rotate_x` and :meth:`projected_factors` work
     from the blocks and form no d×d state; ``vectors`` assembles the full V
     on each access.  ``energies`` are ascending for a sectored H and in the
@@ -200,25 +249,21 @@ class ThermalEigensystem:
             scale = sum(abs(c) for c, _ in hamiltonian.terms)
             if not math.isfinite(scale):
                 raise NumericalConsistencyError(f"the energies overflow: sum of |coefficients| = {scale:g}")
-            h, sites = hamiltonian.to_matrix(), hamiltonian.sites
+            sites = hamiltonian.sites
+            # n >= 2: X on site 0 then pairs the basis states of each sector.
+            if len(sites) >= 2 and hamiltonian.flip_symmetric:
+                # One block at a time: each is freed once its eigenpairs are found.
+                sectors = [_sector_eigh(sign, hamiltonian.sector_block(sign), len(sites)) for sign in (1, -1)]
+                eig = cls.__new__(cls)
+                eig._set(sectors, sites)
+                return eig
+            h = hamiltonian.to_matrix()
         else:
             h = np.asarray(hamiltonian)
             n = int(round(math.log2(h.shape[0])))
             if h.shape != (2**n, 2**n):
                 raise ValueError("Hamiltonian dimension must be a power of two")
             sites = tuple(range(n))
-        # n >= 2: X on site 0 then pairs the basis states of each sector.
-        if h.shape[0] > 2 and np.array_equal(h, h[::-1, ::-1]):
-            blocks = _parity_blocks(h)
-            del h  # the blocks carry all of H; free it before the eigh
-            sectors = []
-            while blocks:  # each block is released before the next is split
-                sign, block = blocks.pop(0)
-                sectors.append(_sector_eigh(sign, block, len(sites)))
-                del block
-            eig = cls.__new__(cls)
-            eig._set(sectors, sites)
-            return eig
         w, v = np.linalg.eigh(h)
         return cls(w, v, sites)
 
@@ -263,72 +308,138 @@ class ThermalEigensystem:
     def rotate_x(self, site: int) -> tuple[np.ndarray, ...]:
         """V† X_site V as its diagonal blocks, one per sector, in each
         sector's order: x† X x with X the signed permutation of
-        :meth:`ParitySector.flip`."""
+        :meth:`ParitySector.flip`.  Past n = 12 each block is formed a slice
+        of columns at a time, so that no permuted copy of x is held whole;
+        each slice's product streams all of x, so the slices are large."""
         position = self.sites.index(site)
         blocks = []
         for sector in self.sectors:
             perm, sign = sector.flip(position, len(self.sites))
             x = sector.vectors
-            blocks.append(sign * (x.conj().T @ x[perm]))
+            xh = x.conj().T
+            out = np.empty_like(x)
+            for cols in row_chunks(x.shape[1], x.shape[0], 2**25):
+                np.matmul(xh, x[perm, cols], out=out[:, cols])
+            out *= sign
+            blocks.append(out)
         return tuple(blocks)
 
     def marginal(self, beta: float, keep: Sequence[int]) -> DensityOperator:
         """The Gibbs state's marginal on ``keep`` (in that order), without
         forming the Gibbs state.
 
-        With W = V√p in each sector, ρ = Σ W W†; the kept sites index the
-        rows of W and everything else, the eigenstate index included, is
-        summed over in one (d_keep × d·d_rest) product per sector.
+        With w = x√p a sector's eigenvectors scaled by their Gibbs weights,
+        ρ = Σ W W†, with W = [w; sign·Jw]/√2 in a parity sector and W = w
+        without sectors.  The rows of w are the states of the sites after
+        site 0, and J reverses them, which complements every bit.  With G_t
+        the rows of w at the traced index t (the kept bits in ``keep``'s
+        order, t on the rest) and Ĝ_t the complemented rows,
+        M = Σ_t G_t G_t† and N = Σ_t G_t Ĝ_t† give a sector's term
+        ½[[M, sign·N], [sign·N†, JMJ]] when site 0 is kept (in the order
+        site 0, then the other kept sites) and ½(M + JMJ) when it is traced.
+        The rows are gathered a chunk at a time: no d×m W and no transposed
+        copy is formed.
         """
         keep = tuple(keep)
         n = len(self.sites)
         pos = [self.sites.index(s) for s in keep]
-        rest = [i for i in range(n) if i not in pos]
-
-        def part(sector: ParitySector, p: np.ndarray) -> np.ndarray:
-            # A function of its own, so that one sector's W is freed before the next.
-            w = sector.embed(sector.vectors * np.sqrt(p))
-            t = w.reshape((2,) * n + (-1,)).transpose(pos + rest + [n]).reshape(2 ** len(keep), -1)
-            return t @ t.conj().T
-
-        mat = sum(part(sector, p) for sector, p in zip(self.sectors, self.sector_weights(beta)))
+        mat = np.zeros((2 ** len(pos),) * 2, dtype=np.result_type(*(s.vectors for s in self.sectors)))
+        for sector, p in zip(self.sectors, self.sector_weights(beta)):
+            _add_sector_marginal(mat, sector, p, pos, n)
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > 1e-12:
             raise NumericalConsistencyError(f"Gibbs marginal trace deviates by {tr - 1.0}")
         return DensityOperator(mat, keep, check=False)
 
-    def projected_factors(self, beta: float, site: int) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Factors of Π_a ρ Π_a for the outcomes a = −1, +1 of X_site.
+    def projected_factors(self, beta: float, site: int) -> Iterator[tuple[int, float, np.ndarray]]:
+        """Factors of Π_a ρ Π_a for the outcomes a = −1, +1 of X_site, one
+        (sector, outcome) at a time.
 
         Π_a = (I + a X_site)/2 commutes with ∏X.  In each sector its range is
         spanned by (e_i + a·sign·e_perm(i))/√2 over the pairs i < perm(i) of
         :meth:`ParitySector.flip`, so with W = V√p the rows
         Y = (W[i] + a·sign·W[perm(i)])/√2 give Π_a ρ Π_a the nonzero
         spectrum of the blocks Y Y† together: one block of dimension d/4 per
-        parity sector, or d/2 without sectors.  Returns, per outcome, one Y
-        per sector.
+        parity sector, or d/2 without sectors.  Yields, sector by sector,
+        (outcome index, ‖Y‖², Y Y†) with index 0 for a = −1 and 1 for a = +1
+        (:func:`~depthbound.purification.projective_chi_E_factors`).  Y is
+        filled in row chunks and freed before its Gram matrix is yielded.
         """
         position = self.sites.index(site)
-        factors: tuple[list, list] = ([], [])
         for sector, p in zip(self.sectors, self.sector_weights(beta)):
             perm, sign = sector.flip(position, len(self.sites))
             lo = np.flatnonzero(perm > np.arange(perm.size))
-            w = sector.vectors * np.sqrt(p)
-            for rows, a in zip(factors, (-1, 1)):
-                rows.append((w[lo] + (a * sign) * w[perm[lo]]) * math.sqrt(0.5))
-        return tuple(tuple(rows) for rows in factors)
+            x, sq = sector.vectors, np.sqrt(p)
+            for index, a in enumerate((-1, 1)):
+                y = np.empty((lo.size, x.shape[1]), dtype=x.dtype)
+                for rows in row_chunks(lo.size, x.shape[1]):
+                    # The rows of W = x√p, in the arithmetic of the whole-block form.
+                    y[rows] = (x[lo[rows]] * sq + (a * sign) * (x[perm[lo[rows]]] * sq)) * math.sqrt(0.5)
+                weight = float(np.real(np.vdot(y, y)))
+                gram = y @ y.conj().T
+                del y
+                yield index, weight, gram
 
 
-def _parity_blocks(h: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The blocks of a centrosymmetric Hermitian H in its two ∏X sectors.
+#: The size of one chunk of rows in the loops that stream a sector block,
+#: so that their temporaries stay small next to the m×m block.
+CHUNK_BYTES = 2**18
 
-    With site 0 the most significant bit, ∏X is the exchange matrix J, and
-    H = JHJ makes H = [[A, C], [JCJ, JAJ]].  Its eigenvectors are
-    [x; ±Jx]/√2 for the eigenvectors x of the m×m blocks A ± CJ (m = d/2).
-    """
-    m = h.shape[0] // 2
-    a, cj = h[:m, :m], h[:m, m:][:, ::-1]
-    return [(sign, a + sign * cj) for sign in (1, -1)]
+
+def row_chunks(count: int, width: int, budget: int = CHUNK_BYTES) -> Iterator[slice]:
+    """Slices over ``count`` rows (or columns) of ``width`` float64 entries,
+    each at most ``budget`` bytes (and at least one row)."""
+    step = max(1, budget // (8 * width))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _add_sector_marginal(mat: np.ndarray, sector: ParitySector, p: np.ndarray, pos: Sequence[int], n: int) -> None:
+    """Add one sector's term of :meth:`ThermalEigensystem.marginal` on the
+    register positions ``pos``, in that order, to ``mat``."""
+    x, sq = sector.vectors, np.sqrt(p)
+    if not sector.sign:
+        mat += _gram(x, sq, _row_index(pos, n), cross=False)[0]
+        return
+    # The n − 1 sites after site 0 index the rows of x.
+    rows = _row_index([q - 1 for q in pos if q], n - 1)
+    gram, cross = _gram(x, sq, rows, cross=0 in pos)
+    if cross is None:
+        mat += 0.5 * (gram + gram[::-1, ::-1])
+        return
+    # Each site-0 block goes straight to its place in ``mat``: the other
+    # axes of the block keep their order.
+    axes = len(pos)
+    tensor = mat.reshape((2,) * (2 * axes))
+    shape = (2,) * (2 * axes - 2)
+    parts = ((0, 0, gram), (1, 1, gram[::-1, ::-1]), (0, 1, sector.sign * cross), (1, 0, sector.sign * cross.conj().T))
+    for a, b, part in parts:
+        index = [slice(None)] * (2 * axes)
+        index[pos.index(0)], index[axes + pos.index(0)] = a, b
+        tensor[tuple(index)] += 0.5 * part.reshape(shape)
+
+
+def _row_index(kept: Sequence[int], bits: int) -> np.ndarray:
+    """The rows of a 2^bits-row block as a (2^|kept| × rest) array: the
+    bits at the positions ``kept`` (0 the most significant) spell the first
+    index, in that order, and the other bits, in ascending position, the
+    second."""
+    rest = [q for q in range(bits) if q not in kept]
+    return np.arange(2**bits).reshape((2,) * bits).transpose(list(kept) + rest).reshape(2 ** len(kept), -1)
+
+
+def _gram(x: np.ndarray, sq: np.ndarray, rows: np.ndarray, cross: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """M = Σ_t G_t G_t† with G_t = (x√p)[rows[:, t]], and with ``cross``
+    also N = Σ_t G_t Ĝ_t†, Ĝ_t the rows complemented (reversed)."""
+    k = rows.shape[0]
+    gram = np.zeros((k, k), dtype=x.dtype)
+    mixed = np.zeros((k, k), dtype=x.dtype) if cross else None
+    for t in row_chunks(rows.shape[1], k * x.shape[1]):
+        g = (x[rows[:, t]] * sq).reshape(k, -1)
+        gram += g @ g.conj().T
+        if cross:
+            mixed += g @ (x[x.shape[0] - 1 - rows[:, t]] * sq).reshape(k, -1).conj().T
+    return gram, mixed
 
 
 def _reflection(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +472,9 @@ def _sector_eigh(sign: int, block: np.ndarray, n: int) -> ParitySector:
     eigenvectors are written back in the sector basis, in ascending energy.
     """
     perm, sigma = _reflection(n, sign)
-    mirrored = block[np.ix_(perm, perm)]
-    mirrored *= sigma[:, None]
-    mirrored *= sigma
-    symmetric = np.array_equal(mirrored, block)
-    del mirrored
-    if not symmetric:
-        return ParitySector(sign, *np.linalg.eigh(block))
     m = block.shape[0]
+    if not all(np.array_equal(_mirrored_rows(block, perm, sigma, rows), block[rows]) for rows in row_chunks(m, m)):
+        return ParitySector(sign, *np.linalg.eigh(block))
     # The long-lived output first, before the transient halves.
     vectors = np.zeros((m, m), dtype=block.dtype)
     index = np.arange(m)
@@ -388,6 +494,7 @@ def _sector_eigh(sign: int, block: np.ndarray, n: int) -> ParitySector:
         half *= scale
         halves.append((t, rows, *np.linalg.eigh(half)))
         del half
+    del block  # the only reference left: free it before the scatter
     energies = np.concatenate([w for _, _, w, _ in halves])
     order = np.argsort(energies, kind="stable")
     rank = np.argsort(order)
@@ -400,6 +507,14 @@ def _sector_eigh(sign: int, block: np.ndarray, n: int) -> ParitySector:
         vectors[np.ix_(perm[pairs], cols)] = (t * sigma[pairs])[:, None] * paired
         vectors[np.ix_(rows[pairs.size:], cols)] = y[pairs.size:]
     return ParitySector(sign, energies[order], vectors)
+
+
+def _mirrored_rows(block: np.ndarray, perm: np.ndarray, sigma: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of R B R, for R the signed permutation (perm, sigma)."""
+    out = block[np.ix_(perm[rows], perm)]
+    out *= sigma[rows, None]
+    out *= sigma
+    return out
 
 
 def gibbs_state(

@@ -40,8 +40,8 @@ from .states import (
     apply_on_sites,
     operator_norm,
 )
-from .models import SpinHamiltonian, ThermalEigensystem
-from .purification import PurifiedState
+from .models import SpinHamiltonian, ThermalEigensystem, row_chunks
+from .purification import PurifiedState, non_negative
 
 __all__ = [
     "XiOperator",
@@ -246,7 +246,7 @@ def chi2_system(
     xi = _hermitian_xi(np.einsum("ac,ciaj->ij", np.asarray(observable), t))
     sigma = np.einsum("aiaj->ij", t)
     value = _chi2_from_xi(xi, sigma, float(np.real(np.trace(xi))))
-    return Chi2Result(value, region, "system")
+    return Chi2Result(non_negative(value, "chi_B"), region, "system")
 
 
 def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
@@ -303,16 +303,13 @@ def chi2_E_eigenbasis(
         blocks = zip((s.energies for s in eig.sectors), eig.sector_weights(beta), o_eig)
     mean = 0.0
     total = 0.0
-    chunk = 512
     for e, p, o in blocks:
         mean += float(np.real(np.sum(p * np.diagonal(o))))
-        abs2 = np.abs(o) ** 2
-        for i0 in range(0, e.size, chunk):
-            i1 = min(i0 + chunk, e.size)
-            om = e[None, :] - e[i0:i1, None]
-            fw = f_beta_weight(om, beta)
+        # A few temporaries of one chunk of rows at a time, none of O's size.
+        for rows in row_chunks(e.size, e.size):
+            fw = f_beta_weight(e[None, :] - e[rows, None], beta)
             with np.errstate(invalid="ignore"):  # an overflowed fw; _chi2_E rejects the nan
-                total += float(np.sum(abs2[i0:i1] * (p[i0:i1, None] * fw)))
+                total += float(np.sum(np.abs(o[rows]) ** 2 * (p[rows, None] * fw)))
     return _chi2_E(0.5 * (total - mean * mean), "eigensum")
 
 

@@ -392,7 +392,7 @@ def projective_chi_B(rho: DensityOperator, m: MeasurementSpec, region: Iterable[
         raise ValueError("region must avoid the measured sites")
     probs, states = _projective_branches(rho, m, region)
     reduced = [DensityOperator(np.einsum("kikj->ij", s), region, check=False) for s in states]
-    return _holevo(probs, reduced)
+    return non_negative(_holevo(probs, reduced), "projective chi_B")
 
 
 def projective_chi_E(
@@ -418,32 +418,45 @@ def projective_chi_E(
     return s_rho - conditioned
 
 
-def projective_chi_E_factors(factors: Sequence[Sequence[np.ndarray]], entropy: float) -> float:
-    """:func:`projective_chi_E` from factors of the conditioned states.
+def projective_chi_E_factors(factors: Iterable[tuple[int, float, np.ndarray]], entropy: float) -> float:
+    """:func:`projective_chi_E` from the Gram matrices of factors of the
+    conditioned states.
 
-    ``factors[a]`` lists matrices Y whose blocks Y Y† together carry the
-    nonzero spectrum of Π_a rho Π_a (for a Gibbs state, from
-    :meth:`ThermalEigensystem.projected_factors`), and ``entropy`` is
-    S(rho).  The outcome probabilities p_a = Σ ‖Y‖² must sum to 1 within
+    ``factors`` yields (a, p, G) per block: the outcome index a, and for a
+    matrix Y the weight p = ‖Y‖² and the Gram matrix G = Y Y†.  The blocks
+    of one outcome together carry the nonzero spectrum of Π_a rho Π_a (for a
+    Gibbs state, :meth:`ThermalEigensystem.projected_factors` yields them),
+    and ``entropy`` is S(rho).  Each G is reduced to its spectrum as it
+    arrives.  The outcome probabilities p_a = Σ ‖Y‖² must sum to 1 within
     1e-12; outcomes are then pruned and renormalized as in
     :func:`apply_measurement`.
     """
-    probs = [sum(float(np.real(np.vdot(y, y))) for y in blocks) for blocks in factors]
+    weights: dict[int, float] = {}
+    spectra: dict[int, list[np.ndarray]] = {}
+    for a, p, gram in factors:
+        weights[a] = weights.get(a, 0.0) + p
+        spectra.setdefault(a, []).append(np.linalg.eigvalsh(gram))
+    outcomes = sorted(weights)
+    probs = [weights[a] for a in outcomes]
     if abs(sum(probs) - 1.0) > 1e-12:
         raise NumericalConsistencyError(f"outcome probabilities sum to 1 + {sum(probs) - 1.0}")
-    kept = [(p, blocks) for p, blocks in zip(probs, factors) if p >= OUTCOME_PRUNE_TOL]
+    kept = [(p, spectra[a]) for p, a in zip(probs, outcomes) if p >= OUTCOME_PRUNE_TOL]
     if not kept:
         raise ValueError("all outcomes pruned; invalid measurement/state pair")
     total = sum(p for p, _ in kept)
     conditioned = 0.0
-    for p, blocks in kept:
-        spectrum = np.concatenate([np.linalg.eigvalsh(y @ y.conj().T) for y in blocks])
-        conditioned += (p / total) * entropy_from_spectrum(spectrum / p)
-    chi = entropy - conditioned
-    # A Holevo quantity is non-negative: a residue down to -ROUTE_TOL is rounding.
+    for p, spectrum in kept:
+        conditioned += (p / total) * entropy_from_spectrum(np.concatenate(spectrum) / p)
+    return non_negative(entropy - conditioned, "projective chi_E")
+
+
+def non_negative(chi: float, name: str) -> float:
+    """A Holevo quantity, or a second-order Holevo coefficient, which is
+    non-negative: a residue in [−ROUTE_TOL, 0] is rounding and gives 0, and
+    a value below that raises :class:`NumericalConsistencyError`."""
     if chi <= 0.0:
         if chi < -ROUTE_TOL:
-            raise NumericalConsistencyError(f"projective chi_E = {chi} is negative")
+            raise NumericalConsistencyError(f"{name} = {chi} is negative")
         return 0.0
     return chi
 

@@ -289,7 +289,7 @@ class DensityOperator:
                 raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         # Store the Hermitian part so later eigh calls are exactly symmetric.
         mat = 0.5 * (mat + mat.conj().T)
-        if np.max(np.abs(mat.imag)) == 0.0:
+        if np.iscomplexobj(mat) and not mat.imag.any():
             mat = mat.real
         self.matrix = mat
         self.sites = reg

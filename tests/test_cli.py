@@ -311,6 +311,24 @@ def test_projective_chi_E_rounding_residue_prints_0(argv, capsys):
     assert row["chi_E"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "10", "--beta-grid", "0.5", "--x-grid", "4", "--measure", "weak-x"),
+        ("--n", "8", "--beta-grid", "0.1", "--x-grid", "2", "--measure", "projective-x"),
+    ],
+)
+def test_dense_chi_B_rounding_residue_prints_0(argv, tmp_path):
+    """chi_B is a second-order Holevo coefficient (weak-x) or a Holevo
+    quantity (projective-x), so non-negative: far from the probe at high
+    temperature its rounding residue prints as 0, and so does the ratio."""
+    out = tmp_path / "s.csv"
+    assert run("scan", "--backend", "dense", "--g", "1", *argv, "--out", str(out)) == 0
+    _, rows = parse_csv(out.read_text())
+    (row,) = rows
+    assert (row["chi_B"], row["ratio"]) == ("0", "0")
+
+
 def test_correlator_bound_underflow_exits_4(tmp_path, capsys):
     """At g = 1e7 the probe's neighbour is polarized: 1 - <X>^2 underflows.
     bound stops with exit 4; scan records the message as a row error."""

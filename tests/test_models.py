@@ -166,10 +166,11 @@ def test_gibbs_with_precomputed_decomposition():
 # ---------------------------------------------------------------------------
 
 
-def _parity_symmetric_model(rng):
-    """Random custom model whose terms each carry an even number of Z/Y
-    letters, so that H commutes with the global flip ∏X."""
-    n = int(rng.integers(1, 7))
+def _parity_symmetric_model(rng, n=None):
+    """Random custom model on n sites (1 to 6 when not given) whose terms
+    each carry an even number of Z/Y letters, so that H commutes with the
+    global flip ∏X."""
+    n = int(rng.integers(1, 7)) if n is None else n
     terms = []
     for _ in range(int(rng.integers(1, 9))):
         sites = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
@@ -203,6 +204,48 @@ def test_parity_blocks_match_full_eigh(seed):
     got = gibbs_state(eig, beta).matrix
     expected = gibbs_state(ThermalEigensystem(w, v, ham.sites), beta).matrix
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_parity_from_the_terms(seed):
+    """Terms that each carry an even number of Z and Y letters make H
+    centrosymmetric, and the blocks built from them are A + s·CJ of H.  One
+    odd term sends the model to the full-space eigh."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    ham = _parity_symmetric_model(rng, n)
+    h = ham.to_matrix()
+    assert ham.flip_symmetric
+    assert np.array_equal(h, h[::-1, ::-1])
+    m = h.shape[0] // 2
+    for sign in (1, -1):
+        block = ham.sector_block(sign)
+        assert np.max(np.abs(block - (h[:m, :m] + sign * h[:m, m:][:, ::-1]))) <= 1e-15
+    letters = ["XYZ"[rng.integers(3)] for _ in range(int(rng.integers(1, n + 1)))]
+    if sum(letter != "X" for letter in letters) % 2 == 0:
+        letters[0] = "Z" if letters[0] == "X" else "X"  # one Z/Y letter more or fewer
+    sites = (int(s) for s in rng.choice(n, size=len(letters), replace=False))
+    odd = SpinHamiltonian(n, ham.terms + ((float(rng.normal()), tuple(zip(sites, letters))),))
+    assert not odd.flip_symmetric
+    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as counted:
+        ThermalEigensystem.of(odd)
+    assert [call.args[0].shape[0] for call in counted.call_args_list] == [2**n]
+
+
+def test_tfim_sectors_are_built_without_the_matrix():
+    with mock.patch.object(SpinHamiltonian, "to_matrix") as to_matrix:
+        eig = ThermalEigensystem.of(build_tfim(8, 0.9))
+    assert to_matrix.call_count == 0
+    assert len(eig.sectors) == 2
+
+
+def test_matrix_input_is_diagonalized_in_full(eigh_dims):
+    """A Hamiltonian given as a matrix is diagonalized as it stands, even
+    when it commutes with ∏X."""
+    eig = ThermalEigensystem.of(build_tfim(5, 0.9).to_matrix())
+    assert eigh_dims == [32]
+    assert len(eig.sectors) == 1
 
 
 @settings(deadline=None, max_examples=40)
