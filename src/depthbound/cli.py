@@ -454,8 +454,9 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
 # carries ``beta``, ``chi_e``, ``at(point) -> (x_ab, chi_b)`` for a point
 # (a grid distance x, or for the dense backend the --region-b sites),
 # ``verdict(chi_b, x_ab)``, and ``extras()``, the bound record's extra values.
-# The dense and freefermion contexts give ``chi_b(region)`` and share
-# ``_Context.at``; the cft context has its own ``at``.
+# The dense and freefermion contexts give ``chi_b(region, nearest)``, with
+# ``nearest`` the site of B closest to the probe, and share ``_Context.at``;
+# the cft context has its own ``at``.
 
 
 class _Context:
@@ -472,7 +473,11 @@ class _Context:
         """x_AB, the distance from the probe to region B, and chi_B."""
         site = self.model.site
         region = _region_b(self.model.n, site, point)
-        return min(abs(site - s) for s in region), self.chi_b(region)
+        if isinstance(point, int):
+            nearest = site - point  # the last site of the prefix B
+        else:
+            nearest = min(region, key=lambda s: abs(site - s))
+        return abs(site - nearest), self.chi_b(region, nearest)
 
     def verdict(self, chi_b: float, x_ab):
         return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
@@ -518,9 +523,10 @@ class _DenseContext(_Context):
         else:
             self.chi_e = chi2_E_eigenbasis(eig, beta, model.x_blocks).value
 
-    def chi_b(self, region: tuple[int, ...]) -> float:
-        """chi_B of ``region`` from the Gibbs marginal on the probe site
-        followed by ``region``; the two are kept for extras()."""
+    def chi_b(self, region: tuple[int, ...], nearest: int | None = None) -> float:
+        """chi_B of all of ``region`` (``nearest`` is not read) from the Gibbs
+        marginal on the probe site followed by ``region``; the two are kept
+        for extras()."""
         rho = self.model.eig.marginal(self.beta, (self.model.site,) + region)
         self.last = region, rho
         if self.model.measure == "projective-x":
@@ -564,10 +570,8 @@ class _FermionContext(_Context):
         self.cov = thermal_covariance(model.spectrum, beta, prefix=model.site + 1)
         self.chi_e = chi2_E_spectral(model.lines.at(beta), beta).value
 
-    def chi_b(self, region: tuple[int, ...]) -> float:
-        site = self.model.site
-        j_b = min(region, key=lambda s: abs(site - s))
-        return correlator_lb_value(connected_xx(self.cov, site, j_b), x_expectation(self.cov, j_b))
+    def chi_b(self, region: tuple[int, ...], nearest: int) -> float:
+        return correlator_lb_value(connected_xx(self.cov, self.model.site, nearest), x_expectation(self.cov, nearest))
 
 
 _KAPPA_CACHE: dict[tuple[int, float], float] = {}

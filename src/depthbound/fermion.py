@@ -86,14 +86,25 @@ class BogoliubovSpectrum:
         n2 = 2 * self.n_modes
         if self.q.shape != (n2, n2) or self.energies.shape != (self.n_modes,):
             raise ValueError("inconsistent spectrum shapes")
-        err = float(np.max(np.abs(self.q @ self.q.T - np.eye(n2))))
+        # Each residual is formed in place in its product's buffer.
+        res = self.q @ self.q.T
+        res.flat[:: n2 + 1] -= 1.0
+        err = _abs_max(res)
+        del res
         if err > _ORTHO_ATOL:
             raise NumericalConsistencyError(f"Q deviates from orthogonality by {err}")
         # T has mode blocks [[0, ε_k], [−ε_k, 0]], that is t_k = −ε_k.
-        recon = _times_mode_blocks(self.q, -self.energies) @ self.q.T
-        rerr = float(np.max(np.abs(recon - self.couplings)))
-        if rerr > _ORTHO_ATOL * max(1.0, float(np.max(np.abs(self.couplings)))):
+        res = _times_mode_blocks(self.q, -self.energies) @ self.q.T
+        res -= self.couplings
+        rerr = _abs_max(res)
+        del res
+        if rerr > _ORTHO_ATOL * max(1.0, _abs_max(self.couplings)):
             raise NumericalConsistencyError(f"spectrum does not reconstruct h (error {rerr})")
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary."""
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
 def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -115,7 +126,7 @@ def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     if not np.isfinite(h).all():
         raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
     t, z = schur(h, output="real")
-    scale = max(1.0, float(np.max(np.abs(h))))
+    scale = max(1.0, _abs_max(h))
     ztol = 1e-12 * scale
     blocks: list[tuple[float, int, int]] = []  # (eps, col_x, col_p)
     singles: list[int] = []
@@ -141,6 +152,7 @@ def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     energies = np.array([b[0] for b in blocks])
     order = [c for b in blocks for c in (b[1], b[2])]
     q = np.ascontiguousarray(z[:, order])
+    del t, z  # freed before the spectrum's checks, which need two more blocks
     return BogoliubovSpectrum(n, energies, q, h)
 
 
@@ -417,34 +429,56 @@ class XLineTable:
         sym = m1 + m1.T
         s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
         s_ph = sym - 2.0 * np.real(np.outer(z, z))
+        del m1, sym
         # Pair lines at ±(ε_k + ε_l), k < l, occupied by (1 − f_k)(1 − f_l)
         # and f_k f_l; particle-hole lines at ε_k − ε_l over ordered pairs
-        # including k = l, occupied by (1 − f_k) f_l.
+        # including k = l, occupied by (1 − f_k) f_l.  Each line array is
+        # filled in place, in this order, then gathered into sorted order
+        # and its unsorted copy dropped, one array at a time.
         iu, il = np.triu_indices(n, k=1)
-        k, l = np.divmod(np.arange(n * n), n)
-        e_pair = eps[iu] + eps[il]
-        freq = np.concatenate([e_pair, -e_pair, (eps[:, None] - eps[None, :]).reshape(-1)])
-        strength = np.concatenate([s_pair[iu, il], s_pair[iu, il], s_ph.reshape(-1)])
-        occ_a = np.concatenate([iu, n + iu, k])
-        occ_b = np.concatenate([il, n + il, n + l])
+        npair = iu.size
+        ph = slice(2 * npair, None)
+        freq = np.empty(2 * npair + n * n)
+        np.add(eps[iu], eps[il], out=freq[:npair])
+        np.negative(freq[:npair], out=freq[npair:ph.start])
+        np.subtract(eps[:, None], eps[None, :], out=freq[ph].reshape(n, n))
+        order = np.argsort(freq)
+        freq = freq[order]
         if group_atol is None:
-            group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
+            group_atol = 1e-10 * max(1.0, -float(freq[0]), float(freq[-1]))
         self.energies = eps
         self.groups = LineGroups.of(freq, group_atol)
-        order = self.groups.order
-        self.strengths = strength[order]
-        self.occ_a = occ_a[order]
-        self.occ_b = occ_b[order]
+
+        def sorted_lines(pair: np.ndarray, neg_pair: np.ndarray, ph_block: np.ndarray, dtype) -> np.ndarray:
+            lines = np.empty(freq.size, dtype=dtype)
+            lines[:npair] = pair
+            lines[npair:ph.start] = neg_pair
+            lines[ph].reshape(n, n)[...] = ph_block
+            return lines[order]
+
+        s_kl = s_pair[iu, il]
+        del s_pair
+        self.strengths = sorted_lines(s_kl, s_kl, s_ph, float)
+        del s_kl, s_ph
+        # Indices into g₂ = [1 − f, f]: k and l, or n + k and n + l.
+        rows = np.arange(n, dtype=np.int32)[:, None]
+        self.occ_a = sorted_lines(iu, n + iu, rows, np.int32)
+        self.occ_b = sorted_lines(il, n + il, n + rows.T, np.int32)
 
     def at(self, beta: float) -> SpectralLines:
         """The merged lines of the Gibbs state at inverse temperature β."""
         with np.errstate(over="ignore"):
             f = 1.0 / (1.0 + np.exp(beta * self.energies))
         g2 = np.concatenate([1.0 - f, f])
-        weight = g2[self.occ_a] * g2[self.occ_b] * self.strengths
+        # (g₂[a] g₂[b]) s, formed in one buffer.  Indexing, unlike take,
+        # reads the int32 indices without an intp copy of them.
+        weight = g2[self.occ_a]
+        weight *= g2[self.occ_b]
+        weight *= self.strengths
         if weight.size and float(weight.min()) < -1e-10:
             raise NumericalConsistencyError(f"negative line weight {weight.min()}")
-        return self.groups.reduce(np.clip(weight, 0.0, None))
+        np.clip(weight, 0.0, None, out=weight)
+        return self.groups.reduce(weight)
 
 
 def weak_x_lines(

@@ -565,8 +565,9 @@ class SpectralLines:
         weight-averaged frequency, or at the plain mean when its weight is
         below 1e-300.
         """
-        groups = LineGroups.of(frequencies, atol)
-        return groups.reduce(np.asarray(weights, dtype=float)[groups.order])
+        order = np.argsort(frequencies)
+        groups = LineGroups.of(np.asarray(frequencies, dtype=float)[order], atol)
+        return groups.reduce(np.asarray(weights, dtype=float)[order])
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -582,36 +583,46 @@ class SpectralLines:
 class LineGroups:
     """The weight-independent half of :meth:`SpectralLines.merged`.
 
-    ``order`` sorts the input frequencies into ``frequencies``; the groups
-    start at ``starts`` in that order, and ``means`` holds each group's plain
-    mean frequency (its sum over its count).  One grouping serves any number
-    of weight vectors over the same lines, such as one per β.
+    ``frequencies`` are sorted ascending; the groups start at ``starts``,
+    and ``means`` holds each group's plain mean frequency (its sum over its
+    count).  One grouping serves any number of weight vectors over the same
+    lines, listed in the same sorted order, such as one per β.
     """
 
-    order: np.ndarray
     frequencies: np.ndarray
     starts: np.ndarray
     means: np.ndarray
 
     @classmethod
     def of(cls, frequencies: np.ndarray, atol: float) -> "LineGroups":
-        order = np.argsort(frequencies)
-        freq = np.asarray(frequencies, dtype=float)[order]
+        """Groups of ``frequencies``, which must already be sorted; the
+        array is kept, not copied."""
+        freq = np.asarray(frequencies, dtype=float)
         if freq.size == 0:
-            return cls(order, freq, np.zeros(0, dtype=int), freq)
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(freq) > atol) + 1])
+            return cls(freq, np.zeros(0, dtype=int), freq)
+        gaps = np.diff(freq)
+        if gaps.size and float(gaps.min()) < 0.0:
+            raise ValueError("line frequencies must be sorted")
+        starts = np.concatenate([[0], np.flatnonzero(gaps > atol) + 1])
+        del gaps
         counts = np.diff(np.concatenate([starts, [freq.size]]))
-        return cls(order, freq, starts, np.add.reduceat(freq, starts) / counts)
+        return cls(freq, starts, np.add.reduceat(freq, starts) / counts)
 
     def reduce(self, weights: np.ndarray) -> SpectralLines:
-        """Merged lines for ``weights`` listed in sorted order (``order``)."""
+        """Merged lines for ``weights`` listed in the order of ``frequencies``.
+
+        A float64 ``weights`` array is overwritten: once its groups are
+        summed, it holds the products frequency × weight.
+        """
         weight = np.asarray(weights, dtype=float)
         if weight.size == 0:
             return SpectralLines(self.frequencies, weight)
         merged_w = np.add.reduceat(weight, self.starts)
-        sum_fw = np.add.reduceat(self.frequencies * weight, self.starts)
+        merged_f = np.add.reduceat(np.multiply(self.frequencies, weight, out=weight), self.starts)
+        # Each heavy group sits at its weighted mean, a light one at its plain mean.
         heavy = merged_w > 1e-300
-        merged_f = np.where(heavy, sum_fw / np.where(heavy, merged_w, 1.0), self.means)
+        np.divide(merged_f, merged_w, out=merged_f, where=heavy)
+        np.copyto(merged_f, self.means, where=~heavy)
         return SpectralLines(merged_f, merged_w)
 
 

@@ -250,14 +250,22 @@ def chi2_system(
 
 
 def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
-    """f_beta(omega) = beta*omega / (e^{beta*omega} − 1), with f(0) = 1."""
+    """f_beta(omega) = beta*omega / (e^{beta*omega} − 1), with f(0) = 1.
+
+    Formed in place in one array of omega's shape, x = beta*omega, which a
+    chunk at a time becomes x/expm1(x), or 1 − x/2 + x²/12 where |x| < 1e-8.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = np.asarray(beta * np.asarray(omega, dtype=float))
-        small = np.abs(x) < 1e-8
-        em = np.expm1(np.where(small, 1.0, x))
-        out = np.where(small, 1.0 - x / 2.0 + x * x / 12.0, x / em)
+        out = beta * np.atleast_1d(np.asarray(omega, dtype=float))
+        flat = out.reshape(-1)
+        for part in row_chunks(flat.size, 1):
+            x = flat[part]
+            small = np.abs(x) < 1e-8
+            xs = x[small]
+            np.divide(x, np.expm1(x), out=x)
+            x[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
     if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -329,10 +337,13 @@ def chi2_E_spectral(lines, beta: float) -> Chi2Result:
         raise ValueError("frequencies and weights must have equal shapes")
     if weights.size and float(weights.min()) < -1e-10:
         raise NumericalConsistencyError(f"negative spectral weight {weights.min()}")
-    weights = np.clip(weights, 0.0, None)
+    terms = f_beta_weight(np.atleast_1d(freqs), beta)
+    # The clip at 0 changes only entries with the sign bit set (negatives, −0.0).
+    if np.signbit(weights).any():
+        weights = np.clip(weights, 0.0, None)
     with np.errstate(invalid="ignore"):  # an overflowed f_beta; _chi2_E rejects the nan
-        total = float(np.sum(weights * f_beta_weight(freqs, beta)))
-    return _chi2_E(0.5 * total, "spectral")
+        terms *= weights
+    return _chi2_E(0.5 * float(np.sum(terms)), "spectral")
 
 
 def correlator_lb_value(connected: float, mean_b: float) -> float:

@@ -302,7 +302,11 @@ class DensityOperator:
         return np.linalg.eigvalsh(self.matrix)
 
     def reduced(self, keep: Iterable[int]) -> "DensityOperator":
+        """The marginal on ``keep``, in that order; the operator itself when
+        ``keep`` is its whole register in its own order."""
         keep = _as_register(keep)
+        if keep == self.sites:
+            return self
         pos = _positions(self.sites, keep)
         n = self.n_sites
         keep_set = set(pos)

@@ -445,3 +445,87 @@ def test_line_table_serves_many_betas():
         assert got.weights.tobytes() == ref.weights.tobytes()
     with pytest.raises(ValueError, match="site outside"):
         XLineTable(spectrum, 21)
+
+
+def _concatenated_table(spectrum, site):
+    """The line table as built before its arrays were filled in place: the
+    lines concatenated, then gathered by the argsort of their frequencies,
+    with the merge groups of the sorted frequencies."""
+    n, eps = spectrum.n_modes, spectrum.energies
+    a, b = _site_mode_amplitudes(spectrum, site)
+    z = a * b.conj()
+    m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
+    sym = m1 + m1.T
+    s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
+    s_ph = sym - 2.0 * np.real(np.outer(z, z))
+    iu, il = np.triu_indices(n, k=1)
+    k, l = np.divmod(np.arange(n * n), n)
+    e_pair = eps[iu] + eps[il]
+    freq = np.concatenate([e_pair, -e_pair, (eps[:, None] - eps[None, :]).reshape(-1)])
+    strength = np.concatenate([s_pair[iu, il], s_pair[iu, il], s_ph.reshape(-1)])
+    occ_a = np.concatenate([iu, n + iu, k])
+    occ_b = np.concatenate([il, n + il, n + l])
+    atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
+    order = np.argsort(freq)
+    freq = freq[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(freq) > atol) + 1])
+    counts = np.diff(np.concatenate([starts, [freq.size]]))
+    means = np.add.reduceat(freq, starts) / counts
+    return freq, starts, means, strength[order], occ_a[order], occ_b[order]
+
+
+def _where_reduce(freq, starts, means, weight):
+    """LineGroups.reduce as it was: one np.where over the merged groups."""
+    merged_w = np.add.reduceat(weight, starts)
+    sum_fw = np.add.reduceat(freq * weight, starts)
+    heavy = merged_w > 1e-300
+    return np.where(heavy, sum_fw / np.where(heavy, merged_w, 1.0), means), merged_w
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 21]),
+    g=st.floats(0.3, 2.0),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.just(1e3)),
+    site_pick=st.floats(0.0, 1.0),
+)
+@example(n=21, g=1.0, beta=1e3, site_pick=0.5)  # exp(beta * eps) overflows to inf
+def test_line_table_bit_equal_to_concatenated_build(n, g, beta, site_pick):
+    """The table filled in place holds the bits of the concatenated build,
+    and .at(beta) gives the bits of the old take-multiply-clip-where path."""
+    site = round(site_pick * (n - 1))
+    spectrum = bdg_diagonalize(n, g)
+    table = XLineTable(spectrum, site)
+    freq, starts, means, strength, occ_a, occ_b = _concatenated_table(spectrum, site)
+    groups = table.groups
+    assert groups.frequencies.tobytes() == freq.tobytes()
+    assert np.array_equal(groups.starts, starts) and groups.means.tobytes() == means.tobytes()
+    assert table.strengths.tobytes() == strength.tobytes()
+    assert table.occ_a.dtype == table.occ_b.dtype == np.int32
+    assert np.array_equal(table.occ_a, occ_a) and np.array_equal(table.occ_b, occ_b)
+    with np.errstate(over="ignore"):
+        f = 1.0 / (1.0 + np.exp(beta * spectrum.energies))
+    g2 = np.concatenate([1.0 - f, f])
+    weight = np.clip(g2[occ_a] * g2[occ_b] * strength, 0.0, None)
+    ref_f, ref_w = _where_reduce(freq, starts, means, weight)
+    got = table.at(beta)
+    assert got.frequencies.tobytes() == ref_f.tobytes()
+    assert got.weights.tobytes() == ref_w.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 21]), seed=st.integers(0, 2**32 - 1))
+def test_line_groups_reduce_bit_equal_to_where_form(n, seed):
+    """In-place division over the heavy groups and a copy of the plain means
+    into the light ones give the bits of the np.where form, with zero and
+    sub-1e-300 weights among the lines."""
+    rng = np.random.default_rng(seed)
+    spectrum = bdg_diagonalize(n, float(rng.uniform(0.3, 2.0)))
+    groups = XLineTable(spectrum, int(rng.integers(n))).groups
+    weight = rng.random(groups.frequencies.size)
+    weight[rng.random(weight.size) < 0.3] = 0.0
+    weight[rng.random(weight.size) < 0.2] = 1e-310
+    ref_f, ref_w = _where_reduce(groups.frequencies, groups.starts, groups.means, weight)
+    got = groups.reduce(weight.copy())
+    assert got.frequencies.tobytes() == ref_f.tobytes()
+    assert got.weights.tobytes() == ref_w.tobytes()

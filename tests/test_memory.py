@@ -1,17 +1,22 @@
-"""The memory shape of the dense run path, measured with tracemalloc.
+"""The memory shape of the dense and free-fermion run paths, measured with
+tracemalloc.
 
 Each peak is the most memory the numpy arrays of one call hold at once above
-what was held before it, in units of one m×m float64 sector block of the
-n = 10 TFIM (m = 2⁹, 2 MiB).  These are counts of array allocations, so
-they do not depend on the machine.
+what was held before it.  Dense peaks are in units of one m×m float64
+sector block of the n = 10 TFIM (m = 2⁹, 2 MiB), or of the marginal a χ_B
+reads; free-fermion peaks in units of one (2n)×(2n) float64 block or of one
+float64 array over the probe's weak-X lines.  These are counts of array
+allocations, so they do not depend on the machine.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from depthbound.fermion import XLineTable, bdg_diagonalize
 from depthbound.models import ThermalEigensystem, build_tfim
-from depthbound.perturbative import chi2_E_eigenbasis
+from depthbound.perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system
 from depthbound.purification import projective_chi_E_factors
 from depthbound.states import entropy_from_spectrum
 
@@ -21,8 +26,8 @@ BETA = 2.0
 SITE = 4
 
 
-def peak_blocks(call):
-    """The call's result and its peak of traced memory, in blocks."""
+def peak_blocks(call, block=BLOCK):
+    """The call's result and its peak of traced memory, in ``block`` bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -30,7 +35,7 @@ def peak_blocks(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, (peak - base) / BLOCK
+    return result, (peak - base) / block
 
 
 @pytest.fixture(scope="module")
@@ -61,4 +66,61 @@ def test_projective_chi_E_holds_one_factor_at_a_time(eig):
 def test_weak_chi_E_streams_row_chunks(eig):
     blocks = eig.rotate_x(SITE)
     _, peak = peak_blocks(lambda: chi2_E_eigenbasis(eig, BETA, blocks))
+    assert peak <= 2.5
+
+
+def test_chi2_system_reads_the_marginal_in_place(eig):
+    """The marginal already on the probe and region B, in that order, is
+    not re-formed: what is left is the Lieb-map work on top of it."""
+    region = tuple(range(N - 2))
+    rho = eig.marginal(BETA, (N - 2,) + region)
+    _, peak = peak_blocks(lambda: chi2_system(rho, np.array([[0.0, 1.0], [1.0, 0.0]]), (N - 2,), region),
+                          block=rho.matrix.nbytes)
+    assert peak <= 3.0
+
+
+# Free fermions: n = 101 at the centre, 20201 lines.
+FF_N = 101
+FF_SITE = 50
+FF_BLOCK = (2 * FF_N) ** 2 * 8
+
+
+@pytest.fixture(scope="module")
+def ff_spectrum():
+    return bdg_diagonalize(FF_N, 1.0)
+
+
+@pytest.fixture(scope="module")
+def ff_table(ff_spectrum):
+    return XLineTable(ff_spectrum, FF_SITE)
+
+
+def _line_array(table):
+    return 8 * table.strengths.size
+
+
+def test_bdg_diagonalize_frees_the_schur_factors():
+    """The Schur form itself (its input copy, T and Z) is the peak; T and Z
+    are gone before the checks, whose residuals are formed in place."""
+    _, peak = peak_blocks(lambda: bdg_diagonalize(FF_N, 1.0), block=FF_BLOCK)
+    assert peak <= 5.5
+
+
+def test_line_table_build_gathers_one_array_at_a_time(ff_spectrum, ff_table):
+    """The table keeps five line arrays (frequencies, group starts and means,
+    strengths, and two int32 index arrays); the build sorts each and drops
+    its unsorted copy before the next."""
+    _, peak = peak_blocks(lambda: XLineTable(ff_spectrum, FF_SITE), block=_line_array(ff_table))
+    assert peak <= 8.5
+
+
+def test_line_table_at_forms_the_weights_in_one_buffer(ff_table):
+    """One weight buffer, one gathered factor, then the two merged arrays."""
+    _, peak = peak_blocks(lambda: ff_table.at(2.0), block=_line_array(ff_table))
+    assert peak <= 3.5
+
+
+def test_chi2_E_spectral_forms_f_beta_in_place(ff_table):
+    lines = ff_table.at(2.0)
+    _, peak = peak_blocks(lambda: chi2_E_spectral(lines, 2.0), block=_line_array(ff_table))
     assert peak <= 2.5

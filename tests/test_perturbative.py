@@ -318,6 +318,40 @@ def test_f_beta_monotone_decreasing():
     assert np.all(vals[w < 0] > 1.0)
 
 
+def _where_f_beta(omega, beta):
+    """f_beta_weight as it was: np.where over the series and the quotient."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.asarray(beta * np.asarray(omega, dtype=float))
+        small = np.abs(x) < 1e-8
+        em = np.expm1(np.where(small, 1.0, x))
+        out = np.where(small, 1.0 - x / 2.0 + x * x / 12.0, x / em)
+    if np.isscalar(omega) or np.ndim(omega) == 0:
+        return float(out)
+    return out
+
+
+_OMEGA = st.one_of(
+    st.floats(-1e-8, 1e-8),  # |beta*omega| < 1e-8 for beta <= 1: the series
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),  # beta*omega overflows
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_OMEGA, min_size=1, max_size=40), st.floats(min_value=1e-3, max_value=1e3))
+def test_f_beta_weight_bit_equal_to_where_form(omegas, beta):
+    """The in-place kernel gives the bits of the np.where form on arrays, on
+    each scalar, and on an array long enough to span several chunks."""
+    omega = np.array(omegas)
+    assert f_beta_weight(omega, beta).tobytes() == _where_f_beta(omega, beta).tobytes()
+    for w in omegas:
+        assert np.float64(f_beta_weight(w, beta)).tobytes() == np.float64(_where_f_beta(w, beta)).tobytes()
+    long = np.resize(omega, 70007).reshape(7, 10001)
+    assert f_beta_weight(long, beta).tobytes() == _where_f_beta(long, beta).tobytes()
+
+
 def test_f_beta_scalar_and_array_paths_agree():
     beta = 0.7
     for w in (-2.0, -1e-10, 0.0, 3e-9, 4.2):

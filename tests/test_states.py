@@ -88,6 +88,23 @@ def test_reduced_matches_partial_trace():
         assert np.allclose(direct.matrix, via_full.matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("complex_state", [False, True])
+def test_reduced_to_the_whole_register_is_the_operator(complex_state):
+    """Keeping every site in the register's order returns the operator
+    itself, with the bits of tracing out nothing: its stored Hermitian part
+    is exactly Hermitian, so taking that part again changes nothing."""
+    if complex_state:
+        rho = random_density((3, 0, 1))
+    else:
+        a = RNG.normal(size=(8, 8))
+        rho = DensityOperator(a @ a.T / np.trace(a @ a.T), (3, 0, 1))
+    assert rho.reduced((3, 0, 1)) is rho
+    d = rho.matrix.shape[0]
+    traced = np.einsum("arbr->ab", rho.matrix.reshape(d, 1, d, 1))
+    assert DensityOperator(traced, rho.sites, check=False).matrix.tobytes() == rho.matrix.tobytes()
+    assert rho.reduced((0, 1, 3)) is not rho
+
+
 def test_partial_trace_complementary_spectra_match():
     """A pure state's two halves share their entanglement spectrum."""
     psi = random_state((0, 1, 2, 3, 4))
