@@ -791,6 +791,14 @@ def test_dense_weak_scan_matches_golden(tmp_path):
     assert_matches_golden(out, "scan_dense_weak_n10.csv")
 
 
+def test_dense_weak_scan_at_the_mirror_fixed_site_matches_golden(tmp_path):
+    """The centre of an odd chain, where X_site is rotated half by half."""
+    out = tmp_path / "dense.csv"
+    assert run("scan", "--backend", "dense", "--n", "11", "--g", "1", "--beta-grid", "0.5,2",
+               "--x-grid", "1:3", "--measure", "weak-x", "--out", str(out)) == 0
+    assert_matches_golden(out, "scan_dense_weak_n11.csv")
+
+
 def assert_matches_golden(out, golden):
     """Column by column to 1e-10: the last printed digits of a dense row
     depend on how H is diagonalized and its sectors summed."""

@@ -28,14 +28,21 @@ SITE = 4
 
 def peak_blocks(call, block=BLOCK):
     """The call's result and its peak of traced memory, in ``block`` bytes."""
+    result, peak, _ = traced_blocks(call, block)
+    return result, peak
+
+
+def traced_blocks(call, block=BLOCK):
+    """The call's result, its peak of traced memory and the memory its
+    result still holds, both in ``block`` bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = call()
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, (peak - base) / block
+    return result, (peak - base) / block, (held - base) / block
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +51,23 @@ def eig():
 
 
 def test_eigensystem_never_holds_h():
-    """The sector blocks are built from the terms, one at a time: H (four
-    blocks) is never formed."""
+    """Each reflection half is built from the terms straight into its place
+    in its sector's stack and diagonalized there: a sector's stack (half a
+    block), one half's block and its eigenvectors (a quarter each) on top of
+    the other sector's stack.  Neither H (four blocks) nor a sector block
+    (one) is formed."""
     _, peak = peak_blocks(lambda: ThermalEigensystem.of(build_tfim(N, 1.0)))
-    assert peak <= 4.5
+    assert peak <= 1.5
+
+
+def test_eigensystem_holds_the_reflection_halves(eig):
+    """What an eigensystem keeps: the two sectors' stacks of half
+    eigenvectors (1.03 blocks at n = 10, the larger half's fixed rows
+    padding the smaller's columns) and its energies, not two m×m sector
+    blocks.  The reflection bases are shared by every eigensystem of N
+    sites; the fixture has built them."""
+    _, _, held = traced_blocks(lambda: ThermalEigensystem.of(build_tfim(N, 1.0)))
+    assert held <= 1.05
 
 
 @pytest.mark.parametrize("keep", [(SITE, 0, 1, 2), (SITE, 6, 7, 8)], ids=["site-0-kept", "site-0-traced"])
@@ -63,6 +83,22 @@ def test_projective_chi_E_holds_one_factor_at_a_time(eig):
     assert peak <= 2.5
 
 
+N_ODD = 11
+SITE_ODD = 5  # the mirror-fixed centre
+
+
+def test_projective_chi_E_at_the_mirror_fixed_site_works_half_by_half():
+    """At the centre of an odd chain X commutes with the reflection: each
+    half's eigenvectors (a quarter block, scaled in place) give its own
+    factors of about half a projected sector's dimension, so the peak stays
+    under one of the n = 11 blocks."""
+    eig = ThermalEigensystem.of(build_tfim(N_ODD, 1.0))
+    entropy = entropy_from_spectrum(eig.weights(BETA))
+    block = 2 ** (2 * (N_ODD - 1)) * 8
+    _, peak = peak_blocks(lambda: projective_chi_E_factors(eig.projected_factors(BETA, SITE_ODD), entropy), block)
+    assert peak <= 0.6
+
+
 def test_weak_chi_E_streams_row_chunks(eig):
     blocks = eig.rotate_x(SITE)
     _, peak = peak_blocks(lambda: chi2_E_eigenbasis(eig, BETA, blocks))
@@ -71,12 +107,14 @@ def test_weak_chi_E_streams_row_chunks(eig):
 
 def test_chi2_system_reads_the_marginal_in_place(eig):
     """The marginal already on the probe and region B, in that order, is
-    not re-formed: what is left is the Lieb-map work on top of it."""
+    not re-formed: what is left is xi and sigma (a quarter of it each),
+    sigma's eigenvectors, and an eighth of the rows of xi in that basis at
+    a time; neither the Lieb map's output nor its rotation back is formed."""
     region = tuple(range(N - 2))
     rho = eig.marginal(BETA, (N - 2,) + region)
     _, peak = peak_blocks(lambda: chi2_system(rho, np.array([[0.0, 1.0], [1.0, 0.0]]), (N - 2,), region),
                           block=rho.matrix.nbytes)
-    assert peak <= 3.0
+    assert peak <= 1.0
 
 
 # Free fermions: n = 101 at the centre, 20201 lines.
@@ -107,15 +145,16 @@ def test_bdg_diagonalize_frees_the_schur_factors():
 
 
 def test_line_table_build_gathers_one_array_at_a_time(ff_spectrum, ff_table):
-    """The table keeps five line arrays (frequencies, group starts and means,
-    strengths, and two int32 index arrays); the build sorts each and drops
-    its unsorted copy before the next."""
+    """The table keeps the frequencies, the strengths and two int32 index
+    arrays, and the bounds and means of the few groups that merge; the
+    build sorts each array and drops its unsorted copy before the next."""
     _, peak = peak_blocks(lambda: XLineTable(ff_spectrum, FF_SITE), block=_line_array(ff_table))
     assert peak <= 8.5
 
 
 def test_line_table_at_forms_the_weights_in_one_buffer(ff_table):
-    """One weight buffer, one gathered factor, then the two merged arrays."""
+    """One weight buffer, one gathered factor, then the two merged arrays
+    and the masks of first lines and heavy groups."""
     _, peak = peak_blocks(lambda: ff_table.at(2.0), block=_line_array(ff_table))
     assert peak <= 3.5
 

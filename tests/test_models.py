@@ -18,6 +18,7 @@ from depthbound.models import (
     dynamical_correlation,
     gibbs_state,
     holevo_finite_difference,
+    reflection_basis,
 )
 from depthbound.states import embed_operator, trace_distance, von_neumann_entropy
 
@@ -314,6 +315,101 @@ def test_reflection_blocks_match_full_eigh(seed):
     got = gibbs_state(eig, beta).matrix
     expected = gibbs_state(ThermalEigensystem(w, v, ham.sites), beta).matrix
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def _gathered_half(block, n, sign, t):
+    """A reflection half gathered from the sector block B: the entries
+    c_a c_a' (B[a, a'] + t sigma_a' B[a, perm(a')]) over the half's basis
+    states, c = 1 on pairs and 1/sqrt(2) on fixed states."""
+    basis = reflection_basis(n, sign)
+    rows, partners, sigma = basis.half(t)
+    half = block[np.ix_(rows, rows)]
+    partner = block[np.ix_(rows, partners)]
+    partner *= t * sigma
+    half += partner
+    scale = np.ones(rows.size)
+    scale[basis.pairs.size:] = math.sqrt(0.5)
+    half *= scale[:, None]
+    half *= scale
+    return half
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_half_blocks_from_the_terms_match_the_sector_block(seed):
+    """Each half folded from the Pauli terms equals the half gathered from
+    the sector block, exactly: the coefficients are dyadic.  The symmetry
+    is read from the terms; a mirror-breaking term is refused."""
+    rng = np.random.default_rng(seed)
+    ham = _mirror_symmetric_model(rng)
+    assert ham.mirror_symmetric
+    for sign in (1, -1):
+        block = ham.sector_block(sign)
+        for t in (1, -1):
+            got = ham.half_block(sign, t)
+            expected = _gathered_half(block, ham.n_sites, sign, t)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+    breaking = SpinHamiltonian(ham.n_sites, ham.terms + ((0.5, ((0, "X"),)),))
+    assert not breaking.mirror_symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        breaking.half_block(1, 1)
+
+
+def _scatter_halves(m, halves):
+    """The sector's eigenvectors as they were written back from the halves
+    (t, basis states, energies, eigenvectors) into one m x m block, columns
+    in ascending energy."""
+    basis = halves[0][1]
+    pairs, perm, sigma = basis.pairs, np.zeros(m, dtype=int), np.ones(m)
+    perm[pairs], perm[basis.partners] = basis.partners, pairs
+    sigma[pairs] = sigma[basis.partners] = basis.sigma
+    vectors = np.zeros((m, m), dtype=np.result_type(*(y for _, _, _, y in halves)))
+    energies = np.concatenate([w for _, _, w, _ in halves])
+    order = np.argsort(energies, kind="stable")
+    rank = np.argsort(order)
+    start = 0
+    for t, basis, w, y in halves:
+        rows = basis.half(t)[0]
+        cols = rank[start:start + w.size]
+        start += w.size
+        paired = y[:pairs.size] * math.sqrt(0.5)
+        vectors[np.ix_(pairs, cols)] = paired
+        vectors[np.ix_(perm[pairs], cols)] = (t * sigma[pairs])[:, None] * paired
+        vectors[np.ix_(rows[pairs.size:], cols)] = y[pairs.size:]
+    return energies[order], vectors
+
+
+@pytest.mark.parametrize("n, g", [(6, 0.8), (7, 1.3), (10, 1.0)])
+def test_reflection_halves_assemble_bit_equal_to_scatter(n, g):
+    """From the same halves, the eigenvectors that ParitySector.vectors
+    assembles from its stack hold the bits of the scatter into an m x m
+    block, and so do the rows it reads for the run path."""
+    ham = build_tfim(n, g)
+    eig = ThermalEigensystem.of(ham)
+    m = 2 ** (n - 1)
+    for sector in eig.sectors:
+        halves = []
+        for t in (1, -1):
+            w, y = np.linalg.eigh(ham.half_block(sector.sign, t))
+            halves.append((t, reflection_basis(n, sector.sign), w, y))
+        energies, vectors = _scatter_halves(m, halves)
+        assert energies.tobytes() == sector.energies.tobytes()
+        assert sector.vectors.tobytes() == vectors.tobytes()
+        rows = np.arange(m).reshape(8, -1)
+        scale = np.sqrt(eig.sector_weights(1.5)[0 if sector.sign == 1 else 1])
+        assert np.array_equal(sector.row_reader(scale)(rows), vectors[rows] * scale)
+
+
+def test_mirror_symmetry_is_read_from_the_terms():
+    """Summed coefficients per Pauli string decide, in any term order."""
+    tfim = build_tfim(5, 0.6)
+    assert tfim.mirror_symmetric
+    assert SpinHamiltonian(5, tuple(reversed(tfim.terms))).mirror_symmetric
+    split = SpinHamiltonian(3, ((0.25, ((0, "X"),)), (0.25, ((0, "X"),)), (0.5, ((2, "X"),))))
+    assert split.mirror_symmetric
+    assert not SpinHamiltonian(3, ((0.5, ((0, "X"),)), (0.25, ((2, "X"),)))).mirror_symmetric
+    assert SpinHamiltonian(3, ((0.0, ((0, "Z"),)),)).mirror_symmetric
 
 
 @pytest.fixture
