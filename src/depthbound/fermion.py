@@ -28,9 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf
 
 from .models import LineGroups, SpectralLines
 from .perturbative import Chi2Result, chi2_E_spectral
@@ -120,6 +117,17 @@ def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return b
 
 
+def schur(h: np.ndarray, output: str = "real") -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.schur``, imported on the first call.
+
+    The Schur form is the only scipy routine the package runs, so the dense
+    and cft paths, which never call it, load no scipy at all.
+    """
+    from scipy.linalg import schur as scipy_schur
+
+    return scipy_schur(h, output=output)
+
+
 def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     """Mode energies and Bogoliubov rotation of the open TFIM chain."""
     h = majorana_couplings(n, g)
@@ -196,15 +204,21 @@ def _norm_below(gamma: np.ndarray, limit: float) -> bool:
     """True when ‖Γ‖₂ < limit, shown by a Cholesky factorization of
     limit² I − ΓᵀΓ: it exists exactly when that matrix is positive definite.
 
-    ΓᵀΓ is formed by a rank-k update (half the flops of a full product)
-    into one Fortran-ordered buffer that the factorization then overwrites.
+    ``a.T @ a`` takes numpy's rank-k update (half the flops of a full
+    product); limit² I − ΓᵀΓ is then formed in that buffer.  The factor
+    cannot overwrite its input, so the test holds two (2n)² arrays: the
+    Gram matrix and the factor.  numpy's Cholesky also factors in a work
+    copy of its own, a third block outside the array allocator.
     """
     a = np.asarray(gamma, dtype=np.float64)
-    buf = np.eye(a.shape[0], order="F")
-    # a.T is Fortran-ordered for a C-ordered a, so BLAS reads it in place.
-    buf = dsyrk(-1.0, a.T, beta=limit * limit, c=buf, lower=1, overwrite_c=1)
-    _, info = dpotrf(buf, lower=1, overwrite_a=1, clean=0)
-    return info == 0
+    gram = a.T @ a
+    np.negative(gram, out=gram)
+    gram.flat[:: a.shape[0] + 1] += limit * limit
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def thermal_covariance(

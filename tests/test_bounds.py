@@ -118,13 +118,50 @@ def test_invert_k_matches_scipy_brentq_bitwise(d):
         assert invert_k(k, d) == expected, k
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """Neither scipy.optimize nor scipy.special is on the CLI's import path."""
-    code = "import sys, depthbound.cli; print(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))"
+_SCIPY_FREE_RUNS = {
+    "dense-bound": ("bound", "--backend", "dense", "--n", "6", "--g", "1", "--beta", "1", "--x-grid", "1"),
+    "dense-weak-scan": ("scan", "--backend", "dense", "--n", "6", "--g", "1", "--beta-grid", "1:2",
+                        "--x-grid", "1:2", "--measure", "weak-x", "--out", "{out}"),
+    "cft-scan": ("scan", "--backend", "cft", "--beta-grid", "10:20:10", "--x-grid", "1:3", "--out", "{out}"),
+}
+_FREEFERMION_SCAN = ("scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta-grid", "1:2",
+                     "--x-grid", "1:2", "--out", "{out}")
+
+
+def _scipy_modules_after(argv, tmp_path):
+    """The scipy modules loaded by a fresh process that imports the CLI and,
+    given arguments, runs it on them."""
+    code = (
+        "import sys\n"
+        "from depthbound.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)\n"
+    )
+    args = [a.format(out=tmp_path / "out.csv") for a in argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return set(out.stderr.split())
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """No scipy module, scipy.optimize and scipy.special included, is on the
+    CLI's import path."""
+    assert _scipy_modules_after((), tmp_path) == set()
+
+
+@pytest.mark.parametrize("run", sorted(_SCIPY_FREE_RUNS))
+def test_dense_and_cft_paths_load_no_scipy(run, tmp_path):
+    """The dense and cft runs load no scipy module at all: the Schur form,
+    the only scipy routine, is imported on its first call."""
+    assert _scipy_modules_after(_SCIPY_FREE_RUNS[run], tmp_path) == set()
+
+
+def test_freefermion_scan_loads_scipy_linalg_only(tmp_path):
+    loaded = _scipy_modules_after(_FREEFERMION_SCAN, tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.special"}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthbound.fermion import XLineTable, bdg_diagonalize
+from depthbound.fermion import XLineTable, _norm_below, bdg_diagonalize, thermal_covariance
 from depthbound.models import ThermalEigensystem, build_tfim
 from depthbound.perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system
 from depthbound.purification import projective_chi_E_factors
@@ -139,9 +139,24 @@ def _line_array(table):
 
 def test_bdg_diagonalize_frees_the_schur_factors():
     """The Schur form itself (its input copy, T and Z) is the peak; T and Z
-    are gone before the checks, whose residuals are formed in place."""
+    are gone before the checks, whose residuals are formed in place.  A
+    small chain first loads scipy.linalg, whose import is no array of the
+    call."""
+    bdg_diagonalize(2, 1.0)
     _, peak = peak_blocks(lambda: bdg_diagonalize(FF_N, 1.0), block=FF_BLOCK)
     assert peak <= 5.5
+
+
+def test_norm_guard_holds_the_gram_matrix_and_its_factor():
+    """The Cholesky guard on the n = 301 thermal covariance: the Gram matrix,
+    overwritten by limit² I − ΓᵀΓ, and the factor, which cannot reuse it.
+    The work copy numpy's Cholesky factors in is not an array and is not
+    traced."""
+    n = 301
+    gamma = thermal_covariance(bdg_diagonalize(n, 1.0), 2.0).gamma
+    verdict, peak = peak_blocks(lambda: _norm_below(gamma, 1.0 + 1e-10), block=(2 * n) ** 2 * 8)
+    assert verdict
+    assert peak <= 2.5
 
 
 def test_line_table_build_gathers_one_array_at_a_time(ff_spectrum, ff_table):
