@@ -454,9 +454,9 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
 # carries ``beta``, ``chi_e``, ``at(point) -> (x_ab, chi_b)`` for a point
 # (a grid distance x, or for the dense backend the --region-b sites),
 # ``verdict(chi_b, x_ab)``, and ``extras()``, the bound record's extra values.
-# The dense and freefermion contexts give ``chi_b(region, nearest)``, with
-# ``nearest`` the site of B closest to the probe, and share ``_Context.at``;
-# the cft context has its own ``at``.
+# The dense and freefermion contexts give ``chi_b(region, nearest, grid)``,
+# with ``nearest`` the site of B closest to the probe and ``grid`` true for a
+# grid distance, and share ``_Context.at``; the cft context has its own ``at``.
 
 
 class _Context:
@@ -477,7 +477,7 @@ class _Context:
             nearest = site - point  # the last site of the prefix B
         else:
             nearest = min(region, key=lambda s: abs(site - s))
-        return abs(site - nearest), self.chi_b(region, nearest)
+        return abs(site - nearest), self.chi_b(region, nearest, isinstance(point, int))
 
     def verdict(self, chi_b: float, x_ab):
         return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
@@ -511,8 +511,11 @@ class _DenseModel:
 class _DenseContext(_Context):
     """chi_E and chi_B from the eigensystem's sector blocks, with no Gibbs
     state: chi_E from the Gibbs weights and the rotated or projected probe,
-    chi_B from the marginal on the probe site and region B.  The Gibbs-state
-    and purification routes they equal are cross-checked in the tests."""
+    chi_B from the marginal on the probe site and region B.  With the probe
+    at or left of the chain centre, every grid point's marginal is a partial
+    trace of one marginal on the probe and all sites left of it, formed once
+    per beta at the first grid point.  The Gibbs-state and purification
+    routes they equal are cross-checked in the tests."""
 
     def __init__(self, model: _DenseModel, beta: float, epsilon: float):
         super().__init__(model, beta, epsilon)
@@ -522,16 +525,32 @@ class _DenseContext(_Context):
             self.chi_e = projective_chi_E_factors(eig.projected_factors(beta, model.site), self.entropy)
         else:
             self.chi_e = chi2_E_eigenbasis(eig, beta, model.x_blocks).value
+        self.prefix = None
 
-    def chi_b(self, region: tuple[int, ...], nearest: int | None = None) -> float:
+    def chi_b(self, region: tuple[int, ...], nearest: int | None = None, grid: bool = False) -> float:
         """chi_B of all of ``region`` (``nearest`` is not read) from the Gibbs
         marginal on the probe site followed by ``region``; the two are kept
-        for extras()."""
-        rho = self.model.eig.marginal(self.beta, (self.model.site,) + region)
+        for extras().
+
+        For a grid point (``grid``, so ``region`` is a prefix of the sites
+        left of the probe) with 2·site ≤ n − 1, that marginal is reduced from
+        ``self.prefix``, the marginal on the probe followed by every site left
+        of it.  Right of the centre the prefix marginal would cost more than
+        the points it serves, and an explicit region forms its own.  The rule
+        reads only (n, site), so a row's bits never depend on the rest of the
+        grid."""
+        model = self.model
+        keep = (model.site,) + region
+        if grid and 2 * model.site <= model.n - 1:
+            if self.prefix is None:
+                self.prefix = model.eig.marginal(self.beta, (model.site,) + tuple(range(model.site)))
+            rho = self.prefix.reduced(keep)
+        else:
+            rho = model.eig.marginal(self.beta, keep)
         self.last = region, rho
-        if self.model.measure == "projective-x":
-            return projective_chi_B(rho, self.model.spec, region)
-        return chi2_system(rho, PAULI_X, (self.model.site,), region).value
+        if model.measure == "projective-x":
+            return projective_chi_B(rho, model.spec, region)
+        return chi2_system(rho, PAULI_X, (model.site,), region).value
 
     def extras(self) -> dict:
         """S of the last point's region B, and of the whole Gibbs state."""
@@ -570,7 +589,7 @@ class _FermionContext(_Context):
         self.cov = thermal_covariance(model.spectrum, beta, prefix=model.site + 1)
         self.chi_e = chi2_E_spectral(model.lines.at(beta), beta).value
 
-    def chi_b(self, region: tuple[int, ...], nearest: int) -> float:
+    def chi_b(self, region: tuple[int, ...], nearest: int, grid: bool) -> float:
         return correlator_lb_value(connected_xx(self.cov, self.model.site, nearest), x_expectation(self.cov, nearest))
 
 

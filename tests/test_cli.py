@@ -454,6 +454,47 @@ def test_scan_dense_row_matches_bound_off_center(tmp_path, capsys):
         assert scan_row == bound_row
 
 
+@pytest.mark.parametrize("measure", ["projective-x", "weak-x"])
+def test_dense_scan_rows_are_grid_independent(tmp_path, capsys, measure):
+    """At the centre probe every grid row is reduced from one marginal per
+    beta, yet a row's bits depend on its own point only: each row of a 1:4
+    scan equals the one-point scan and bound at its x, byte for byte."""
+    args = ("--n", "9", "--g", "1", "--beta", "1", "--measure", measure)
+    out = tmp_path / "grid.csv"
+    assert run("scan", *args, "--x-grid", "1:4", "--out", str(out)) == 0
+    grid_rows = out.read_text().splitlines()[1:]
+    assert len(grid_rows) == 4
+    for x, grid_row in zip(range(1, 5), grid_rows):
+        single = tmp_path / f"x{x}.csv"
+        assert run("scan", *args, "--x-grid", str(x), "--out", str(single)) == 0
+        assert single.read_text().splitlines()[1:] == [grid_row]
+        assert run("bound", *args, "--x-grid", str(x)) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [grid_row]
+
+
+@pytest.mark.parametrize("measure", ["projective-x", "weak-x"])
+@pytest.mark.parametrize("site, keeps", [
+    # At the centre (2·site ≤ n − 1), one marginal per beta on the probe and
+    # every site left of it; each grid point reduces it.
+    (3, [(3, 0, 1, 2)] * 2),
+    # Right of the centre that marginal would outgrow the points it serves:
+    # each point forms its own, on the probe and its region B.
+    (4, [(4, 0, 1, 2, 3), (4, 0, 1, 2), (4, 0, 1)] * 2),
+])
+def test_dense_scan_forms_one_marginal_per_beta(monkeypatch, tmp_path, measure, site, keeps):
+    formed = []
+    marginal = models.ThermalEigensystem.marginal
+
+    def counted(self, beta, keep):
+        formed.append(tuple(keep))
+        return marginal(self, beta, keep)
+
+    monkeypatch.setattr(models.ThermalEigensystem, "marginal", counted)
+    assert run("scan", "--n", "8", "--g", "1", "--beta-grid", "0.5,2", "--x-grid", "1:3",
+               "--site", str(site), "--measure", measure, "--out", str(tmp_path / "s.csv")) == 0
+    assert formed == keeps
+
+
 @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("n", [8, 9])
 def test_chain_backends_describe_one_region(n, g):
@@ -797,6 +838,13 @@ def test_dense_weak_scan_at_the_mirror_fixed_site_matches_golden(tmp_path):
     assert run("scan", "--backend", "dense", "--n", "11", "--g", "1", "--beta-grid", "0.5,2",
                "--x-grid", "1:3", "--measure", "weak-x", "--out", str(out)) == 0
     assert_matches_golden(out, "scan_dense_weak_n11.csv")
+
+
+def test_dense_projective_scan_matches_golden(tmp_path):
+    out = tmp_path / "dense.csv"
+    assert run("scan", "--backend", "dense", "--n", "10", "--g", "1", "--beta-grid", "0.5,1,2,4",
+               "--x-grid", "1:4", "--measure", "projective-x", "--out", str(out)) == 0
+    assert_matches_golden(out, "scan_dense_projective_n10.csv")
 
 
 def assert_matches_golden(out, golden):

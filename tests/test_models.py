@@ -462,6 +462,32 @@ def test_z_field_breaks_parity_and_keeps_full_eigh(eigh_dims):
     assert np.max(np.abs(eig.energies - w)) < 1e-12
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=3, max_value=9),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=0.01, max_value=20.0),
+    st.data(),
+)
+def test_prefix_marginal_reduces_to_every_grid_marginal(n, g, beta, data):
+    """With the probe at or left of the centre, the marginal on the probe
+    followed by every site left of it reduces to each grid point's marginal
+    (the probe, then the prefix 0 … site − x), which the direct route forms
+    on its own."""
+    site = data.draw(st.integers(min_value=1, max_value=(n - 1) // 2), label="site")
+    eig = ThermalEigensystem.of(build_tfim(n, g))
+    prefix = eig.marginal(beta, (site,) + tuple(range(site)))
+    for x in range(1, site + 1):
+        keep = (site,) + tuple(range(site - x + 1))
+        reduced = prefix.reduced(keep)
+        direct = eig.marginal(beta, keep)
+        assert reduced.sites == direct.sites == keep
+        assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-13
+        for rho in (reduced, direct):
+            assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-13
+            assert abs(np.trace(rho.matrix) - 1.0) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # dynamical correlators
 # ---------------------------------------------------------------------------
