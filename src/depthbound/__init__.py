@@ -68,7 +68,6 @@ from .fermion import (
     x_expectation,
 )
 from .models import (
-    LineGroups,
     OracleEstimate,
     ParitySector,
     SpectralLines,
@@ -181,7 +180,6 @@ __all__ = [
     "invert_k",
     "k_func",
     # models
-    "LineGroups",
     "OracleEstimate",
     "ParitySector",
     "SpectralLines",

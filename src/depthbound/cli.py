@@ -587,7 +587,8 @@ class _FermionContext(_Context):
     def __init__(self, model: _FermionModel, beta: float, epsilon: float):
         super().__init__(model, beta, epsilon)
         self.cov = thermal_covariance(model.spectrum, beta, prefix=model.site + 1)
-        self.chi_e = chi2_E_spectral(model.lines.at(beta), beta).value
+        lines = model.lines
+        self.chi_e = chi2_E_spectral((lines.frequencies, lines.weights(beta)), beta).value
 
     def chi_b(self, region: tuple[int, ...], nearest: int, grid: bool) -> float:
         return correlator_lb_value(connected_xx(self.cov, self.model.site, nearest), x_expectation(self.cov, nearest))

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import LineGroups, SpectralLines
+from .models import SpectralLines
 from .perturbative import Chi2Result, chi2_E_spectral
 from .states import NumericalConsistencyError, entropy_from_spectrum
 
@@ -421,18 +421,15 @@ class XLineTable:
     The strength depends only on the spectrum and the site; the occupation
     is a product of two entries of g₂ = [1 − f, f], the Fermi factors
     f_k = 1/(1 + e^{βε_k}) and their complements.  The table holds the
-    strengths, the line frequencies with their merge groups, and for each
-    line the two indices into g₂, all in sorted-frequency order, so that
-    :meth:`at` only forms the weights of one β and reduces them.
+    line frequencies, the strengths and for each line the two int32
+    indices into g₂, in build order: the pair lines, the negated pair
+    lines, then the particle-hole block.  :meth:`weights` forms the weights
+    of one β over these lines, unsorted and unmerged; χ_E is linear in the
+    weights, so ``chi2_E_spectral((table.frequencies, table.weights(β)), β)``
+    needs no merge.
     """
 
-    def __init__(
-        self,
-        spectrum: BogoliubovSpectrum,
-        site: int,
-        *,
-        group_atol: float | None = None,
-    ):
+    def __init__(self, spectrum: BogoliubovSpectrum, site: int):
         if not 0 <= site < spectrum.n_modes:
             raise ValueError("site outside the chain")
         n = spectrum.n_modes
@@ -447,8 +444,7 @@ class XLineTable:
         # Pair lines at ±(ε_k + ε_l), k < l, occupied by (1 − f_k)(1 − f_l)
         # and f_k f_l; particle-hole lines at ε_k − ε_l over ordered pairs
         # including k = l, occupied by (1 − f_k) f_l.  Each line array is
-        # filled in place, in this order, then gathered into sorted order
-        # and its unsorted copy dropped, one array at a time.
+        # filled in place, in this order.
         iu, il = np.triu_indices(n, k=1)
         npair = iu.size
         ph = slice(2 * npair, None)
@@ -456,31 +452,28 @@ class XLineTable:
         np.add(eps[iu], eps[il], out=freq[:npair])
         np.negative(freq[:npair], out=freq[npair:ph.start])
         np.subtract(eps[:, None], eps[None, :], out=freq[ph].reshape(n, n))
-        order = np.argsort(freq)
-        freq = freq[order]
-        if group_atol is None:
-            group_atol = 1e-10 * max(1.0, -float(freq[0]), float(freq[-1]))
+        self.frequencies = freq
         self.energies = eps
-        self.groups = LineGroups.of(freq, group_atol)
 
-        def sorted_lines(pair: np.ndarray, neg_pair: np.ndarray, ph_block: np.ndarray, dtype) -> np.ndarray:
-            lines = np.empty(freq.size, dtype=dtype)
-            lines[:npair] = pair
-            lines[npair:ph.start] = neg_pair
-            lines[ph].reshape(n, n)[...] = ph_block
-            return lines[order]
+        def lines(pair: np.ndarray, neg_pair: np.ndarray, ph_block: np.ndarray, dtype) -> np.ndarray:
+            out = np.empty(freq.size, dtype=dtype)
+            out[:npair] = pair
+            out[npair:ph.start] = neg_pair
+            out[ph].reshape(n, n)[...] = ph_block
+            return out
 
         s_kl = s_pair[iu, il]
         del s_pair
-        self.strengths = sorted_lines(s_kl, s_kl, s_ph, float)
+        self.strengths = lines(s_kl, s_kl, s_ph, float)
         del s_kl, s_ph
         # Indices into g₂ = [1 − f, f]: k and l, or n + k and n + l.
         rows = np.arange(n, dtype=np.int32)[:, None]
-        self.occ_a = sorted_lines(iu, n + iu, rows, np.int32)
-        self.occ_b = sorted_lines(il, n + il, n + rows.T, np.int32)
+        self.occ_a = lines(iu, n + iu, rows, np.int32)
+        self.occ_b = lines(il, n + il, n + rows.T, np.int32)
 
-    def at(self, beta: float) -> SpectralLines:
-        """The merged lines of the Gibbs state at inverse temperature β."""
+    def weights(self, beta: float) -> np.ndarray:
+        """The line weights of the Gibbs state at inverse temperature β,
+        in the order of :attr:`frequencies`."""
         with np.errstate(over="ignore"):
             f = 1.0 / (1.0 + np.exp(beta * self.energies))
         g2 = np.concatenate([1.0 - f, f])
@@ -492,7 +485,7 @@ class XLineTable:
         if weight.size and float(weight.min()) < -1e-10:
             raise NumericalConsistencyError(f"negative line weight {weight.min()}")
         np.clip(weight, 0.0, None, out=weight)
-        return self.groups.reduce(weight)
+        return weight
 
 
 def weak_x_lines(
@@ -512,9 +505,16 @@ def weak_x_lines(
     with the disconnected ⟨X⟩² term dropped by the pairing structure.  Total
     weight is 1 − ⟨X_j⟩² and every weight is non-negative (AM–GM on the mode
     amplitudes); detailed balance w(−ω) = e^{−βω} w(ω) holds line by line.
-    Several β on one chain share an :class:`XLineTable` instead.
+    The lines are an :class:`XLineTable`'s, merged by
+    :meth:`SpectralLines.merged` within ``group_atol`` (by default 1e-10
+    times the largest |ω|, at least 1e-10).  χ_E needs no merge: several β
+    on one chain share an :class:`XLineTable` and sum over its weights.
     """
-    return XLineTable(spectrum, site, group_atol=group_atol).at(beta)
+    table = XLineTable(spectrum, site)
+    freq = table.frequencies
+    if group_atol is None:
+        group_atol = 1e-10 * max(1.0, -float(freq.min()), float(freq.max()))
+    return SpectralLines.merged(freq, table.weights(beta), group_atol)
 
 
 def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:

@@ -37,7 +37,6 @@ __all__ = [
     "ThermalEigensystem",
     "gibbs_state",
     "SpectralLines",
-    "LineGroups",
     "dynamical_correlation",
     "OracleEstimate",
     "holevo_finite_difference",
@@ -848,14 +847,22 @@ class SpectralLines:
     def merged(cls, frequencies: np.ndarray, weights: np.ndarray, atol: float) -> "SpectralLines":
         """Lines with near-degenerate frequencies merged.
 
-        After sorting, neighbours closer than ``atol`` fall into one group
-        (chains included); a group carries its total weight at the
-        weight-averaged frequency, or at the plain mean when its weight is
-        below 1e-300.
+        After sorting, neighbours no more than ``atol`` apart fall into one
+        group (chains included); a group carries its total weight at the
+        weight-averaged frequency, or at the plain mean of its frequencies
+        when its weight is below 1e-300.
         """
         order = np.argsort(frequencies)
-        groups = LineGroups.of(np.asarray(frequencies, dtype=float)[order], atol)
-        return groups.reduce(np.asarray(weights, dtype=float)[order])
+        freq = np.asarray(frequencies, dtype=float)[order]
+        weight = np.asarray(weights, dtype=float)[order]
+        if freq.size == 0:
+            return cls(freq, weight)
+        starts = np.flatnonzero(np.r_[True, np.diff(freq) > atol])
+        total = np.add.reduceat(weight, starts)
+        moment = np.add.reduceat(freq * weight, starts)
+        means = np.add.reduceat(freq, starts) / np.diff(starts, append=freq.size)
+        heavy = total > 1e-300
+        return cls(np.where(heavy, moment / np.where(heavy, total, 1.0), means), total)
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -865,110 +872,6 @@ class SpectralLines:
         t = np.asarray(times, dtype=float)
         phases = np.exp(-1j * np.outer(t, self.frequencies))
         return phases @ self.weights.astype(complex)
-
-
-@dataclass(frozen=True)
-class LineGroups:
-    """The weight-independent half of :meth:`SpectralLines.merged`.
-
-    ``frequencies`` are sorted ascending, and a line closer than the merge
-    tolerance to the next joins its group.  Only the groups of two or more
-    lines are stored: the lines ``merged_starts[g]`` up to
-    ``merged_stops[g]`` with their plain mean frequency ``merged_means[g]``
-    (their sum over their count); every other line is a group of its own.
-    One grouping serves any number of weight vectors over the same lines,
-    listed in the same sorted order, such as one per β.
-    """
-
-    frequencies: np.ndarray
-    merged_starts: np.ndarray
-    merged_stops: np.ndarray
-    merged_means: np.ndarray
-
-    @classmethod
-    def of(cls, frequencies: np.ndarray, atol: float) -> "LineGroups":
-        """Groups of ``frequencies``, which must already be sorted; the
-        array is kept, not copied."""
-        freq = np.asarray(frequencies, dtype=float)
-        gaps = np.diff(freq)
-        if gaps.size and float(gaps.min()) < 0.0:
-            raise ValueError("line frequencies must be sorted")
-        # Line i joins line i + 1; a run of consecutive joins is one group,
-        # from its first line to one past its last join.
-        joins = np.flatnonzero(~(gaps > atol))
-        del gaps
-        first = np.ones(joins.size, dtype=bool)
-        first[1:] = np.diff(joins) != 1
-        last = np.ones(joins.size, dtype=bool)
-        last[:-1] = first[1:]
-        starts, stops = joins[first], joins[last] + 2
-        groups = cls(freq, starts, stops, np.zeros(starts.size))
-        lines, offsets, _ = groups._layout()
-        if starts.size:
-            np.divide(np.add.reduceat(freq[lines], offsets), stops - starts, out=groups.merged_means)
-        return groups
-
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The lines of the merged groups in order, the offset of each
-        group among them, and each group's position among all groups."""
-        sizes = self.merged_stops - self.merged_starts
-        offsets = np.cumsum(sizes) - sizes
-        lines = np.repeat(self.merged_starts - offsets, sizes) + np.arange(int(sizes.sum()))
-        return lines, offsets, self.merged_starts - offsets + np.arange(sizes.size)
-
-    def _firsts(self, lines: np.ndarray) -> np.ndarray:
-        """A mask over the lines: True on the first line of each group."""
-        first = np.ones(self.frequencies.size, dtype=bool)
-        first[lines] = False
-        first[self.merged_starts] = True
-        return first
-
-    @property
-    def starts(self) -> np.ndarray:
-        """The first line of every group."""
-        return np.flatnonzero(self._firsts(self._layout()[0]))
-
-    @property
-    def means(self) -> np.ndarray:
-        """The plain mean frequency of every group."""
-        lines, _, positions = self._layout()
-        out = self.frequencies[self._firsts(lines)]
-        out[positions] = self.merged_means
-        return out
-
-    def reduce(self, weights: np.ndarray) -> SpectralLines:
-        """Merged lines for ``weights`` listed in the order of ``frequencies``.
-
-        A float64 ``weights`` array is overwritten: once its groups are
-        summed, it holds the products frequency × weight.  A line of its own
-        keeps its weight w and sits at (f·w)/w, or at f when w is below
-        1e-300; a merged group sums its weights and its products, and sits
-        at their ratio, or at its plain mean.
-        """
-        weight = np.asarray(weights, dtype=float)
-        if weight.size == 0:
-            return SpectralLines(self.frequencies, weight)
-        lines, offsets, positions = self._layout()
-        first = self._firsts(lines)
-        merged_w = weight[first]
-        if lines.size:
-            merged_w[positions] = np.add.reduceat(weight[lines], offsets)
-        merged_f = np.multiply(self.frequencies, weight, out=weight)[first]
-        if lines.size:
-            merged_f[positions] = np.add.reduceat(weight[lines], offsets)
-        # Each heavy group sits at its weighted mean, a light one at its
-        # plain mean: a lone line's frequency, copied a chunk at a time.
-        heavy = merged_w > 1e-300
-        np.divide(merged_f, merged_w, out=merged_f, where=heavy)
-        start, step = 0, max(1024, first.size // 64)
-        for lo in range(0, first.size, step):
-            freq = self.frequencies[lo:lo + step][first[lo:lo + step]]
-            stop = start + freq.size
-            np.copyto(merged_f[start:stop], freq, where=~heavy[start:stop])
-            start = stop
-        light = ~heavy[positions]
-        merged_f[positions[light]] = self.merged_means[light]
-        return SpectralLines(merged_f, merged_w)
 
 
 def dynamical_correlation(

@@ -383,8 +383,9 @@ def test_chi2_E_decays_with_beta():
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 
-def _weak_x_lines_rebuilt(spectrum, beta, site, *, group_atol=None):
-    """Every line rebuilt and merged at this beta, as before the line table."""
+def _rebuilt_lines(spectrum, beta, site):
+    """Every line rebuilt at this beta, unmerged, as before the line table:
+    the pair lines, the negated pair lines, then the particle-hole block."""
     if not 0 <= site < spectrum.n_modes:
         raise ValueError("site outside the chain")
     eps = spectrum.energies
@@ -410,27 +411,37 @@ def _weak_x_lines_rebuilt(spectrum, beta, site, *, group_atol=None):
     weight = np.concatenate(weights)
     if weight.size and float(weight.min()) < -1e-10:
         raise ValueError(f"negative line weight {weight.min()}")
-    weight = np.clip(weight, 0.0, None)
-    if group_atol is None:
-        group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
-    return SpectralLines.merged(freq, weight, group_atol)
+    return freq, np.clip(weight, 0.0, None)
+
+
+def _weak_x_lines_rebuilt(spectrum, beta, site):
+    """Every line rebuilt and merged at this beta, as before the line table."""
+    freq, weight = _rebuilt_lines(spectrum, beta, site)
+    return SpectralLines.merged(freq, weight, 1e-10 * max(1.0, float(np.max(np.abs(freq)))))
+
+
+BETAS = st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.just(1e3))
+LINE_TABLE_CASES = dict(
+    n=st.integers(2, 41),
+    g=st.floats(0.3, 2.0),
+    site_pick=st.one_of(st.just(0), st.just(-1), st.floats(0.0, 1.0)),
+)
+
+
+def _site(n, site_pick):
+    return n - 1 if site_pick == -1 else int(site_pick * (n - 1))
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 41),
-    g=st.floats(0.3, 2.0),
-    beta=st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.just(1e3)),
-    site_pick=st.one_of(st.just(0), st.just(-1), st.floats(0.0, 1.0)),
-)
+@given(beta=BETAS, **LINE_TABLE_CASES)
 @example(n=41, g=1.0, beta=1e3, site_pick=0.5)  # exp(beta * eps) overflows to inf
 @example(n=2, g=0.3, beta=0.0, site_pick=-1)
 def test_line_table_bitwise_equals_rebuilt_lines(n, g, beta, site_pick):
-    """Reweighting the table's lines at one beta gives the bits of
+    """The table's lines, weighted at one beta and merged, give the bits of
     rebuilding and merging them there, at either chain end and inside."""
-    site = n - 1 if site_pick == -1 else int(site_pick * (n - 1))
+    site = _site(n, site_pick)
     spectrum = bdg_diagonalize(n, g)
-    got = XLineTable(spectrum, site).at(beta)
+    got = weak_x_lines(spectrum, beta, site)
     ref = _weak_x_lines_rebuilt(spectrum, beta, site)
     assert got.frequencies.tobytes() == ref.frequencies.tobytes()
     assert got.weights.tobytes() == ref.weights.tobytes()
@@ -440,17 +451,46 @@ def test_line_table_serves_many_betas():
     spectrum = bdg_diagonalize(21, 1.0)
     table = XLineTable(spectrum, 10)
     for beta in (0.0, 2.0, 30.0):
-        ref = _weak_x_lines_rebuilt(spectrum, beta, 10)
-        got = table.at(beta)
-        assert got.weights.tobytes() == ref.weights.tobytes()
+        ref_f, ref_w = _rebuilt_lines(spectrum, beta, 10)
+        assert table.frequencies.tobytes() == ref_f.tobytes()
+        assert table.weights(beta).tobytes() == ref_w.tobytes()
+        merged = _weak_x_lines_rebuilt(spectrum, beta, 10)
+        assert weak_x_lines(spectrum, beta, 10).weights.tobytes() == merged.weights.tobytes()
     with pytest.raises(ValueError, match="site outside"):
         XLineTable(spectrum, 21)
 
 
+def _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, site):
+    got = chi2_E_spectral((table.frequencies, table.weights(beta)), beta).value
+    ref = chi2_E_spectral(_weak_x_lines_rebuilt(spectrum, beta, site), beta).value
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(betas=st.lists(BETAS, min_size=1, max_size=4), **LINE_TABLE_CASES)
+@example(betas=[0.0, 2.0, 1e3], n=41, g=1.0, site_pick=0.5)
+@example(betas=[0.0, 200.0], n=2, g=0.3, site_pick=-1)
+def test_chi_E_over_unmerged_table_lines_matches_merged_lines(betas, n, g, site_pick):
+    """chi_E is linear in the line weights, so one table's unsorted,
+    unmerged lines give the chi_E of the merged lines at every beta."""
+    site = _site(n, site_pick)
+    spectrum = bdg_diagonalize(n, g)
+    table = XLineTable(spectrum, site)
+    for beta in betas:
+        _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, site)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+def test_chi_E_over_unmerged_table_lines_matches_merged_lines_at_n_301(g):
+    spectrum = bdg_diagonalize(301, g)
+    table = XLineTable(spectrum, 150)
+    for beta in (10.0, 100.0):
+        _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, 150)
+
+
 def _concatenated_table(spectrum, site):
     """The line table as built before its arrays were filled in place: the
-    lines concatenated, then gathered by the argsort of their frequencies,
-    with the merge groups of the sorted frequencies."""
+    lines concatenated in build order."""
     n, eps = spectrum.n_modes, spectrum.energies
     a, b = _site_mode_amplitudes(spectrum, site)
     z = a * b.conj()
@@ -465,17 +505,11 @@ def _concatenated_table(spectrum, site):
     strength = np.concatenate([s_pair[iu, il], s_pair[iu, il], s_ph.reshape(-1)])
     occ_a = np.concatenate([iu, n + iu, k])
     occ_b = np.concatenate([il, n + il, n + l])
-    atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
-    order = np.argsort(freq)
-    freq = freq[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(freq) > atol) + 1])
-    counts = np.diff(np.concatenate([starts, [freq.size]]))
-    means = np.add.reduceat(freq, starts) / counts
-    return freq, starts, means, strength[order], occ_a[order], occ_b[order]
+    return freq, strength, occ_a, occ_b
 
 
 def _where_reduce(freq, starts, means, weight):
-    """LineGroups.reduce as it was: one np.where over the merged groups."""
+    """The reference merge of sorted lines: one np.where over the groups."""
     merged_w = np.add.reduceat(weight, starts)
     sum_fw = np.add.reduceat(freq * weight, starts)
     heavy = merged_w > 1e-300
@@ -492,14 +526,13 @@ def _where_reduce(freq, starts, means, weight):
 @example(n=21, g=1.0, beta=1e3, site_pick=0.5)  # exp(beta * eps) overflows to inf
 def test_line_table_bit_equal_to_concatenated_build(n, g, beta, site_pick):
     """The table filled in place holds the bits of the concatenated build,
-    and .at(beta) gives the bits of the old take-multiply-clip-where path."""
+    in build order, and .weights(beta) gives the bits of the old
+    take-multiply-clip path."""
     site = round(site_pick * (n - 1))
     spectrum = bdg_diagonalize(n, g)
     table = XLineTable(spectrum, site)
-    freq, starts, means, strength, occ_a, occ_b = _concatenated_table(spectrum, site)
-    groups = table.groups
-    assert groups.frequencies.tobytes() == freq.tobytes()
-    assert np.array_equal(groups.starts, starts) and groups.means.tobytes() == means.tobytes()
+    freq, strength, occ_a, occ_b = _concatenated_table(spectrum, site)
+    assert table.frequencies.tobytes() == freq.tobytes()
     assert table.strengths.tobytes() == strength.tobytes()
     assert table.occ_a.dtype == table.occ_b.dtype == np.int32
     assert np.array_equal(table.occ_a, occ_a) and np.array_equal(table.occ_b, occ_b)
@@ -507,25 +540,29 @@ def test_line_table_bit_equal_to_concatenated_build(n, g, beta, site_pick):
         f = 1.0 / (1.0 + np.exp(beta * spectrum.energies))
     g2 = np.concatenate([1.0 - f, f])
     weight = np.clip(g2[occ_a] * g2[occ_b] * strength, 0.0, None)
-    ref_f, ref_w = _where_reduce(freq, starts, means, weight)
-    got = table.at(beta)
-    assert got.frequencies.tobytes() == ref_f.tobytes()
-    assert got.weights.tobytes() == ref_w.tobytes()
+    assert table.weights(beta).tobytes() == weight.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([2, 3, 21]), seed=st.integers(0, 2**32 - 1))
-def test_line_groups_reduce_bit_equal_to_where_form(n, seed):
-    """In-place division over the heavy groups and a copy of the plain means
-    into the light ones give the bits of the np.where form, with zero and
-    sub-1e-300 weights among the lines."""
+def test_merged_lines_bit_equal_to_where_form(n, seed):
+    """SpectralLines.merged over a line table's frequencies gives the bits
+    of the np.where form over the sorted lines' groups, with zero and
+    sub-1e-300 weights among the lines, so that light groups sit at their
+    plain mean."""
     rng = np.random.default_rng(seed)
     spectrum = bdg_diagonalize(n, float(rng.uniform(0.3, 2.0)))
-    groups = XLineTable(spectrum, int(rng.integers(n))).groups
-    weight = rng.random(groups.frequencies.size)
+    freq = XLineTable(spectrum, int(rng.integers(n))).frequencies
+    weight = rng.random(freq.size)
     weight[rng.random(weight.size) < 0.3] = 0.0
     weight[rng.random(weight.size) < 0.2] = 1e-310
-    ref_f, ref_w = _where_reduce(groups.frequencies, groups.starts, groups.means, weight)
-    got = groups.reduce(weight.copy())
+    atol = 1e-10 * max(1.0, float(np.max(np.abs(freq))))
+    order = np.argsort(freq)
+    sorted_f = freq[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_f) > atol) + 1])
+    counts = np.diff(np.concatenate([starts, [sorted_f.size]]))
+    means = np.add.reduceat(sorted_f, starts) / counts
+    ref_f, ref_w = _where_reduce(sorted_f, starts, means, weight[order])
+    got = SpectralLines.merged(freq, weight, atol)
     assert got.frequencies.tobytes() == ref_f.tobytes()
     assert got.weights.tobytes() == ref_w.tobytes()
