@@ -511,13 +511,15 @@ def weak_x_lines(
     on one chain share an :class:`XLineTable` and sum over its weights.
     """
     table = XLineTable(spectrum, site)
-    freq = table.frequencies
+    freq, weight = table.frequencies, table.weights(beta)
+    del table  # the strengths and Fermi-factor indices are not merged
     if group_atol is None:
         group_atol = 1e-10 * max(1.0, -float(freq.min()), float(freq.max()))
-    return SpectralLines.merged(freq, table.weights(beta), group_atol)
+    return SpectralLines.merged(freq, weight, group_atol)
 
 
 def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:
     """Environment coefficient χ⁽²⁾_E for a weak X_j measurement on the Gibbs
-    chain, from the free-fermion spectral lines."""
-    return chi2_E_spectral(weak_x_lines(spectrum, beta, site), beta)
+    chain, summed over the unmerged lines of an :class:`XLineTable`."""
+    table = XLineTable(spectrum, site)
+    return chi2_E_spectral((table.frequencies, table.weights(beta)), beta)

@@ -850,19 +850,29 @@ class SpectralLines:
         After sorting, neighbours no more than ``atol`` apart fall into one
         group (chains included); a group carries its total weight at the
         weight-averaged frequency, or at the plain mean of its frequencies
-        when its weight is below 1e-300.
+        when its weight is below 1e-300.  The group sums are formed in place
+        and each sorted copy is dropped once read: beside the inputs, at most
+        five arrays of their length are held at once.
         """
         order = np.argsort(frequencies)
         freq = np.asarray(frequencies, dtype=float)[order]
         weight = np.asarray(weights, dtype=float)[order]
+        del order
         if freq.size == 0:
             return cls(freq, weight)
         starts = np.flatnonzero(np.r_[True, np.diff(freq) > atol])
+        means = np.add.reduceat(freq, starts)
+        means[:-1] /= np.diff(starts)
+        means[-1] /= freq.size - starts[-1]
         total = np.add.reduceat(weight, starts)
-        moment = np.add.reduceat(freq * weight, starts)
-        means = np.add.reduceat(freq, starts) / np.diff(starts, append=freq.size)
+        weight *= freq
+        del freq
+        moment = np.add.reduceat(weight, starts)
+        del weight, starts
         heavy = total > 1e-300
-        return cls(np.where(heavy, moment / np.where(heavy, total, 1.0), means), total)
+        moment /= np.where(heavy, total, 1.0)
+        np.copyto(means, moment, where=heavy)
+        return cls(means, total)
 
     def total_weight(self) -> float:
         return float(self.weights.sum())

@@ -943,6 +943,16 @@ def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
 
 
 @pytest.fixture
+def forbid_line_merge(monkeypatch):
+    """chi_E sums over the line table's unmerged lines: the run path never
+    merges a line."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SpectralLines.merged called on the run path")
+
+    monkeypatch.setattr(models.SpectralLines, "merged", classmethod(forbidden))
+
+
+@pytest.fixture
 def table_builds(monkeypatch):
     builds = []
     original = cli.XLineTable
@@ -956,7 +966,7 @@ def table_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_scan_freefermion_builds_line_table_once(tmp_path, table_builds, threads):
+def test_scan_freefermion_builds_line_table_once(tmp_path, table_builds, forbid_line_merge, threads):
     assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
                "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
                "--out", str(tmp_path / "s.csv")) == 0
@@ -964,29 +974,7 @@ def test_scan_freefermion_builds_line_table_once(tmp_path, table_builds, threads
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_fig2_builds_line_table_once_per_g(tmp_path, table_builds, threads):
+def test_fig2_builds_line_table_once_per_g(tmp_path, table_builds, forbid_line_merge, threads):
     assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
                "--threads", threads, "--out", str(tmp_path / "f2")) == 0
     assert table_builds == [(21, 10)] * 3
-
-
-@pytest.fixture
-def forbid_line_merge(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("SpectralLines.merged called on the run path")
-
-    monkeypatch.setattr(models.SpectralLines, "merged", classmethod(forbidden))
-
-
-def test_freefermion_run_path_merges_no_lines(forbid_line_merge, tmp_path):
-    """chi_E sums over the line table's unmerged lines: neither a scan nor
-    fig2 merges a line."""
-    assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
-               "--beta-grid", "1,2", "--x-grid", "2:4", "--out", str(tmp_path / "s.csv")) == 0
-    assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
-               "--out", str(tmp_path / "f2")) == 0
-    for name, count in (("s.csv", 2 * 3), ("f2_ratio.csv", 3 * 2 * 3)):
-        text = (tmp_path / name).read_text()
-        assert text.splitlines()[0] == HEADER
-        _, rows = parse_csv(text)
-        assert len(rows) == count and all(float(row["chi_E"]) > 0 for row in rows)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthbound.fermion import XLineTable, _norm_below, bdg_diagonalize, thermal_covariance
+from depthbound.fermion import XLineTable, _norm_below, bdg_diagonalize, thermal_covariance, weak_x_lines
 from depthbound.models import ThermalEigensystem, build_tfim
 from depthbound.perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system
 from depthbound.purification import projective_chi_E_factors
@@ -117,7 +117,7 @@ def test_chi2_system_reads_the_marginal_in_place(eig):
     assert peak <= 1.0
 
 
-# Free fermions: n = 101 at the centre, 20201 lines.
+# Free fermions: n = 101 at the centre, 20301 lines.
 FF_N = 101
 FF_SITE = 50
 FF_BLOCK = (2 * FF_N) ** 2 * 8
@@ -180,3 +180,12 @@ def test_chi2_E_spectral_forms_f_beta_in_place(ff_table):
     lines = (ff_table.frequencies, ff_table.weights(2.0))
     _, peak = peak_blocks(lambda: chi2_E_spectral(lines, 2.0), block=_line_array(ff_table))
     assert peak <= 2.5
+
+
+def test_weak_x_lines_drops_the_table_before_merging(ff_spectrum, ff_table):
+    """The table's strengths and indices are dropped before the merge, which
+    holds the unsorted frequencies and weights, their sorted copies, the
+    group starts and the group sums: 7.40 line arrays, 7.0 at n = 301 and
+    1001."""
+    _, peak = peak_blocks(lambda: weak_x_lines(ff_spectrum, 2.0, FF_SITE), block=_line_array(ff_table))
+    assert peak <= 7.75
