@@ -19,8 +19,11 @@ Layers
     Dense spin chains and the quadratic-fermion backend used at large n.
 ``cft``
     Continuum closed forms and crossing/fit helpers (unit-velocity units).
+``backends``
+    Row evaluation: a dense, free-fermion or cft model gives, per beta,
+    chi_E, and per point chi_B and the verdict.
 ``cli``
-    The ``depthbound`` command-line driver.
+    The ``depthbound`` command-line driver: options, runs and writers.
 """
 
 from __future__ import annotations
@@ -116,7 +119,6 @@ from .states import (
     DensityOperator,
     NumericalConsistencyError,
     QubitGraph,
-    RegionPartition,
     StateVector,
     entropy_from_spectrum,
     graph_distance,
@@ -132,7 +134,6 @@ __all__ = [
     "DensityOperator",
     "NumericalConsistencyError",
     "QubitGraph",
-    "RegionPartition",
     "StateVector",
     "entropy_from_spectrum",
     "graph_distance",

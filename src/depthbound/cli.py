@@ -11,11 +11,13 @@ The dense backend measures projectively or weakly on small chains; the
 freefermion backend evaluates the weak-X second-order proxy at n ≈ 300;
 the cft backend evaluates the continuum closed forms (unit-velocity units),
 fitting the two-point amplitude from lattice data rather than hardcoding it.
+Their models and per-beta contexts are ``depthbound.backends``; this module
+parses and checks the options, builds one model per run and writes the rows.
 
 ``OPTIONS`` states what each option accepts, and ``EXCLUSIVE`` which pairs
 exclude each other; flags, config-file keys and ``DEPTHBOUND_THREADS`` are
 checked against them in one pass.  ``bound`` evaluates one point of a scan,
-through the same backend contexts, region-B check and writers.
+through the same backend contexts and writers.
 
 Exit codes: 0 success, 2 configuration error, 3 backend-capability error
 (including running out of memory; reported before configuration errors),
@@ -35,32 +37,28 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .backends import (
+    CFT_DELTA,
+    DEFAULT_N,
+    CapabilityError,
+    CftModel,
+    ConfigError,
+    DenseModel,
+    FermionModel,
+    _center_site,
+    _require,
+)
 from .bounds import approx_verdict, invert_k, k_func
-from .cft import CftParams, chi2_E_cft, depth_bound_cft, c_constant, fit_kappa, k2_cft
-from .fermion import (
-    XLineTable,
-    bdg_diagonalize,
-    connected_xx,
-    ground_state_covariance,
-    thermal_covariance,
-    x_expectation,
-)
-from .models import SpinHamiltonian, ThermalEigensystem, build_tfim
-from .perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system, correlator_lb_value
-from .purification import MeasurementSpec, projective_chi_B, projective_chi_E_factors
-from .states import (
-    DENSE_QUBIT_CAP,
-    NumericalConsistencyError,
-    entropy_from_spectrum,
-    von_neumann_entropy,
-)
+# Unused here; the benchmark tests check that their tracer restores cli.bdg_diagonalize.
+from .fermion import bdg_diagonalize  # noqa: F401
+from .models import SpinHamiltonian, build_tfim
+from .states import DENSE_QUBIT_CAP, NumericalConsistencyError
 
 COLUMNS = (
     "beta",
@@ -76,23 +74,6 @@ COLUMNS = (
     "depth_lb",
     "backend",
 )
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-#: Spin velocity of the chain normalization H = -sum(ZZ + gX) at criticality;
-#: used only when translating lattice data into continuum parameters.
-LATTICE_VELOCITY = 2.0
-
-#: Scaling dimension of the probe in the cft backend's closed forms.
-CFT_DELTA = 1.0
-
-
-class ConfigError(Exception):
-    """Invalid or inconsistent configuration (exit code 2)."""
-
-
-class CapabilityError(Exception):
-    """Requested combination unsupported by the chosen backend (exit code 3)."""
 
 
 def _fmt(value) -> str:
@@ -316,9 +297,11 @@ def _check_options(command: str, opts: dict, terms: dict[str, str]) -> None:
     """Check the merged options and DEPTHBOUND_THREADS against OPTIONS and
     EXCLUSIVE (exit 2): each option must be read by the command and the
     backend, and its numbers must lie within the option's bounds.  Custom
-    terms are read by the custom model only."""
+    terms are read by the custom model only, and --g by the tfim only."""
     if terms and opts.get("model") != "custom":
         raise ConfigError("the config file's [terms] section defines a custom model; it needs model = custom")
+    if "g" in opts and opts.get("model") == "custom":
+        raise ConfigError("the custom model does not read --g; its H comes from [terms]")
     backend = opts.get("backend", "dense")
     for option in OPTIONS:
         if option.name not in opts:
@@ -373,17 +356,8 @@ def _threads(opts: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# Backend models from the options (the models live in ``depthbound.backends``)
 # ---------------------------------------------------------------------------
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CapabilityError(message)
-
-
-def _center_site(n: int) -> int:
-    return (n - 1) // 2
 
 
 def _probe_site(opts: dict, n: int) -> int:
@@ -392,24 +366,6 @@ def _probe_site(opts: dict, n: int) -> int:
     if not 0 <= site < n:
         raise ConfigError(f"--site {site} lies outside the chain [0, {n})")
     return site
-
-
-def _region_b(n: int, site: int, point: int | tuple[int, ...]) -> tuple[int, ...]:
-    """Region B of a point: for a grid distance x, the sites 0 … site - x,
-    each at least x left of the probe ``site`` (at the centre probe, the
-    fig.-2 prefix of (n+1)//2 - x sites); otherwise the given sites, which
-    must be distinct sites of the chain.  The probe must lie outside B."""
-    if isinstance(point, int):
-        region = tuple(range(site - point + 1))
-        if not region:
-            raise ConfigError(f"x = {point} leaves region B empty left of site {site}")
-    else:
-        region = point
-        if len(set(region)) != len(region) or not all(0 <= s < n for s in region):
-            raise ConfigError(f"region B {region} must hold distinct sites of the chain [0, {n})")
-    if site in region:
-        raise ConfigError(f"measured site {site} must lie outside region B")
-    return region
 
 
 def _point(opts: dict) -> int | tuple[int, ...] | None:
@@ -448,220 +404,16 @@ def _build_hamiltonian(opts: dict, terms_raw: dict[str, str]) -> SpinHamiltonian
         raise ConfigError(f"custom model: {exc}") from None
 
 
-# Each backend has a model, its beta-independent setup built once per command,
-# and a per-beta context made by ``model.context(beta, epsilon)``.  A model
-# carries the ``backend``, ``g`` and ``n`` columns of its rows; a context
-# carries ``beta``, ``chi_e``, ``at(point) -> (x_ab, chi_b)`` for a point
-# (a grid distance x, or for the dense backend the --region-b sites),
-# ``verdict(chi_b, x_ab)``, and ``extras()``, the bound record's extra values.
-# The dense and freefermion contexts give ``chi_b(region, nearest, grid)``,
-# with ``nearest`` the site of B closest to the probe and ``grid`` true for a
-# grid distance, and share ``_Context.at``; the cft context has its own ``at``.
-
-
-class _Context:
-    """Per-(model, beta) state shared across the x grid; the weak-x verdict."""
-
-    chi_e: float
-
-    def __init__(self, model, beta: float, epsilon: float):
-        self.model = model
-        self.beta = beta
-        self.epsilon = epsilon
-
-    def at(self, point: int | tuple[int, ...]) -> tuple[int, float]:
-        """x_AB, the distance from the probe to region B, and chi_B."""
-        site = self.model.site
-        region = _region_b(self.model.n, site, point)
-        if isinstance(point, int):
-            nearest = site - point  # the last site of the prefix B
-        else:
-            nearest = min(region, key=lambda s: abs(site - s))
-        return abs(site - nearest), self.chi_b(region, nearest, isinstance(point, int))
-
-    def verdict(self, chi_b: float, x_ab):
-        return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, weak=True)
-
-    def extras(self) -> dict:
-        return {}
-
-
-class _DenseModel:
-    """Model-level dense setup: one eigendecomposition of H, and the probe
-    as projectors (projective-x) or as the blocks of X_site in the
-    eigenbasis, one per parity sector (weak-x)."""
-
-    backend = "dense"
-
-    def __init__(self, ham: SpinHamiltonian, measure: str, site: int, g: float = 0.0):
-        self.measure = measure
-        self.site = site
-        self.g = g
-        self.n = ham.n_sites
-        self.eig = ThermalEigensystem.of(ham)
-        if measure == "projective-x":
-            self.spec = MeasurementSpec.projective(PAULI_X, (site,))
-        else:
-            self.x_blocks = self.eig.rotate_x(site)
-
-    def context(self, beta: float, epsilon: float) -> "_DenseContext":
-        return _DenseContext(self, beta, epsilon)
-
-
-class _DenseContext(_Context):
-    """chi_E and chi_B from the eigensystem's sector blocks, with no Gibbs
-    state: chi_E from the Gibbs weights and the rotated or projected probe,
-    chi_B from the marginal on the probe site and region B.  With the probe
-    at or left of the chain centre, every grid point's marginal is a partial
-    trace of one marginal on the probe and all sites left of it, formed once
-    per beta at the first grid point.  The Gibbs-state and purification
-    routes they equal are cross-checked in the tests."""
-
-    def __init__(self, model: _DenseModel, beta: float, epsilon: float):
-        super().__init__(model, beta, epsilon)
-        eig = model.eig
-        self.entropy = entropy_from_spectrum(eig.weights(beta))
-        if model.measure == "projective-x":
-            self.chi_e = projective_chi_E_factors(eig.projected_factors(beta, model.site), self.entropy)
-        else:
-            self.chi_e = chi2_E_eigenbasis(eig, beta, model.x_blocks).value
-        self.prefix = None
-
-    def chi_b(self, region: tuple[int, ...], nearest: int | None = None, grid: bool = False) -> float:
-        """chi_B of all of ``region`` (``nearest`` is not read) from the Gibbs
-        marginal on the probe site followed by ``region``; the two are kept
-        for extras().
-
-        For a grid point (``grid``, so ``region`` is a prefix of the sites
-        left of the probe) with 2·site ≤ n − 1, that marginal is reduced from
-        ``self.prefix``, the marginal on the probe followed by every site left
-        of it.  Right of the centre the prefix marginal would cost more than
-        the points it serves, and an explicit region forms its own.  The rule
-        reads only (n, site), so a row's bits never depend on the rest of the
-        grid."""
-        model = self.model
-        keep = (model.site,) + region
-        if grid and 2 * model.site <= model.n - 1:
-            if self.prefix is None:
-                self.prefix = model.eig.marginal(self.beta, (model.site,) + tuple(range(model.site)))
-            rho = self.prefix.reduced(keep)
-        else:
-            rho = model.eig.marginal(self.beta, keep)
-        self.last = region, rho
-        if model.measure == "projective-x":
-            return projective_chi_B(rho, model.spec, region)
-        return chi2_system(rho, PAULI_X, (model.site,), region).value
-
-    def extras(self) -> dict:
-        """S of the last point's region B, and of the whole Gibbs state."""
-        region, rho = self.last
-        return {"s_b": float(von_neumann_entropy(rho.reduced(region))), "s_abc": self.entropy}
-
-    def verdict(self, chi_b: float, x_ab):
-        weak = self.model.measure == "weak-x"  # projective-x: k(eps) of a qubit outcome register
-        return approx_verdict(chi_b - self.chi_e, x_ab, self.epsilon, d_aprime=2, weak=weak)
-
-
-class _FermionModel:
-    """One Bogoliubov spectrum of the tfim chain, the probe site, and the
-    probe's weak-X line table, which every beta reweights for chi_E."""
-
-    backend = "freefermion"
-
-    def __init__(self, n: int, g: float, site: int):
-        self.n = n
-        self.g = g
-        self.site = site
-        self.spectrum = bdg_diagonalize(n, g)
-        self.lines = XLineTable(self.spectrum, site)
-
-    def context(self, beta: float, epsilon: float) -> "_FermionContext":
-        return _FermionContext(self, beta, epsilon)
-
-
-class _FermionContext(_Context):
-    """chi_B is the correlator lower bound with the nearest site of region B.
-    Region B lies left of the probe, so only the covariance of the sites up
-    to the probe is formed."""
-
-    def __init__(self, model: _FermionModel, beta: float, epsilon: float):
-        super().__init__(model, beta, epsilon)
-        self.cov = thermal_covariance(model.spectrum, beta, prefix=model.site + 1)
-        lines = model.lines
-        self.chi_e = chi2_E_spectral((lines.frequencies, lines.weights(beta)), beta).value
-
-    def chi_b(self, region: tuple[int, ...], nearest: int, grid: bool) -> float:
-        return correlator_lb_value(connected_xx(self.cov, self.model.site, nearest), x_expectation(self.cov, nearest))
-
-
-_KAPPA_CACHE: dict[tuple[int, float], float] = {}
-
-
-def _fit_lattice_kappa(n: int, g: float) -> float:
-    """Two-point amplitude of the X correlator from ground-state data."""
-    key = (n, g)
-    if key not in _KAPPA_CACHE:
-        cov = ground_state_covariance(n, g)
-        center = _center_site(n)
-        seps = np.arange(10, min(51, center))
-        cors = np.array([connected_xx(cov, center, center - int(s)) for s in seps])
-        try:
-            _KAPPA_CACHE[key] = fit_kappa(seps, cors, 1.0).kappa
-        except NumericalConsistencyError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"cft backend cannot fit the amplitude on an n = {n} chain: {exc}") from None
-    return _KAPPA_CACHE[key]
-
-
-class _CftModel:
-    """Continuum closed forms (unit-velocity units) with an amplitude fitted
-    from lattice data on an ``n_fit``-site chain; rows print n = 0."""
-
-    backend = "cft"
-    n = 0
-
-    def __init__(self, n_fit: int, g: float):
-        _require(abs(g - 1.0) < 1e-12, "cft backend is defined at the critical point g = 1")
-        self.g = g
-        self.kappa = _fit_lattice_kappa(n_fit, g) / LATTICE_VELOCITY ** (2.0 * CFT_DELTA)
-
-    def context(self, beta: float, epsilon: float) -> "_CftContext":
-        return _CftContext(self, beta, epsilon)
-
-
-class _CftContext(_Context):
-    def __init__(self, model: _CftModel, beta: float, epsilon: float):
-        super().__init__(model, beta, epsilon)
-        self.params = CftParams(CFT_DELTA, model.kappa, 1.0 / beta)
-        self.chi_e = chi2_E_cft(self.params)
-
-    def at(self, x: int | None) -> tuple[float, float]:
-        """No distance (bound's closed-form row): no x_AB and no chi_B."""
-        return (math.nan, math.nan) if x is None else (x, self.chi_e + k2_cft(self.params, float(x)))
-
-    def verdict(self, chi_b: float, x_ab):
-        """Without a distance, the depth is the closed form's."""
-        verdict = super().verdict(chi_b, x_ab)
-        if not math.isnan(x_ab):
-            return verdict
-        c = c_constant(CFT_DELTA, self.model.kappa)
-        return replace(verdict, depth_lower_bound=depth_bound_cft(self.beta, self.epsilon, CFT_DELTA, c))
-
-    def extras(self) -> dict:
-        return {"kappa": self.model.kappa}
-
-
 def _build_model(opts: dict, terms_raw: dict[str, str], measure: str):
     """The chosen backend's model; ``measure`` is the dense probe."""
     backend = opts.get("backend", "dense")
     if backend == "cft":
-        return _CftModel(int(opts.get("n", 301)), float(opts.get("g", 1.0)))
+        return CftModel(int(opts.get("n", DEFAULT_N)), float(opts.get("g", 1.0)))
     if backend == "freefermion":
         n, g = _tfim_chain(opts)
-        return _FermionModel(n, g, _probe_site(opts, n))
+        return FermionModel(n, g, _probe_site(opts, n))
     ham = _build_hamiltonian(opts, terms_raw)
-    return _DenseModel(ham, measure, _probe_site(opts, ham.n_sites), float(opts.get("g", 0.0)))
+    return DenseModel(ham, measure, _probe_site(opts, ham.n_sites), float(opts.get("g", 0.0)))
 
 
 def _check_capabilities(opts: dict) -> None:
@@ -685,7 +437,7 @@ def _check_capabilities(opts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _row(ctx: _Context, x_ab, chi_b: float) -> list:
+def _row(ctx, x_ab, chi_b: float) -> list:
     verdict = ctx.verdict(chi_b, x_ab)
     ratio = chi_b / ctx.chi_e if ctx.chi_e > 0 else float("nan")
     return [
@@ -805,7 +557,7 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
         raise ConfigError("scan requires --out")
     if opts.get("n") is None:
         if opts.get("backend") == "cft":
-            opts["n"] = 301  # continuum rows; n only sizes the amplitude fit
+            opts["n"] = DEFAULT_N  # continuum rows; n only sizes the amplitude fit
         else:
             raise ConfigError("scan requires --n")
     epsilon = _epsilon(opts)
@@ -832,7 +584,7 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
 def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
     if "out" not in opts:
         raise ConfigError("fig2 requires --out (dataset stem)")
-    n = int(opts.get("n", 301))
+    n = int(opts.get("n", DEFAULT_N))
     betas = _parse_grid(opts["beta-grid"]) if "beta-grid" in opts else [10.0 * i for i in range(1, 11)]
     xs = _x_grid(opts["x-grid"]) if "x-grid" in opts else list(range(1, 61))
     eps_approx = _epsilon(opts, k_default=1e-5)
@@ -843,7 +595,7 @@ def _cmd_fig2(opts: dict, terms_raw: dict[str, str]) -> int:
 
     def g_task(g: float):
         # The task builds its model, so that a worker holds one model at a time.
-        model = _FermionModel(n, g, site)
+        model = FermionModel(n, g, site)
         rows, errors = _grid_rows(model, betas, xs, 0.0, 1)
         depth_rows = []
         for i, beta in enumerate(betas):

@@ -296,16 +296,6 @@ class MeasuredEnsemble:
         mat = sum(p * m for p, m in zip(self.probabilities, mats))
         return DensityOperator(mat, self.sites)
 
-    def map_members(self, func) -> "MeasuredEnsemble":
-        """Return a new ensemble with ``func`` applied to each member state."""
-        return MeasuredEnsemble(
-            self.probabilities,
-            tuple(func(s) for s in self.states),
-            self.labels,
-            self.sites,
-            self.measured_sites,
-        )
-
 
 def apply_measurement(psi: PurifiedState | StateVector, m: MeasurementSpec) -> MeasuredEnsemble:
     """Condition a pure state on the outcomes of a POVM on a site subset.

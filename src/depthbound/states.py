@@ -38,7 +38,6 @@ __all__ = [
     "NORM_ATOL",
     "NumericalConsistencyError",
     "QubitGraph",
-    "RegionPartition",
     "StateVector",
     "DensityOperator",
     "partial_trace",
@@ -174,33 +173,6 @@ def graph_distance(graph: QubitGraph, region_x: Iterable[int], region_y: Iterabl
     return math.inf
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """Disjoint regions A, B, C covering a register (C may be empty).
-
-    Used to organize criterion evaluations; the environment register of a
-    purification is tracked separately by the purification layer.
-    """
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_register(self.a))
-        object.__setattr__(self, "b", _as_register(self.b))
-        object.__setattr__(self, "c", _as_register(self.c))
-        all_sites = self.a + self.b + self.c
-        if len(set(all_sites)) != len(all_sites):
-            raise ValueError("regions A, B, C must be disjoint")
-        if not self.a or not self.b:
-            raise ValueError("regions A and B must be non-empty")
-
-    @property
-    def sites(self) -> tuple[int, ...]:
-        return self.a + self.b + self.c
-
-
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
@@ -255,11 +227,6 @@ class StateVector:
         op_sites = _as_register(op_sites)
         applied = apply_on_sites(self.amplitudes, self.sites, op, op_sites)
         return float(np.real(np.vdot(self.amplitudes, applied)))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.sites != other.sites:
-            raise ValueError("overlap requires identical registers")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 class DensityOperator:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthbound import cli, models
+from depthbound import backends, models
 from depthbound.cft import c_constant, fit_kappa
 from depthbound.cli import main
 from depthbound.fermion import bdg_diagonalize, connected_xx, thermal_covariance, x_expectation
@@ -362,7 +362,7 @@ def test_out_of_memory_off_the_dense_backend(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "bdg_diagonalize", exhausted)
+    monkeypatch.setattr(backends, "bdg_diagonalize", exhausted)
     assert run("bound", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2",
                "--x-grid", "3") == 3
     err = capsys.readouterr().err
@@ -379,13 +379,13 @@ def test_cft_needs_143_fit_sites(n, code, capsys):
 def test_kappa_fit_matches_schur_route(n, monkeypatch):
     """The ground-state fit reads the state that the Schur route gave at
     beta = 50n, here through the prefix covariance the freefermion rows use."""
-    monkeypatch.setattr(cli, "_KAPPA_CACHE", {})
-    center = cli._center_site(n)
+    monkeypatch.setattr(backends, "_KAPPA_CACHE", {})
+    center = backends._center_site(n)
     cov = thermal_covariance(bdg_diagonalize(n, 1.0), 50.0 * n, prefix=center + 1)
     seps = np.arange(10, min(51, center))
     cors = [connected_xx(cov, center, center - int(s)) for s in seps]
     schur_kappa = fit_kappa(seps, np.array(cors), 1.0).kappa
-    assert cli._fit_lattice_kappa(n, 1.0) == pytest.approx(schur_kappa, rel=1e-12, abs=0)
+    assert backends.fit_lattice_kappa(n, 1.0) == pytest.approx(schur_kappa, rel=1e-12, abs=0)
 
 
 def test_version_flag_exits_zero():
@@ -503,8 +503,8 @@ def test_chain_backends_describe_one_region(n, g):
     bound of one site of B, cannot exceed the dense chi_B of all of B."""
     ham = models.build_tfim(n, g)
     for site in range(1, n):
-        dense = cli._DenseModel(ham, "weak-x", site, g)
-        fermion = cli._FermionModel(n, g, site)
+        dense = backends.DenseModel(ham, "weak-x", site, g)
+        fermion = backends.FermionModel(n, g, site)
         for beta in (0.5, 2.0, 8.0):
             dense_ctx = dense.context(beta, 0.0)
             fermion_ctx = fermion.context(beta, 0.0)
@@ -687,6 +687,22 @@ def test_custom_model_terms(tmp_path, capsys):
     assert float(rows[0]["chi_B"]) > 0
 
 
+@pytest.mark.parametrize("g_flag, g_key", [(("--g", "0.7"), ""), ((), "g = 0.7\n")],
+                         ids=["flag", "config key"])
+def test_custom_model_rejects_g(tmp_path, capsys, g_flag, g_key):
+    """H comes from [terms] alone, so a --g flag or g key would be ignored
+    silently; a custom row prints g = 0."""
+    cfg = tmp_path / "custom.ini"
+    cfg.write_text(f"[run]\nmodel = custom\nn = 3\nbeta = 1\n{g_key}[terms]\nt1 = -1.0 Z0 Z1\nt2 = 0.5 X2\n")
+    argv = ("bound", "--config", str(cfg), "--x-grid", "1", "--site", "2")
+    assert run(*argv, *g_flag) == 2
+    assert "config error: the custom model does not read --g" in capsys.readouterr().err
+    cfg.write_text(cfg.read_text().replace(g_key, ""))
+    assert run(*argv) == 0
+    _, (row,) = parse_csv(capsys.readouterr().out)
+    assert row["g"] == "0"
+
+
 @pytest.mark.parametrize(
     "run_keys, term, code, message",
     [
@@ -847,6 +863,38 @@ def test_dense_projective_scan_matches_golden(tmp_path):
     assert_matches_golden(out, "scan_dense_projective_n10.csv")
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("bound_dense_weak_n8.json",
+         ("--n", "8", "--g", "1", "--beta", "2", "--x-grid", "2", "--measure", "weak-x")),
+        ("bound_dense_projective_region_b_n8.json",
+         ("--n", "8", "--g", "0.8", "--beta", "1.5", "--region-b", "0,1,5", "--measure", "projective-x")),
+        ("bound_ff_n41.json",
+         ("--backend", "freefermion", "--n", "41", "--g", "1", "--beta", "2", "--x-grid", "3", "--k-eps", "1e-5")),
+        ("bound_cft_beta50.json", ("--backend", "cft", "--beta", "50", "--epsilon", "0")),
+    ],
+)
+def test_bound_json_matches_golden(capsys, golden, argv):
+    """The bound record with its extras (s_b and s_abc, or kappa), without
+    its wall time: dense values to 1e-10, as in the dense CSV goldens, and
+    the others byte for byte."""
+    assert run("bound", "--format", "json", *argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    text = "".join(ln for ln in lines if not ln.lstrip().startswith('"wall_time_seconds"'))
+    expected = (GOLDEN / golden).read_text()
+    if "dense" not in golden:
+        assert text == expected
+        return
+    got, want = json.loads(text), json.loads(expected)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, str):
+            assert got[key] == value, key
+        else:
+            assert got[key] == pytest.approx(value, rel=0, abs=1e-10), key
+
+
 def assert_matches_golden(out, golden):
     """Column by column to 1e-10: the last printed digits of a dense row
     depend on how H is diagonalized and its sectors summed."""
@@ -866,7 +914,7 @@ def forbid_gibbs_state(monkeypatch):
         raise AssertionError("gibbs_state called on the run path")
 
     monkeypatch.setattr(models, "gibbs_state", forbidden)
-    monkeypatch.setattr(cli, "gibbs_state", forbidden, raising=False)
+    monkeypatch.setattr(backends, "gibbs_state", forbidden, raising=False)
 
 
 @pytest.mark.parametrize("measure", ["projective-x", "weak-x"])
@@ -899,13 +947,13 @@ def test_dense_out_of_memory_exits_3(monkeypatch, capsys):
 @pytest.fixture
 def bdg_calls(monkeypatch):
     calls = []
-    original = cli.bdg_diagonalize
+    original = backends.bdg_diagonalize
 
     def counted(n, g):
         calls.append((n, g))
         return original(n, g)
 
-    monkeypatch.setattr(cli, "bdg_diagonalize", counted)
+    monkeypatch.setattr(backends, "bdg_diagonalize", counted)
     return calls
 
 
@@ -927,15 +975,15 @@ def test_fig2_diagonalizes_once_per_g(tmp_path, bdg_calls, threads):
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
     """One ground-state covariance for the whole grid, and no Schur form."""
-    monkeypatch.setattr(cli, "_KAPPA_CACHE", {})
+    monkeypatch.setattr(backends, "_KAPPA_CACHE", {})
     fits = []
-    original = cli.ground_state_covariance
+    original = backends.ground_state_covariance
 
     def counted(n, g):
         fits.append((n, g))
         return original(n, g)
 
-    monkeypatch.setattr(cli, "ground_state_covariance", counted)
+    monkeypatch.setattr(backends, "ground_state_covariance", counted)
     assert run("scan", "--backend", "cft", "--beta-grid", "10,20,30,40", "--x-grid", "1:3",
                "--threads", threads, "--out", str(tmp_path / "c.csv")) == 0
     assert fits == [(301, 1.0)]
@@ -955,13 +1003,13 @@ def forbid_line_merge(monkeypatch):
 @pytest.fixture
 def table_builds(monkeypatch):
     builds = []
-    original = cli.XLineTable
+    original = backends.XLineTable
 
     def counted(spectrum, site):
         builds.append((spectrum.n_modes, site))
         return original(spectrum, site)
 
-    monkeypatch.setattr(cli, "XLineTable", counted)
+    monkeypatch.setattr(backends, "XLineTable", counted)
     return builds
 
 

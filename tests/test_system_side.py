@@ -1,6 +1,6 @@
 """System-side chi_B / chi_E routes against the purification oracle.
 
-The dense CLI evaluates both Holevo quantities from the Gibbs state on the
+The dense backend evaluates both Holevo quantities from the state on the
 system.  Here every system-side route is compared with ``chi2_general`` and
 ``holevo_information`` on the canonical purification.
 """
@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthbound.cli import PAULI_X, _DenseContext, _DenseModel
-from depthbound.models import SpinHamiltonian, ThermalEigensystem, build_tfim, gibbs_state
+from depthbound.backends import DenseContext, DenseModel
+from depthbound.models import PAULI, SpinHamiltonian, ThermalEigensystem, build_tfim, gibbs_state
 from depthbound.perturbative import chi2_E_eigenbasis, chi2_general, chi2_system
 from depthbound.purification import (
     MeasurementSpec,
@@ -23,6 +23,7 @@ from depthbound.purification import (
 from depthbound.states import entropy_from_spectrum, operator_norm
 
 TOL = 1e-10
+PAULI_X = PAULI["X"]
 Z = np.diag([1.0, -1.0])
 
 
@@ -98,9 +99,9 @@ def test_rank_two_projectors_equal_purification(seed):
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(("weak-x", "projective-x")))
 def test_cli_dense_context_equals_purification(seed, measure):
-    """The CLI's per-beta context, with its X probe, on a non-prefix region."""
+    """The dense backend's per-beta context, with its X probe, on a non-prefix region."""
     _, ham, _, beta, _, psi, site, region = _case(seed)
-    ctx = _DenseContext(_DenseModel(ham, measure, site), beta, 0.0)
+    ctx = DenseContext(DenseModel(ham, measure, site), beta, 0.0)
     if measure == "weak-x":
         chi_b = chi2_general(psi, PAULI_X, (site,), region).value
         chi_e = chi2_general(psi, PAULI_X, (site,), psi.env_sites).value
@@ -145,7 +146,7 @@ def test_cli_dense_context_in_parity_sectors(seed, measure, where):
     site = {"first": 0, "last": n - 1, "center": (n - 1) // 2}[where]
     others = [s for s in range(n) if s != site]
     region = tuple(int(s) for s in rng.choice(others, size=int(rng.integers(1, n)), replace=False))
-    ctx = _DenseContext(_DenseModel(ham, measure, site), beta, 0.0)
+    ctx = DenseContext(DenseModel(ham, measure, site), beta, 0.0)
     assert len(ctx.model.eig.sectors) == 2
     eig = ThermalEigensystem.of(ham)
     rho = gibbs_state(eig, beta)
