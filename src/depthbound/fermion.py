@@ -23,7 +23,11 @@ n = 301 scans feasible.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,15 +121,53 @@ def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return b
 
 
-def schur(h: np.ndarray, output: str = "real") -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.schur``, imported on the first call.
+_FLAPACK = "scipy.linalg._flapack"
+_DGEES_LOCK = threading.Lock()
+_dgees = None  # scipy's LAPACK dgees wrapper, loaded on the first Schur form
 
-    The Schur form is the only scipy routine the package runs, so the dense
-    and cft paths, which never call it, load no scipy at all.
+
+def _load_dgees():
+    """``dgees`` from scipy's compiled LAPACK extension, without the
+    ``scipy.linalg`` package around it: the extension's file is looked up
+    in scipy's package directory (``find_spec`` imports nothing) and loaded
+    alone.  Without the file, the normal import system loads the module."""
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec is not None else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+                loader.exec_module(module)
+                return module.dgees
+    return importlib.import_module(_FLAPACK).dgees
+
+
+def _no_sort(wr, wi=None):
+    return None
+
+
+def schur(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form h = Z T Zᵀ of a finite real square matrix.
+
+    It makes the LAPACK calls ``scipy.linalg.schur(h)`` makes, a workspace
+    query and one unsorted ``dgees`` on a copy of h, so T and Z are its
+    bits.  Only scipy's LAPACK extension is loaded, once per process and
+    under a lock, so the free-fermion runs skip the ``scipy.linalg``
+    import and the dense and cft runs, which never call this, load no
+    scipy at all.  A failed factorization raises
+    :class:`NumericalConsistencyError`.
     """
-    from scipy.linalg import schur as scipy_schur
-
-    return scipy_schur(h, output=output)
+    global _dgees
+    with _DGEES_LOCK:
+        if _dgees is None:
+            _dgees = _load_dgees()
+        dgees = _dgees
+    lwork = dgees(_no_sort, h, lwork=-1)[-2][0].real.astype(np.int_)
+    t, _, _, _, z, _, info = dgees(_no_sort, h, lwork=lwork, overwrite_a=False, sort_t=0)
+    if info != 0:
+        raise NumericalConsistencyError(f"LAPACK dgees found no real Schur form (info = {info})")
+    return t, z
 
 
 def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
@@ -133,7 +175,7 @@ def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     h = majorana_couplings(n, g)
     if not np.isfinite(h).all():
         raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
-    t, z = schur(h, output="real")
+    t, z = schur(h)
     scale = max(1.0, _abs_max(h))
     ztol = 1e-12 * scale
     blocks: list[tuple[float, int, int]] = []  # (eps, col_x, col_p)

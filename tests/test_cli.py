@@ -2,18 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depthbound import backends, models
+from depthbound import backends, fermion, models
 from depthbound.cft import c_constant, fit_kappa
 from depthbound.cli import main
 from depthbound.fermion import bdg_diagonalize, connected_xx, thermal_covariance, x_expectation
 from depthbound.perturbative import correlator_lb_value
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 HEADER = "beta, g, n, x_ab, chi_B, chi_E, ratio, criterion, threshold, epsilon, depth_lb, backend"
 
@@ -293,6 +297,22 @@ def test_overflowing_field_or_beta_exits_4(argv, tmp_path, capsys, recwarn):
     assert err.startswith("numerical-consistency failure:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_failed_schur_form_exits_4(monkeypatch, tmp_path, capsys):
+    """A Schur form that LAPACK reports as failed (info != 0) stops the run
+    with exit 4 and the one-line message, not a traceback."""
+    def failing_dgees(select, a, lwork=None, overwrite_a=False, sort_t=0):
+        return a, 0, None, None, a, np.array([3.0 * len(a)]), 1
+
+    monkeypatch.setattr(fermion, "_dgees", failing_dgees)
+    out = tmp_path / "s.csv"
+    assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta-grid", "1:2",
+               "--x-grid", "1:2", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-consistency failure: LAPACK dgees found no real Schur form")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -811,6 +831,20 @@ def test_fig2_matches_golden(tmp_path, threads):
     stem = tmp_path / "f2"
     assert run("fig2", "--n", "61", "--beta-grid", "10,20", "--x-grid", "1:20",
                "--threads", threads, "--out", str(stem)) == 0
+    for panel in ("ratio", "depth"):
+        got = (tmp_path / f"f2_{panel}.csv").read_bytes()
+        assert got == (GOLDEN / f"fig2_n61_{panel}.csv").read_bytes()
+
+
+def test_fig2_first_schur_forms_race_in_a_fresh_process(tmp_path):
+    """Three worker threads start the three g panels at once, so their
+    first Schur forms race to load the LAPACK extension; the datasets
+    keep their golden bytes."""
+    stem = tmp_path / "f2"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "depthbound", "fig2", "--n", "61", "--beta-grid", "10,20",
+                    "--x-grid", "1:20", "--threads", "3", "--out", str(stem)],
+                   env=env, capture_output=True, check=True, timeout=120)
     for panel in ("ratio", "depth"):
         got = (tmp_path / f"f2_{panel}.csv").read_bytes()
         assert got == (GOLDEN / f"fig2_n61_{panel}.csv").read_bytes()

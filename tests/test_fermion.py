@@ -1,12 +1,21 @@
 """Free-fermion backend: BdG spectra, covariances, Pfaffians, Wick lines."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from depthbound import fermion
 from depthbound.checks import pfaffian_error
 from depthbound.fermion import (
     MajoranaCovariance,
@@ -22,6 +31,7 @@ from depthbound.fermion import (
     majorana_couplings,
     many_body_energies,
     pfaffian,
+    schur,
     string_x_expectation,
     thermal_covariance,
     weak_x_lines,
@@ -33,6 +43,7 @@ from depthbound.states import NumericalConsistencyError, embed_operator, von_neu
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 RNG = np.random.default_rng(8861)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def dense_reference(n, g, beta):
@@ -91,6 +102,94 @@ def test_energy_expectation_matches_dense():
         dense_e = float(np.trace(ham.to_matrix() @ rho.matrix).real)
         free_e = energy_expectation(bdg_diagonalize(n, g), beta)
         assert free_e == pytest.approx(dense_e, rel=1e-9, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the Schur form on scipy's LAPACK extension
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [2, 3, 41, 301])
+def test_schur_matches_scipy_linalg_bitwise(n, g):
+    """scipy.linalg.schur stays the reference route: the same LAPACK calls
+    give the same T and Z, bit for bit."""
+    h = majorana_couplings(n, g)
+    t, z = schur(h)
+    t_ref, z_ref = scipy.linalg.schur(h)
+    assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+
+
+def _fresh_schur_routes(setup):
+    """Run ``setup`` in a fresh process, then the Schur form of the n = 41
+    chain, then import scipy.linalg; report the scipy modules the Schur
+    form loaded and whether the two routes agree bit for bit."""
+    code = (
+        "import sys, importlib.machinery\n"
+        "import numpy as np\n"
+        "from depthbound.fermion import majorana_couplings, schur\n"
+        f"{setup}\n"
+        "h = majorana_couplings(41, 1.0)\n"
+        "t, z = schur(h)\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import scipy.linalg\n"
+        "t_ref, z_ref = scipy.linalg.schur(h)\n"
+        "print(','.join(loaded), np.array_equal(t, t_ref) and np.array_equal(z, z_ref))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    loaded, same = out.stdout.split()
+    return set(loaded.split(",")), same == "True"
+
+
+def test_schur_loads_the_lapack_extension_alone_before_scipy_linalg():
+    """The first Schur form loads scipy's LAPACK extension and no other
+    scipy module; a later scipy.linalg import reuses it, and its schur
+    gives the same bits."""
+    assert _fresh_schur_routes("") == ({"scipy.linalg._flapack"}, True)
+
+
+def test_schur_without_the_extension_file_imports_it():
+    """With no extension suffix to look the file up by, the extension is
+    imported through scipy.linalg, and T and Z keep their bits."""
+    loaded, same = _fresh_schur_routes("importlib.machinery.EXTENSION_SUFFIXES = []")
+    assert {"scipy.linalg", "scipy.linalg._flapack"} <= loaded
+    assert same
+
+
+def test_concurrent_first_schur_forms_load_the_extension_once(monkeypatch):
+    """Eight threads make their first Schur form at once, on a shortened
+    switch interval and with a load slow enough to overlap them: one
+    thread loads the extension, and every thread gets the same bits."""
+    loads = []
+    load = fermion._load_dgees
+
+    def slow_load():
+        loads.append(threading.get_ident())
+        time.sleep(0.01)
+        return load()
+
+    monkeypatch.setattr(fermion, "_dgees", None)
+    monkeypatch.setattr(fermion, "_load_dgees", slow_load)
+    h = majorana_couplings(3, 1.0)
+    t_ref, z_ref = scipy.linalg.schur(h)
+    start = threading.Barrier(8)
+
+    def first_schur():
+        start.wait(timeout=30)
+        return schur(h)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(first_schur) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(loads) == 1
+    assert all(np.array_equal(t, t_ref) and np.array_equal(z, z_ref) for t, z in results)
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ def _line_array(table):
 def test_bdg_diagonalize_frees_the_schur_factors():
     """The Schur form itself (its input copy, T and Z) is the peak; T and Z
     are gone before the checks, whose residuals are formed in place.  A
-    small chain first loads scipy.linalg, whose import is no array of the
-    call."""
+    small chain first loads scipy's LAPACK extension, whose load is no
+    array of the call."""
     bdg_diagonalize(2, 1.0)
     _, peak = peak_blocks(lambda: bdg_diagonalize(FF_N, 1.0), block=FF_BLOCK)
     assert peak <= 5.5
