@@ -24,15 +24,15 @@ import numpy as np
 from .bounds import approx_verdict
 from .cft import CftParams, chi2_E_cft, depth_bound_cft, c_constant, fit_kappa, k2_cft
 from .fermion import (
-    XLineTable,
     bdg_diagonalize,
+    chi2_E_quadratic,
     connected_xx,
     ground_state_covariance,
     thermal_covariance,
     x_expectation,
 )
 from .models import PAULI, SpinHamiltonian, ThermalEigensystem
-from .perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system, correlator_lb_value
+from .perturbative import chi2_E_eigenbasis, chi2_system, correlator_lb_value
 from .purification import MeasurementSpec, projective_chi_B, projective_chi_E_factors
 from .states import NumericalConsistencyError, entropy_from_spectrum, von_neumann_entropy
 
@@ -176,8 +176,10 @@ class DenseContext(_Context):
 
 
 class FermionModel:
-    """One Bogoliubov spectrum of the tfim chain, the probe site, and the
-    probe's weak-X line table, which every beta reweights for chi_E."""
+    """One Bogoliubov spectrum of the tfim chain and the probe site.  Every
+    beta sums chi_E over the probe's weak-X lines term by term from the
+    spectrum (``chi2_E_quadratic``), so no array with one entry per line
+    outlives a beta."""
 
     backend = "freefermion"
 
@@ -186,7 +188,6 @@ class FermionModel:
         self.g = g
         self.site = site
         self.spectrum = bdg_diagonalize(n, g)
-        self.lines = XLineTable(self.spectrum, site)
 
     def context(self, beta: float, epsilon: float) -> "FermionContext":
         return FermionContext(self, beta, epsilon)
@@ -200,8 +201,7 @@ class FermionContext(_Context):
     def __init__(self, model: FermionModel, beta: float, epsilon: float):
         super().__init__(model, beta, epsilon)
         self.cov = thermal_covariance(model.spectrum, beta, prefix=model.site + 1)
-        lines = model.lines
-        self.chi_e = chi2_E_spectral((lines.frequencies, lines.weights(beta)), beta).value
+        self.chi_e = chi2_E_quadratic(model.spectrum, beta, model.site).value
 
     def chi_b(self, region: tuple[int, ...], nearest: int, grid: bool) -> float:
         return correlator_lb_value(connected_xx(self.cov, self.model.site, nearest), x_expectation(self.cov, nearest))
@@ -221,11 +221,13 @@ _KAPPA_CACHE: dict[tuple[int, float], float] = {}
 
 
 def fit_lattice_kappa(n: int, g: float) -> float:
-    """Two-point amplitude of the X correlator from ground-state data."""
+    """Two-point amplitude of the X correlator from ground-state data: the
+    correlators of the centre with sites left of it, read from the
+    covariance of sites 0 … centre alone."""
     key = (n, g)
     if key not in _KAPPA_CACHE:
-        cov = ground_state_covariance(n, g)
         center = _center_site(n)
+        cov = ground_state_covariance(n, g, prefix=center + 1)
         seps = np.arange(10, min(51, center))
         cors = np.array([connected_xx(cov, center, center - int(s)) for s in seps])
         try:

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import SpectralLines
-from .perturbative import Chi2Result, chi2_E_spectral
+from .perturbative import Chi2Result, _chi2_E, f_beta_in_place
 from .states import NumericalConsistencyError, entropy_from_spectrum
 
 __all__ = [
@@ -61,15 +61,34 @@ _NORM_LIMIT = 1.0 + 1e-10
 
 
 def majorana_couplings(n: int, g: float) -> np.ndarray:
-    """Antisymmetric single-particle matrix h of the open TFIM chain."""
+    """Antisymmetric single-particle matrix h of the open TFIM chain.
+
+    h is built in one Fortran-order array, the layout LAPACK factors in
+    place.  Each entry below the diagonal is 0.0 minus its partner above,
+    so h holds the bits of u − uᵀ for its upper triangle u, signed zeros
+    included (at g = −0.0 the field entries are −0.0 above and 0.0 below).
+    """
     if n < 2:
         raise ValueError("the chain needs at least two sites")
-    h = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        h[2 * j, 2 * j + 1] = 2.0 * g
-    for j in range(n - 1):
-        h[2 * j + 1, 2 * j + 2] = 2.0
-    return h - h.T
+    h = np.zeros((2 * n, 2 * n), order="F")
+    x = np.arange(0, 2 * n, 2)  # the x_j rows
+    p = x[:-1] + 1  # the p_j rows of the bonds (p_j, x_{j+1})
+    h[x, x + 1] = 2.0 * g
+    h[x + 1, x] = 0.0 - 2.0 * g
+    h[p, p + 1] = 2.0
+    h[p + 1, p] = 0.0 - 2.0
+    return h
+
+
+def _coupling_block(n: int, g: float) -> np.ndarray:
+    """h[0::2, 1::2] of :func:`majorana_couplings`, built alone: 2g on the
+    diagonal and 0.0 − 2 below it, with h's bits."""
+    if n < 2:
+        raise ValueError("the chain needs at least two sites")
+    m = np.zeros((n, n))
+    m.flat[:: n + 1] = 2.0 * g
+    m.flat[n :: n + 1] = 0.0 - 2.0
+    return m
 
 
 @dataclass(frozen=True)
@@ -85,20 +104,14 @@ class BogoliubovSpectrum:
 
     def __post_init__(self) -> None:
         n2 = 2 * self.n_modes
-        if self.q.shape != (n2, n2) or self.energies.shape != (self.n_modes,):
+        q = self.q
+        if q.shape != (n2, n2) or self.energies.shape != (self.n_modes,):
             raise ValueError("inconsistent spectrum shapes")
-        # Each residual is formed in place in its product's buffer.
-        res = self.q @ self.q.T
-        res.flat[:: n2 + 1] -= 1.0
-        err = _abs_max(res)
-        del res
+        err = _upper_residual_max(q.__getitem__, q)
         if err > _ORTHO_ATOL:
             raise NumericalConsistencyError(f"Q deviates from orthogonality by {err}")
         # T has mode blocks [[0, ε_k], [−ε_k, 0]], that is t_k = −ε_k.
-        res = _times_mode_blocks(self.q, -self.energies) @ self.q.T
-        res -= self.couplings
-        rerr = _abs_max(res)
-        del res
+        rerr = _upper_residual_max(lambda rows: _times_mode_blocks(q[rows], -self.energies), q, self.couplings)
         if rerr > _ORTHO_ATOL * max(1.0, _abs_max(self.couplings)):
             raise NumericalConsistencyError(f"spectrum does not reconstruct h (error {rerr})")
 
@@ -106,6 +119,32 @@ class BogoliubovSpectrum:
 def _abs_max(a: np.ndarray) -> float:
     """max |a| without an |a| temporary."""
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
+
+
+def _bands(count: int, parts: int = 8) -> list[slice]:
+    """At most ``parts`` slices of about equal length over ``count`` rows."""
+    step = max(1, -(-count // parts))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _upper_residual_max(rows_of, q: np.ndarray, minus: np.ndarray | None = None) -> float:
+    """max |R| over the upper triangle of R = A Qᵀ − I, or A Qᵀ − ``minus``,
+    formed one band of rows at a time (``rows_of(band)`` gives A's rows).
+
+    Each R checked here is symmetric or antisymmetric up to rounding, so
+    that triangle holds every entry; the residuals only gate, so the band
+    products need not reproduce the bits of a whole product.
+    """
+    err = 0.0
+    for rows in _bands(q.shape[0]):
+        res = rows_of(rows) @ q[rows.start :].T
+        if minus is None:
+            diag = np.arange(rows.stop - rows.start)
+            res[diag, diag] -= 1.0
+        else:
+            res -= minus[rows, rows.start :]
+        err = max(err, _abs_max(res))
+    return err
 
 
 def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -147,44 +186,56 @@ def _no_sort(wr, wi=None):
     return None
 
 
-def schur(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def schur(h: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Real Schur form h = Z T Zᵀ of a finite real square matrix.
 
     It makes the LAPACK calls ``scipy.linalg.schur(h)`` makes, a workspace
-    query and one unsorted ``dgees`` on a copy of h, so T and Z are its
-    bits.  Only scipy's LAPACK extension is loaded, once per process and
-    under a lock, so the free-fermion runs skip the ``scipy.linalg``
-    import and the dense and cft runs, which never call this, load no
-    scipy at all.  A failed factorization raises
-    :class:`NumericalConsistencyError`.
+    query and one unsorted ``dgees``, so T and Z are its bits.  Both calls
+    run on one Fortran-order float64 array, which T overwrites: a copy of
+    h, so that the caller's h is never written, or with ``overwrite_a`` h
+    itself when it is such an array.  The query copies nothing; its wrapper
+    still allocates a Z, which is freed before the factorization.  Only
+    scipy's LAPACK extension is loaded, once per process and under a lock,
+    so the free-fermion runs skip the ``scipy.linalg`` import and the dense
+    and cft runs, which never call this, load no scipy at all.  A failed
+    factorization raises :class:`NumericalConsistencyError`.
     """
     global _dgees
     with _DGEES_LOCK:
         if _dgees is None:
             _dgees = _load_dgees()
         dgees = _dgees
-    lwork = dgees(_no_sort, h, lwork=-1)[-2][0].real.astype(np.int_)
-    t, _, _, _, z, _, info = dgees(_no_sort, h, lwork=lwork, overwrite_a=False, sort_t=0)
+    a = h if overwrite_a else np.array(h, dtype=np.float64, order="F")
+    lwork = dgees(_no_sort, a, lwork=-1, overwrite_a=True)[-2][0].real.astype(np.int_)
+    t, _, _, _, z, _, info = dgees(_no_sort, a, lwork=lwork, overwrite_a=True, sort_t=0)
     if info != 0:
         raise NumericalConsistencyError(f"LAPACK dgees found no real Schur form (info = {info})")
     return t, z
 
 
 def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
-    """Mode energies and Bogoliubov rotation of the open TFIM chain."""
+    """Mode energies and Bogoliubov rotation of the open TFIM chain.
+
+    The Schur form runs in place on h, T is dropped once its 2×2 blocks are
+    read off its two off-diagonals, and Q is gathered from Z a band of rows
+    at a time; h is then rebuilt for the spectrum's checks.  Beside LAPACK's
+    work array, no more than two (2n)² blocks and two bands are held.
+    """
     h = majorana_couplings(n, g)
     if not np.isfinite(h).all():
         raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
-    t, z = schur(h)
-    scale = max(1.0, _abs_max(h))
-    ztol = 1e-12 * scale
+    ztol = 1e-12 * max(1.0, _abs_max(h))
+    t, z = schur(h, overwrite_a=True)
+    del h  # T's buffer
+    sub, sup = np.diagonal(t, -1).tolist(), np.diagonal(t, 1).tolist()
+    del t
     blocks: list[tuple[float, int, int]] = []  # (eps, col_x, col_p)
     singles: list[int] = []
     i = 0
     n2 = 2 * n
     while i < n2:
-        if i + 1 < n2 and abs(t[i + 1, i]) > ztol:
-            b = t[i, i + 1]
+        if i + 1 < n2 and abs(sub[i]) > ztol:
+            b = sup[i]
             if b >= 0:
                 blocks.append((float(b), i, i + 1))
             else:
@@ -200,10 +251,12 @@ def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
         blocks.append((0.0, a, b))
     blocks.sort(key=lambda item: item[0])
     energies = np.array([b[0] for b in blocks])
-    order = [c for b in blocks for c in (b[1], b[2])]
-    q = np.ascontiguousarray(z[:, order])
-    del t, z  # freed before the spectrum's checks, which need two more blocks
-    return BogoliubovSpectrum(n, energies, q, h)
+    order = np.array([c for b in blocks for c in (b[1], b[2])])
+    q = np.empty((n2, n2))
+    for rows in _bands(n2):
+        q[rows] = z[rows][:, order]
+    del z
+    return BogoliubovSpectrum(n, energies, q, majorana_couplings(n, g))
 
 
 def many_body_energies(spectrum: BogoliubovSpectrum) -> np.ndarray:
@@ -228,8 +281,11 @@ class MajoranaCovariance:
         g = self.gamma
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise ValueError("covariance must be even-dimensional and square")
-        if float(np.max(np.abs(g + g.T))) > 1e-10:
+        asym = g + g.T
+        np.abs(asym, out=asym)  # a complex Γ keeps |·| in the real parts
+        if float(asym.real.max()) > 1e-10:
             raise ValueError("covariance must be antisymmetric")
+        del asym
         # The Cholesky test settles every valid Γ; only a Γ it cannot clear
         # pays for the SVD, which then decides and words the error.
         if not (np.isrealobj(g) and _norm_below(g, _NORM_LIMIT)):
@@ -291,29 +347,38 @@ def thermal_covariance(
     return MajoranaCovariance(gamma, float(beta))
 
 
-def ground_state_covariance(n: int, g: float) -> MajoranaCovariance:
+def ground_state_covariance(n: int, g: float, prefix: int | None = None) -> MajoranaCovariance:
     """Ground-state covariance of the open chain from the polar factor of
     its coupling block, with no Schur form.
 
     h couples only x to p Majoranas, so its nonzero part is the n × n block
     M = h[0::2, 1::2] = U Σ Vᵀ, whose singular values Σ are the mode
-    energies.  At T = 0, Γ[0::2, 1::2] = −U Vᵀ, Γ[1::2, 0::2] = (U Vᵀ)ᵀ and
-    the rest is 0 (Surace & Tagliacozzo, SciPost Phys. Lect. Notes 54,
-    2022): the β → ∞ limit of :func:`thermal_covariance`.  A gapless Σ
-    leaves that polar factor, and so the ground state, undetermined.
+    energies; M is built alone, without h.  At T = 0, Γ[0::2, 1::2] = −U Vᵀ,
+    Γ[1::2, 0::2] = (U Vᵀ)ᵀ and the rest is 0 (Surace & Tagliacozzo,
+    SciPost Phys. Lect. Notes 54, 2022): the β → ∞ limit of
+    :func:`thermal_covariance`.  A gapless Σ leaves that polar factor, and
+    so the ground state, undetermined.
+
+    With ``prefix``, as in :func:`thermal_covariance`, only the covariance
+    of sites 0 … prefix − 1 is returned (Peschel, J. Phys. A 36, L205,
+    2003), and the norm guard runs on it.  U Vᵀ is still formed whole, so
+    the block holds the bits of the whole chain's Γ.
     """
-    h = majorana_couplings(n, g)
-    if not np.isfinite(h).all():
+    m = _coupling_block(n, g)
+    if prefix is None:
+        prefix = n
+    elif not 1 <= prefix <= n:
+        raise ValueError("prefix outside the chain")
+    if not np.isfinite(m).all():
         raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
-    m = h[0::2, 1::2]
     u, sigma, vt = np.linalg.svd(m)
-    eye = np.eye(n)
     for name, w in (("U", u), ("V", vt)):
-        err = float(np.max(np.abs(w @ w.T - eye)))
+        err = _upper_residual_max(w.__getitem__, w)
         if err > _ORTHO_ATOL:
             raise NumericalConsistencyError(f"{name} deviates from orthogonality by {err}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    rerr = float(np.max(np.abs((u * sigma) @ vt - m)))
+    scale = max(1.0, _abs_max(m))
+    rerr = max(_abs_max((u[rows] * sigma) @ vt - m[rows]) for rows in _bands(n))
+    del m
     if rerr > _ORTHO_ATOL * scale:
         raise NumericalConsistencyError(f"SVD does not reconstruct the couplings (error {rerr})")
     # The SVD perturbs U Vᵀ by about eps·σ_max/σ_min; past _ORTHO_ATOL the
@@ -323,9 +388,12 @@ def ground_state_covariance(n: int, g: float) -> MajoranaCovariance:
             f"gapless chain: smallest mode energy {sigma[-1]:.3g} leaves the ground state undetermined"
         )
     polar = u @ vt
-    gamma = np.zeros((2 * n, 2 * n))
-    gamma[0::2, 1::2] = -polar
-    gamma[1::2, 0::2] = polar.T
+    del u, vt, w
+    block = polar[:prefix, :prefix]
+    gamma = np.zeros((2 * prefix, 2 * prefix))
+    gamma[0::2, 1::2] = -block
+    gamma[1::2, 0::2] = block.T
+    del polar, block
     return MajoranaCovariance(gamma, math.inf)
 
 
@@ -468,7 +536,8 @@ class XLineTable:
     lines, then the particle-hole block.  :meth:`weights` forms the weights
     of one β over these lines, unsorted and unmerged; χ_E is linear in the
     weights, so ``chi2_E_spectral((table.frequencies, table.weights(β)), β)``
-    needs no merge.
+    needs no merge.  :func:`chi2_E_quadratic` gives that sum's bits without
+    a table.
     """
 
     def __init__(self, spectrum: BogoliubovSpectrum, site: int):
@@ -549,8 +618,8 @@ def weak_x_lines(
     amplitudes); detailed balance w(−ω) = e^{−βω} w(ω) holds line by line.
     The lines are an :class:`XLineTable`'s, merged by
     :meth:`SpectralLines.merged` within ``group_atol`` (by default 1e-10
-    times the largest |ω|, at least 1e-10).  χ_E needs no merge: several β
-    on one chain share an :class:`XLineTable` and sum over its weights.
+    times the largest |ω|, at least 1e-10).  χ_E needs no merge and no
+    table: :func:`chi2_E_quadratic` sums the same lines term by term.
     """
     table = XLineTable(spectrum, site)
     freq, weight = table.frequencies, table.weights(beta)
@@ -561,7 +630,73 @@ def weak_x_lines(
 
 
 def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:
-    """Environment coefficient χ⁽²⁾_E for a weak X_j measurement on the Gibbs
-    chain, summed over the unmerged lines of an :class:`XLineTable`."""
-    table = XLineTable(spectrum, site)
-    return chi2_E_spectral((table.frequencies, table.weights(beta)), beta)
+    """Environment coefficient χ⁽²⁾_E = ½ Σ_l w_l f_β(ω_l) for a weak X_j
+    measurement on the Gibbs chain, over the unmerged lines of
+    :func:`weak_x_lines` but with no :class:`XLineTable`.
+
+    One array holds the terms w_l f_β(ω_l), in the table's line order and
+    each formed with its elementwise formulas, so the sum has the bits of
+    ``chi2_E_spectral((table.frequencies, table.weights(β)), β)``.  They
+    are formed one band of modes k at a time from the site's O(n) mode
+    amplitudes: beside the terms, a band holds a few n/16 × n arrays.  A
+    weight below −1e-10 raises, as in :meth:`XLineTable.weights`.
+    """
+    if not 0 <= site < spectrum.n_modes:
+        raise ValueError("site outside the chain")
+    eps = spectrum.energies
+    n = eps.size
+    a, b = _site_mode_amplitudes(spectrum, site)
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    z = a * b.conj()
+    zc = z.conj()
+    with np.errstate(over="ignore"):
+        f = 1.0 / (1.0 + np.exp(beta * eps))
+    fc = 1.0 - f
+    npair = n * (n - 1) // 2
+    terms = np.empty(2 * npair + n * n)
+    pair, neg_pair, ph = terms[:npair], terms[npair : 2 * npair], terms[2 * npair :].reshape(n, n)
+    lowest = np.inf
+
+    def weigh(out: np.ndarray, weight: np.ndarray) -> None:
+        """``out``, the lines' frequencies, becomes w f_β(ω)."""
+        nonlocal lowest
+        f_beta_in_place(out, beta)
+        if weight.size:
+            lowest = np.minimum(lowest, weight.min())
+        np.maximum(weight, 0.0, out=weight)  # np.clip(weight, 0.0, None), unwrapped
+        with np.errstate(invalid="ignore"):  # an overflowed f_β; _chi2_E rejects the nan
+            out *= weight
+
+    def strengths(rows: slice, sym: np.ndarray, zl: np.ndarray) -> np.ndarray:
+        """sym − 2 Re(z_k zl_l) over the band, in one buffer beside sym."""
+        s = np.multiply.outer(z[rows], zl).real * 2.0
+        return np.subtract(sym, s, out=s)
+
+    start = 0
+    for rows in _bands(n, 16):
+        sym = np.multiply.outer(aa[rows], bb)
+        sym += np.multiply.outer(bb[rows], aa)
+        # Pair lines at ±(ε_k + ε_l), k < l, occupied by (1 − f_k)(1 − f_l)
+        # and f_k f_l: the band's part of each is one run of lines.
+        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        s_kl = strengths(rows, sym, zc)[upper]
+        stop = start + s_kl.size
+        pair[start:stop] = np.add.outer(eps[rows], eps)[upper]
+        np.negative(pair[start:stop], out=neg_pair[start:stop])
+        for out, occ in ((pair, fc), (neg_pair, f)):
+            weight = np.multiply.outer(occ[rows], occ)[upper]
+            weight *= s_kl
+            weigh(out[start:stop], weight)
+        start = stop
+        del s_kl, upper, weight
+        # Particle-hole lines at ε_k − ε_l, k and l in any order, occupied
+        # by (1 − f_k) f_l: the band's rows of the block.
+        weight = strengths(rows, sym, z)
+        del sym
+        weight *= np.multiply.outer(fc[rows], f)
+        np.subtract.outer(eps[rows], eps, out=ph[rows])
+        weigh(ph[rows], weight)
+        del weight
+    if lowest < -1e-10:
+        raise NumericalConsistencyError(f"negative line weight {lowest}")
+    return _chi2_E(0.5 * float(np.sum(terms)), "spectral")

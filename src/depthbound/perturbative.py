@@ -47,6 +47,7 @@ __all__ = [
     "XiOperator",
     "Chi2Result",
     "f_beta_weight",
+    "f_beta_in_place",
     "lieb_T_map",
     "lieb_R_map",
     "build_xi",
@@ -279,23 +280,34 @@ def chi2_system(
 
 
 def f_beta_weight(omega: np.ndarray | float, beta: float) -> np.ndarray | float:
-    """f_beta(omega) = beta*omega / (e^{beta*omega} − 1), with f(0) = 1.
-
-    Formed in place in one array of omega's shape, x = beta*omega, which a
-    chunk at a time becomes x/expm1(x), or 1 − x/2 + x²/12 where |x| < 1e-8.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = beta * np.atleast_1d(np.asarray(omega, dtype=float))
-        flat = out.reshape(-1)
-        for part in row_chunks(flat.size, 1):
-            x = flat[part]
-            small = np.abs(x) < 1e-8
-            xs = x[small]
-            np.divide(x, np.expm1(x), out=x)
-            x[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
+    """f_beta(omega) = beta*omega / (e^{beta*omega} − 1), with f(0) = 1, in a
+    new array of omega's shape (see :func:`f_beta_in_place`)."""
+    out = np.array(omega, dtype=float, ndmin=1, order="C")
+    f_beta_in_place(out, beta)
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return float(out[0])
     return out
+
+
+def f_beta_in_place(omega: np.ndarray, beta: float) -> None:
+    """Overwrite the C-contiguous float64 array ``omega`` with f_beta(omega).
+
+    A chunk at a time, x = beta*omega becomes x/expm1(x), or 1 − x/2 + x²/12
+    where |x| < 1e-8.  Every entry is formed on its own, so the bits do not
+    depend on how an array of frequencies is split between calls.
+    """
+    if omega.dtype != np.float64 or not omega.flags.c_contiguous:
+        raise ValueError("f_beta_in_place needs a C-contiguous float64 array")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        flat = omega.reshape(-1)
+        for part in row_chunks(flat.size, 1):
+            x = flat[part]
+            x *= beta
+            small = np.abs(x) < 1e-8
+            xs = x[small]
+            np.divide(x, np.expm1(x), out=x)
+            if xs.size:
+                x[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
 
 
 def _chi2_E(value: float, method: str) -> Chi2Result:

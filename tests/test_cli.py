@@ -1008,19 +1008,20 @@ def test_fig2_diagonalizes_once_per_g(tmp_path, bdg_calls, threads):
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
-    """One ground-state covariance for the whole grid, and no Schur form."""
+    """One ground-state covariance for the whole grid, of the sites up to
+    the centre only, and no Schur form."""
     monkeypatch.setattr(backends, "_KAPPA_CACHE", {})
     fits = []
     original = backends.ground_state_covariance
 
-    def counted(n, g):
-        fits.append((n, g))
-        return original(n, g)
+    def counted(n, g, prefix=None):
+        fits.append((n, g, prefix))
+        return original(n, g, prefix)
 
     monkeypatch.setattr(backends, "ground_state_covariance", counted)
     assert run("scan", "--backend", "cft", "--beta-grid", "10,20,30,40", "--x-grid", "1:3",
                "--threads", threads, "--out", str(tmp_path / "c.csv")) == 0
-    assert fits == [(301, 1.0)]
+    assert fits == [(301, 1.0, 151)]
     assert bdg_calls == []
 
 
@@ -1035,28 +1036,27 @@ def forbid_line_merge(monkeypatch):
 
 
 @pytest.fixture
-def table_builds(monkeypatch):
-    builds = []
-    original = backends.XLineTable
+def forbid_line_table(monkeypatch):
+    """chi_E is summed term by term from the spectrum: the run path builds
+    no XLineTable."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("XLineTable built on the run path")
 
-    def counted(spectrum, site):
-        builds.append((spectrum.n_modes, site))
-        return original(spectrum, site)
-
-    monkeypatch.setattr(backends, "XLineTable", counted)
-    return builds
+    monkeypatch.setattr(fermion.XLineTable, "__init__", forbidden)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_scan_freefermion_builds_line_table_once(tmp_path, table_builds, forbid_line_merge, threads):
+def test_scan_freefermion_builds_no_line_table(tmp_path, bdg_calls, forbid_line_table, forbid_line_merge, threads):
+    out = tmp_path / "s.csv"
     assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
                "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
-               "--out", str(tmp_path / "s.csv")) == 0
-    assert table_builds == [(21, 10)]
+               "--out", str(out)) == 0
+    assert bdg_calls == [(21, 1.0)]
+    assert len(parse_csv(out.read_text())[1]) == 20
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_fig2_builds_line_table_once_per_g(tmp_path, table_builds, forbid_line_merge, threads):
+def test_fig2_builds_no_line_table(tmp_path, bdg_calls, forbid_line_table, forbid_line_merge, threads):
     assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
                "--threads", threads, "--out", str(tmp_path / "f2")) == 0
-    assert table_builds == [(21, 10)] * 3
+    assert sorted(bdg_calls) == [(21, 0.5), (21, 1.0), (21, 1.5)]

@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,30 @@ def test_couplings_antisymmetric_structure():
     assert h[1, 2] == pytest.approx(2.0)
 
 
+def _couplings_by_difference(n, g):
+    """h as it was built before: the upper entries, minus their transpose."""
+    h = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        h[2 * j, 2 * j + 1] = 2.0 * g
+    for j in range(n - 1):
+        h[2 * j + 1, 2 * j + 2] = 2.0
+    return h - h.T
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0, 0.9, -0.7, 1e308, -1e308])
+@pytest.mark.parametrize("n", [2, 3, 41])
+def test_couplings_bit_equal_to_difference_build(n, g):
+    """h and its coupling block, each built alone, hold the bits of
+    u − uᵀ, signed zeros included: at g = ±0 the field entries, and at
+    negative g the signs below the diagonal.  h is in Fortran order."""
+    ref = _couplings_by_difference(n, g)
+    h = majorana_couplings(n, g)
+    assert h.flags.f_contiguous
+    assert np.array_equal(h, ref) and np.array_equal(np.signbit(h), np.signbit(ref))
+    m = fermion._coupling_block(n, g)
+    assert np.ascontiguousarray(ref[0::2, 1::2]).tobytes() == m.tobytes()
+
+
 @pytest.mark.parametrize("n,g", [(2, 0.5), (3, 1.0), (5, 1.7)])
 def test_bdg_reproduces_many_body_spectrum(n, g):
     """Occupation sums of mode energies give the full dense spectrum."""
@@ -113,11 +138,30 @@ def test_energy_expectation_matches_dense():
 @pytest.mark.parametrize("n", [2, 3, 41, 301])
 def test_schur_matches_scipy_linalg_bitwise(n, g):
     """scipy.linalg.schur stays the reference route: the same LAPACK calls
-    give the same T and Z, bit for bit."""
+    give the same T and Z, bit for bit, on a copy of h, which is left as it
+    was in either memory order, and in h's own buffer, which T takes
+    (bdg_diagonalize's route)."""
     h = majorana_couplings(n, g)
-    t, z = schur(h)
     t_ref, z_ref = scipy.linalg.schur(h)
+    for a in (h, np.ascontiguousarray(h)):
+        kept = a.copy()
+        t, z = schur(a)
+        assert np.array_equal(a, kept) and not np.shares_memory(t, a)
+        assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+    t, z = schur(h, overwrite_a=True)
+    assert np.shares_memory(t, h)
     assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("n,g", [(2, 0.0), (41, 0.5), (301, 1.0)])
+def test_bdg_q_columns_bit_equal_to_schur_z_columns(n, g):
+    """Q, gathered from Z a band of rows at a time, is C-ordered and each
+    of its columns is a column of scipy.linalg.schur's Z, bit for bit."""
+    q = bdg_diagonalize(n, g).q
+    _, z_ref = scipy.linalg.schur(_couplings_by_difference(n, g))
+    columns = {z_ref[:, j].tobytes() for j in range(2 * n)}
+    assert q.flags.c_contiguous
+    assert all(q[:, j].tobytes() in columns for j in range(2 * n))
 
 
 def _fresh_schur_routes(setup):
@@ -378,6 +422,29 @@ def test_ground_state_covariance_matches_schur_route(n):
     assert np.max(np.abs(gs.gamma - schur_route.gamma)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, g", [(2, 1.0), (41, 1.2), (301, 1.0)])
+def test_ground_state_prefix_bit_equal_to_leading_block(n, g):
+    """The covariance of sites 0 … p − 1 holds the bits of the whole
+    chain's leading 2p × 2p block."""
+    full = ground_state_covariance(n, g).gamma
+    for prefix in sorted({1, (n - 1) // 2 + 1, n}):
+        block = ground_state_covariance(n, g, prefix=prefix)
+        assert block.n_sites == prefix
+        assert block.gamma.tobytes() == np.ascontiguousarray(full[: 2 * prefix, : 2 * prefix]).tobytes()
+    for prefix in (0, n + 1):
+        with pytest.raises(ValueError, match="prefix outside the chain"):
+            ground_state_covariance(n, g, prefix=prefix)
+
+
+def test_covariance_must_be_antisymmetric():
+    gamma = thermal_covariance(bdg_diagonalize(5, 1.0), 2.0).gamma
+    bump = np.zeros_like(gamma)
+    bump[0, 3] = bump[3, 0] = 0.4e-10
+    MajoranaCovariance(gamma + bump, 2.0)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        MajoranaCovariance(gamma + 3.0 * bump, 2.0)
+
+
 @pytest.mark.parametrize("n, g", [(301, 0.5), (301, 0.9), (8, 0.0)])
 def test_ground_state_covariance_rejects_a_gapless_chain(n, g):
     """Below g = 1 the edge mode's energy falls like g^n, and at g = 0 it
@@ -557,6 +624,52 @@ def test_line_table_serves_many_betas():
         assert weak_x_lines(spectrum, beta, 10).weights.tobytes() == merged.weights.tobytes()
     with pytest.raises(ValueError, match="site outside"):
         XLineTable(spectrum, 21)
+
+
+def _chi_E_or_error(call):
+    try:
+        return call().value
+    except NumericalConsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    g=st.one_of(st.just(0.0), st.just(1.5), st.floats(0.3, 2.0)),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.just(1e3), st.just(1e308)),
+)
+@example(n=41, g=1.0, beta=2.0)
+@example(n=60, g=0.0, beta=1e308)
+def test_chi2_E_quadratic_bit_equal_to_line_table_sum(n, g, beta):
+    """The run path's χ_E, summed term by term with no line table, has the
+    bits of the sum over an XLineTable's weights, at every site; where that
+    sum raises (an overflowed β ω), it raises the same error."""
+    spectrum = bdg_diagonalize(n, g)
+    for site in range(n):
+        table = XLineTable(spectrum, site)
+        ref = _chi_E_or_error(lambda: chi2_E_spectral((table.frequencies, table.weights(beta)), beta))
+        got = _chi_E_or_error(lambda: chi2_E_quadratic(spectrum, beta, site))
+        assert got == ref and (isinstance(got, str) or math.copysign(1.0, got) == math.copysign(1.0, ref))
+
+
+def test_chi2_E_quadratic_rejects_a_negative_line_weight():
+    """Real amplitudes b ≈ 1.1 a make every line strength |a_k b_l − a_l b_k|²
+    about 1e-20; at amplitudes near 1e3, rounding leaves some of them far
+    below −1e-10.  The sum term by term then stops as the line table does,
+    with the same lowest weight in its message."""
+    n, site = 8, 3
+    q = np.zeros((2 * n, 2 * n))
+    q[2 * site, 0::2] = np.random.default_rng(1).uniform(1e3, 2e3, n)
+    q[2 * site + 1, 0::2] = 1.1 * q[2 * site, 0::2]
+    spectrum = SimpleNamespace(n_modes=n, energies=np.linspace(0.5, 4.0, n), q=q)
+    with pytest.raises(NumericalConsistencyError, match="negative line weight") as ref:
+        XLineTable(spectrum, site).weights(0.0)
+    with pytest.raises(NumericalConsistencyError) as got:
+        chi2_E_quadratic(spectrum, 0.0, site)
+    assert str(got.value) == str(ref.value)
+    with pytest.raises(ValueError, match="site outside"):
+        chi2_E_quadratic(spectrum, 0.0, n)
 
 
 def _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, site):

@@ -10,11 +10,21 @@ allocations, so they do not depend on the machine.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from depthbound.fermion import XLineTable, _norm_below, bdg_diagonalize, thermal_covariance, weak_x_lines
+from depthbound.backends import FermionModel
+from depthbound.fermion import (
+    XLineTable,
+    _norm_below,
+    bdg_diagonalize,
+    chi2_E_quadratic,
+    ground_state_covariance,
+    thermal_covariance,
+    weak_x_lines,
+)
 from depthbound.models import ThermalEigensystem, build_tfim
 from depthbound.perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_system
 from depthbound.purification import projective_chi_E_factors
@@ -138,13 +148,15 @@ def _line_array(table):
 
 
 def test_bdg_diagonalize_frees_the_schur_factors():
-    """The Schur form itself (its input copy, T and Z) is the peak; T and Z
-    are gone before the checks, whose residuals are formed in place.  A
-    small chain first loads scipy's LAPACK extension, whose load is no
-    array of the call."""
+    """The Schur form runs in place on h, so T takes h's block; T is freed
+    before Q is gathered from Z a band of rows at a time, and Z before h is
+    rebuilt for the checks, whose residuals are formed in bands.  So two
+    blocks are held at any time, plus LAPACK's work array and a band or
+    two: 2.40 blocks here and at n = 301.  A small chain first loads
+    scipy's LAPACK extension, whose load is no array of the call."""
     bdg_diagonalize(2, 1.0)
     _, peak = peak_blocks(lambda: bdg_diagonalize(FF_N, 1.0), block=FF_BLOCK)
-    assert peak <= 5.5
+    assert peak <= 2.5
 
 
 def test_norm_guard_holds_the_gram_matrix_and_its_factor():
@@ -157,6 +169,47 @@ def test_norm_guard_holds_the_gram_matrix_and_its_factor():
     verdict, peak = peak_blocks(lambda: _norm_below(gamma, 1.0 + 1e-10), block=(2 * n) ** 2 * 8)
     assert verdict
     assert peak <= 2.5
+
+
+def test_fermion_model_holds_no_line_array():
+    """The model keeps its spectrum, Q and h (two blocks) and the energies,
+    and no array with one entry per line: the 24 B per line of a line
+    table are gone.  A small chain first loads scipy's LAPACK extension."""
+    bdg_diagonalize(2, 1.0)
+    model, _, held = traced_blocks(lambda: FermionModel(FF_N, 1.0, FF_SITE), block=FF_BLOCK)
+    assert held <= 2.05
+    arrays = {name: value.shape for obj in (model, model.spectrum)
+              for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
+    assert arrays == {"q": (2 * FF_N, 2 * FF_N), "couplings": (2 * FF_N, 2 * FF_N), "energies": (FF_N,)}
+
+
+def _random_spectrum(n):
+    """What χ_E reads of a spectrum, with random energies and Q rows: its
+    memory does not depend on the values, and an n = 1001 Schur form would
+    take seconds."""
+    rng = np.random.default_rng(0)
+    return SimpleNamespace(n_modes=n, energies=np.sort(rng.uniform(0.0, 4.0, n)), q=rng.normal(size=(2 * n, 2 * n)))
+
+
+@pytest.mark.parametrize("n", [301, 1001])
+def test_chi_E_holds_one_line_array(n):
+    """One β's χ_E fills one array of the line terms; beside it, a band of
+    n/16 modes holds a few n/16 × n arrays, and numpy's iterator its fixed
+    buffers: 1.25 line arrays at n = 301, 1.16 at n = 1001."""
+    spectrum = bdg_diagonalize(n, 1.0) if n == 301 else _random_spectrum(n)
+    _, peak = peak_blocks(lambda: chi2_E_quadratic(spectrum, 2.0, n // 2), block=8 * n * (2 * n - 1))
+    assert peak <= 1.3
+
+
+def test_kappa_fit_covariance_stays_under_one_block():
+    """The κ fit's Γ of sites 0 … centre at n = 301: M, U and Vᵀ (a quarter
+    block each) at the SVD, then U Vᵀ, then the 302 × 302 Γ with the Gram
+    matrix and factor of its norm guard; h and the whole chain's Γ are
+    never formed.  0.82 blocks."""
+    n = 301
+    cov, peak = peak_blocks(lambda: ground_state_covariance(n, 1.0, prefix=151), block=(2 * n) ** 2 * 8)
+    assert cov.gamma.shape == (302, 302)
+    assert peak < 1.0
 
 
 def test_line_table_build_gathers_one_array_at_a_time(ff_spectrum, ff_table):
