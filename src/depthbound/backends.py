@@ -176,10 +176,12 @@ class DenseContext(_Context):
 
 
 class FermionModel:
-    """One Bogoliubov spectrum of the tfim chain and the probe site.  Every
-    beta sums chi_E over the probe's weak-X lines term by term from the
-    spectrum (``chi2_E_quadratic``), so no array with one entry per line
-    outlives a beta."""
+    """One Bogoliubov spectrum of the tfim chain and the probe site.  The
+    spectrum keeps the energies and only the first 2·(site + 1) rows of Q:
+    every beta reads the covariance of sites 0 … site and the probe's mode
+    amplitudes, nothing further.  Every beta sums chi_E over the probe's
+    weak-X lines term by term from the spectrum (``chi2_E_quadratic``), so
+    no array with one entry per line outlives a beta."""
 
     backend = "freefermion"
 
@@ -187,7 +189,7 @@ class FermionModel:
         self.n = n
         self.g = g
         self.site = site
-        self.spectrum = bdg_diagonalize(n, g)
+        self.spectrum = bdg_diagonalize(n, g, rows=2 * (site + 1))
 
     def context(self, beta: float, epsilon: float) -> "FermionContext":
         return FermionContext(self, beta, epsilon)

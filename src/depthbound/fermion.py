@@ -70,14 +70,21 @@ def majorana_couplings(n: int, g: float) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("the chain needs at least two sites")
-    h = np.zeros((2 * n, 2 * n), order="F")
-    x = np.arange(0, 2 * n, 2)  # the x_j rows
-    p = x[:-1] + 1  # the p_j rows of the bonds (p_j, x_{j+1})
-    h[x, x + 1] = 2.0 * g
-    h[x + 1, x] = 0.0 - 2.0 * g
-    h[p, p + 1] = 2.0
-    h[p + 1, p] = 0.0 - 2.0
-    return h
+    return _couplings_rows(n, g, slice(0, 2 * n), order="F")
+
+
+def _couplings_rows(n: int, g: float, rows: slice, order: str = "C") -> np.ndarray:
+    """Rows ``rows`` of h, in one array of ``order``, from h's two
+    off-diagonals: 2g (x rows) and 2 (p rows) right of the diagonal,
+    0.0 − 2g (p rows) and 0.0 − 2 (x rows) left of it.  The spectrum
+    checks read h a band at a time through it."""
+    i = np.arange(rows.start, rows.stop)
+    band = np.zeros((i.size, 2 * n), order=order)
+    right = i[i + 1 < 2 * n]
+    band[right - rows.start, right + 1] = np.where(right % 2 == 0, 2.0 * g, 2.0)
+    left = i[i > 0]
+    band[left - rows.start, left - 1] = np.where(left % 2 == 1, 0.0 - 2.0 * g, 0.0 - 2.0)
+    return band
 
 
 def _coupling_block(n: int, g: float) -> np.ndarray:
@@ -93,27 +100,22 @@ def _coupling_block(n: int, g: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BogoliubovSpectrum:
-    """Diagonalized quadratic form: energies ε_k ≥ 0 ascending and the
-    orthogonal Q with h = Q T Qᵀ, T canonical (Q columns 2k, 2k+1 carry the
-    k-th mode's Majorana pair)."""
+    """Diagonalized quadratic form: energies ε_k ≥ 0 ascending and the first
+    2r rows of the orthogonal Q with h = Q T Qᵀ, T canonical (Q columns 2k,
+    2k+1 carry the k-th mode's Majorana pair).  The rows are those of sites
+    0 … r − 1, 1 ≤ r ≤ n, and r = n keeps all of Q; a read past them raises
+    ``ValueError``.  :func:`bdg_diagonalize` checks h = Q T Qᵀ before it
+    gathers them."""
 
     n_modes: int
     energies: np.ndarray
     q: np.ndarray
-    couplings: np.ndarray
 
     def __post_init__(self) -> None:
         n2 = 2 * self.n_modes
-        q = self.q
-        if q.shape != (n2, n2) or self.energies.shape != (self.n_modes,):
+        rows = self.q.shape[0]
+        if self.q.shape != (rows, n2) or rows % 2 or not 2 <= rows <= n2 or self.energies.shape != (self.n_modes,):
             raise ValueError("inconsistent spectrum shapes")
-        err = _upper_residual_max(q.__getitem__, q)
-        if err > _ORTHO_ATOL:
-            raise NumericalConsistencyError(f"Q deviates from orthogonality by {err}")
-        # T has mode blocks [[0, ε_k], [−ε_k, 0]], that is t_k = −ε_k.
-        rerr = _upper_residual_max(lambda rows: _times_mode_blocks(q[rows], -self.energies), q, self.couplings)
-        if rerr > _ORTHO_ATOL * max(1.0, _abs_max(self.couplings)):
-            raise NumericalConsistencyError(f"spectrum does not reconstruct h (error {rerr})")
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -127,9 +129,10 @@ def _bands(count: int, parts: int = 8) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _upper_residual_max(rows_of, q: np.ndarray, minus: np.ndarray | None = None) -> float:
-    """max |R| over the upper triangle of R = A Qᵀ − I, or A Qᵀ − ``minus``,
-    formed one band of rows at a time (``rows_of(band)`` gives A's rows).
+def _upper_residual_max(rows_of, q: np.ndarray, minus=None) -> float:
+    """max |R| over the upper triangle of R = A Qᵀ − I, or A Qᵀ − M, formed
+    one band of rows at a time (``rows_of(band)`` gives A's rows and
+    ``minus(band)`` M's).
 
     Each R checked here is symmetric or antisymmetric up to rounding, so
     that triangle holds every entry; the residuals only gate, so the band
@@ -142,7 +145,7 @@ def _upper_residual_max(rows_of, q: np.ndarray, minus: np.ndarray | None = None)
             diag = np.arange(rows.stop - rows.start)
             res[diag, diag] -= 1.0
         else:
-            res -= minus[rows, rows.start :]
+            res -= minus(rows)[:, rows.start :]
         err = max(err, _abs_max(res))
     return err
 
@@ -158,6 +161,31 @@ def _times_mode_blocks(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     b[:, 0::2] = q[:, 1::2] * t
     b[:, 1::2] = -(q[:, 0::2] * t)
     return b
+
+
+def _check_schur_vectors(z: np.ndarray, order: np.ndarray, energies: np.ndarray, g: float, scale: float) -> None:
+    """The two checks of h = Q T Qᵀ for Q = Z[:, order], run on Z.
+
+    Q Qᵀ = Z Zᵀ, as the column permutation cancels.  Q T Qᵀ is formed a
+    band of rows at a time: the band's rows of Q times the mode blocks, with
+    its columns scattered back to Z's order, times Zᵀ; h's band is read off
+    its two off-diagonals, so no (2n)² h is built.  ``scale`` is
+    max(1, max |h|).
+    """
+    err = _upper_residual_max(z.__getitem__, z)
+    if err > _ORTHO_ATOL:
+        raise NumericalConsistencyError(f"Q deviates from orthogonality by {err}")
+    n = energies.size
+
+    def q_t_rows(rows: slice) -> np.ndarray:
+        # T has mode blocks [[0, ε_k], [−ε_k, 0]], that is t_k = −ε_k.
+        b = np.empty((rows.stop - rows.start, 2 * n))
+        b[:, order] = _times_mode_blocks(z[rows][:, order], -energies)
+        return b
+
+    rerr = _upper_residual_max(q_t_rows, z, lambda rows: _couplings_rows(n, g, rows))
+    if rerr > _ORTHO_ATOL * scale:
+        raise NumericalConsistencyError(f"spectrum does not reconstruct h (error {rerr})")
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -213,18 +241,28 @@ def schur(h: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndar
     return t, z
 
 
-def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
-    """Mode energies and Bogoliubov rotation of the open TFIM chain.
+def bdg_diagonalize(n: int, g: float, rows: int | None = None) -> BogoliubovSpectrum:
+    """Mode energies and Bogoliubov rotation of the open TFIM chain, with
+    Q's leading ``rows`` rows (all 2n by default).
 
-    The Schur form runs in place on h, T is dropped once its 2×2 blocks are
-    read off its two off-diagonals, and Q is gathered from Z a band of rows
-    at a time; h is then rebuilt for the spectrum's checks.  Beside LAPACK's
-    work array, no more than two (2n)² blocks and two bands are held.
+    The Schur form h = Z T Zᵀ runs in place on h, and T is dropped once its
+    2×2 blocks are read off its two off-diagonals.  Q = Z[:, order] is
+    checked on Z (:func:`_check_schur_vectors`); only then are its leading
+    ``rows`` rows gathered, a band at a time, into a C-order array.  The
+    covariance of sites 0 … r − 1 and their mode amplitudes read no rows
+    past 2r.  Beside LAPACK's work array, at most two (2n)² blocks and a
+    few bands are held, and no full Q is allocated when ``rows`` < 2n.
     """
+    n2 = 2 * n
+    if rows is None:
+        rows = n2
+    elif rows % 2 or not 2 <= rows <= n2:
+        raise ValueError(f"rows = {rows} is not an even count of Q's 2n = {n2} rows")
     h = majorana_couplings(n, g)
     if not np.isfinite(h).all():
         raise NumericalConsistencyError(f"the couplings 2g of g = {g:g} overflow")
-    ztol = 1e-12 * max(1.0, _abs_max(h))
+    scale = max(1.0, _abs_max(h))
+    ztol = 1e-12 * scale
     t, z = schur(h, overwrite_a=True)
     del h  # T's buffer
     sub, sup = np.diagonal(t, -1).tolist(), np.diagonal(t, 1).tolist()
@@ -232,7 +270,6 @@ def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     blocks: list[tuple[float, int, int]] = []  # (eps, col_x, col_p)
     singles: list[int] = []
     i = 0
-    n2 = 2 * n
     while i < n2:
         if i + 1 < n2 and abs(sub[i]) > ztol:
             b = sup[i]
@@ -252,11 +289,12 @@ def bdg_diagonalize(n: int, g: float) -> BogoliubovSpectrum:
     blocks.sort(key=lambda item: item[0])
     energies = np.array([b[0] for b in blocks])
     order = np.array([c for b in blocks for c in (b[1], b[2])])
-    q = np.empty((n2, n2))
-    for rows in _bands(n2):
-        q[rows] = z[rows][:, order]
+    _check_schur_vectors(z, order, energies, g, scale)
+    q = np.empty((rows, n2))
+    for band in _bands(rows):
+        q[band] = z[band][:, order]
     del z
-    return BogoliubovSpectrum(n, energies, q, majorana_couplings(n, g))
+    return BogoliubovSpectrum(n, energies, q)
 
 
 def many_body_energies(spectrum: BogoliubovSpectrum) -> np.ndarray:
@@ -326,7 +364,7 @@ def thermal_covariance(
     with t_k = tanh(β ε_k / 2).
 
     With ``prefix`` only the covariance of sites 0 … prefix − 1 is formed,
-    from the first 2·prefix rows of Q.  A Gaussian state's reduced state is
+    from the first 2·prefix rows of Q, which the spectrum must keep.  A Gaussian state's reduced state is
     fixed by the covariance restricted to the subsystem (Peschel, J. Phys. A
     36, L205, 2003), so that block is itself the covariance of those sites,
     and the norm guard runs on it.
@@ -338,6 +376,8 @@ def thermal_covariance(
         prefix = n
     elif not 1 <= prefix <= n:
         raise ValueError("prefix outside the chain")
+    if 2 * prefix > spectrum.q.shape[0]:
+        raise ValueError(f"prefix {prefix} reads past the {spectrum.q.shape[0]} rows of Q the spectrum keeps")
     # beta ε_k past the float range is inf, and tanh(inf) = 1.
     with np.errstate(over="ignore"):
         tk = np.tanh(0.5 * beta * spectrum.energies)
@@ -517,8 +557,13 @@ def gaussian_entropy(cov: MajoranaCovariance, sites: Sequence[int]) -> float:
 
 def _site_mode_amplitudes(spectrum: BogoliubovSpectrum, site: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex mode amplitudes of x_site and p_site: x = Σ A_k b_k + h.c.,
-    p = Σ B_k b_k + h.c."""
+    p = Σ B_k b_k + h.c.; the site must lie on the chain and within the
+    spectrum's kept rows of Q."""
+    if not 0 <= site < spectrum.n_modes:
+        raise ValueError("site outside the chain")
     q = spectrum.q
+    if 2 * site + 1 >= q.shape[0]:
+        raise ValueError(f"site {site} reads past the {q.shape[0]} rows of Q the spectrum keeps")
     a = q[2 * site, 0::2] - 1j * q[2 * site, 1::2]
     b = q[2 * site + 1, 0::2] - 1j * q[2 * site + 1, 1::2]
     return a, b
@@ -541,11 +586,9 @@ class XLineTable:
     """
 
     def __init__(self, spectrum: BogoliubovSpectrum, site: int):
-        if not 0 <= site < spectrum.n_modes:
-            raise ValueError("site outside the chain")
+        a, b = _site_mode_amplitudes(spectrum, site)
         n = spectrum.n_modes
         eps = spectrum.energies
-        a, b = _site_mode_amplitudes(spectrum, site)
         z = a * b.conj()
         m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
         sym = m1 + m1.T
@@ -638,14 +681,14 @@ def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Ch
     each formed with its elementwise formulas, so the sum has the bits of
     ``chi2_E_spectral((table.frequencies, table.weights(β)), β)``.  They
     are formed one band of modes k at a time from the site's O(n) mode
-    amplitudes: beside the terms, a band holds a few n/16 × n arrays.  A
-    weight below −1e-10 raises, as in :meth:`XLineTable.weights`.
+    amplitudes, as broadcast products into n/16 × n buffers that every band
+    reuses: beside the terms, three such buffers, the band's complex
+    products and its pair lines are held.  A weight below −1e-10 raises, as
+    in :meth:`XLineTable.weights`.
     """
-    if not 0 <= site < spectrum.n_modes:
-        raise ValueError("site outside the chain")
+    a, b = _site_mode_amplitudes(spectrum, site)
     eps = spectrum.energies
     n = eps.size
-    a, b = _site_mode_amplitudes(spectrum, site)
     aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
     z = a * b.conj()
     zc = z.conj()
@@ -667,36 +710,45 @@ def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Ch
         with np.errstate(invalid="ignore"):  # an overflowed f_β; _chi2_E rejects the nan
             out *= weight
 
+    # Real band buffers, reused by every band.  A kept complex buffer would
+    # raise the peak at n = 1001, which falls at the pair lines' gather.
+    bands = _bands(n, 16)
+    width = bands[0].stop
+    sym_buf, s_buf = np.empty((2, width, n))
+    upper_buf = np.empty((width, n), dtype=bool)
+    modes = np.arange(n)
+
     def strengths(rows: slice, sym: np.ndarray, zl: np.ndarray) -> np.ndarray:
-        """sym − 2 Re(z_k zl_l) over the band, in one buffer beside sym."""
-        s = np.multiply.outer(z[rows], zl).real * 2.0
+        """sym − 2 Re(z_k zl_l) over the band, in the band's real buffer."""
+        s = s_buf[: sym.shape[0]]
+        np.multiply(np.multiply(z[rows, None], zl).real, 2.0, out=s)
         return np.subtract(sym, s, out=s)
 
     start = 0
-    for rows in _bands(n, 16):
-        sym = np.multiply.outer(aa[rows], bb)
-        sym += np.multiply.outer(bb[rows], aa)
+    for rows in bands:
+        k = rows.stop - rows.start
+        sym, s, upper = sym_buf[:k], s_buf[:k], upper_buf[:k]
+        np.multiply(aa[rows, None], bb, out=sym)
+        sym += np.multiply(bb[rows, None], aa, out=s)
         # Pair lines at ±(ε_k + ε_l), k < l, occupied by (1 − f_k)(1 − f_l)
         # and f_k f_l: the band's part of each is one run of lines.
-        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        np.greater(modes, modes[rows, None], out=upper)
         s_kl = strengths(rows, sym, zc)[upper]
         stop = start + s_kl.size
-        pair[start:stop] = np.add.outer(eps[rows], eps)[upper]
+        pair[start:stop] = np.add(eps[rows, None], eps, out=s)[upper]
         np.negative(pair[start:stop], out=neg_pair[start:stop])
         for out, occ in ((pair, fc), (neg_pair, f)):
-            weight = np.multiply.outer(occ[rows], occ)[upper]
+            weight = np.multiply(occ[rows, None], occ, out=s)[upper]
             weight *= s_kl
             weigh(out[start:stop], weight)
         start = stop
-        del s_kl, upper, weight
+        del s_kl, weight
         # Particle-hole lines at ε_k − ε_l, k and l in any order, occupied
         # by (1 − f_k) f_l: the band's rows of the block.
         weight = strengths(rows, sym, z)
-        del sym
-        weight *= np.multiply.outer(fc[rows], f)
-        np.subtract.outer(eps[rows], eps, out=ph[rows])
+        weight *= np.multiply(fc[rows, None], f, out=sym)
+        np.subtract(eps[rows, None], eps, out=ph[rows])
         weigh(ph[rows], weight)
-        del weight
     if lowest < -1e-10:
         raise NumericalConsistencyError(f"negative line weight {lowest}")
     return _chi2_E(0.5 * float(np.sum(terms)), "spectral")

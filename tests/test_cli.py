@@ -978,14 +978,21 @@ def test_dense_out_of_memory_exits_3(monkeypatch, capsys):
     assert "capability error" in err and "n = 7" in err
 
 
+#: Q's rows that the freefermion model keeps at n = 21: 2·(site + 1) for
+#: the centre probe, site 10, all that its prefix covariance and its mode
+#: amplitudes read.
+PROBE_ROWS_21 = 2 * (10 + 1)
+
+
 @pytest.fixture
 def bdg_calls(monkeypatch):
+    """(n, g, rows) of each Schur form the run path asks for."""
     calls = []
     original = backends.bdg_diagonalize
 
-    def counted(n, g):
-        calls.append((n, g))
-        return original(n, g)
+    def counted(n, g, rows=None):
+        calls.append((n, g, rows))
+        return original(n, g, rows)
 
     monkeypatch.setattr(backends, "bdg_diagonalize", counted)
     return calls
@@ -996,14 +1003,14 @@ def test_scan_freefermion_diagonalizes_once(tmp_path, bdg_calls, threads):
     assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
                "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
                "--out", str(tmp_path / "s.csv")) == 0
-    assert bdg_calls == [(21, 1.0)]
+    assert bdg_calls == [(21, 1.0, PROBE_ROWS_21)]
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_fig2_diagonalizes_once_per_g(tmp_path, bdg_calls, threads):
     assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
                "--threads", threads, "--out", str(tmp_path / "f2")) == 0
-    assert sorted(bdg_calls) == [(21, 0.5), (21, 1.0), (21, 1.5)]
+    assert sorted(bdg_calls) == [(21, 0.5, PROBE_ROWS_21), (21, 1.0, PROBE_ROWS_21), (21, 1.5, PROBE_ROWS_21)]
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -1051,7 +1058,7 @@ def test_scan_freefermion_builds_no_line_table(tmp_path, bdg_calls, forbid_line_
     assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
                "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
                "--out", str(out)) == 0
-    assert bdg_calls == [(21, 1.0)]
+    assert bdg_calls == [(21, 1.0, PROBE_ROWS_21)]
     assert len(parse_csv(out.read_text())[1]) == 20
 
 
@@ -1059,4 +1066,4 @@ def test_scan_freefermion_builds_no_line_table(tmp_path, bdg_calls, forbid_line_
 def test_fig2_builds_no_line_table(tmp_path, bdg_calls, forbid_line_table, forbid_line_merge, threads):
     assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
                "--threads", threads, "--out", str(tmp_path / "f2")) == 0
-    assert sorted(bdg_calls) == [(21, 0.5), (21, 1.0), (21, 1.5)]
+    assert sorted(bdg_calls) == [(21, 0.5, PROBE_ROWS_21), (21, 1.0, PROBE_ROWS_21), (21, 1.5, PROBE_ROWS_21)]

@@ -78,6 +78,18 @@ def _couplings_by_difference(n, g):
 
 @pytest.mark.parametrize("g", [0.0, -0.0, 0.9, -0.7, 1e308, -1e308])
 @pytest.mark.parametrize("n", [2, 3, 41])
+def test_couplings_rows_bit_equal_to_majorana_couplings(n, g):
+    """The spectrum checks read h a band of rows at a time off its two
+    off-diagonals; each band holds h's bits, signed zeros included."""
+    h = majorana_couplings(n, g)
+    bands = fermion._bands(2 * n) + [slice(j, j + 1) for j in range(2 * n)]
+    for rows in bands:
+        band = fermion._couplings_rows(n, g, rows)
+        assert band.tobytes() == np.ascontiguousarray(h[rows]).tobytes()
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0, 0.9, -0.7, 1e308, -1e308])
+@pytest.mark.parametrize("n", [2, 3, 41])
 def test_couplings_bit_equal_to_difference_build(n, g):
     """h and its coupling block, each built alone, hold the bits of
     u − uᵀ, signed zeros included: at g = ±0 the field entries, and at
@@ -109,7 +121,7 @@ def test_bdg_canonical_form():
     for k, e in enumerate(spec.energies):
         t[2 * k, 2 * k + 1] = e
         t[2 * k + 1, 2 * k] = -e
-    assert np.allclose(q @ t @ q.T, spec.couplings, atol=1e-10)
+    assert np.allclose(q @ t @ q.T, majorana_couplings(5, 1.2), atol=1e-10)
 
 
 def test_extreme_field_limits():
@@ -162,6 +174,90 @@ def test_bdg_q_columns_bit_equal_to_schur_z_columns(n, g):
     columns = {z_ref[:, j].tobytes() for j in range(2 * n)}
     assert q.flags.c_contiguous
     assert all(q[:, j].tobytes() in columns for j in range(2 * n))
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [2, 41])
+def test_bdg_kept_rows_bit_equal_to_the_leading_rows_of_q(n, g):
+    """rows = 2r keeps Q's first 2r rows with their bits, in C order, for
+    r = 1, the centre probe's prefix and the whole chain."""
+    full = bdg_diagonalize(n, g)
+    for r in sorted({1, (n - 1) // 2 + 1, n}):
+        kept = bdg_diagonalize(n, g, rows=2 * r)
+        assert kept.q.flags.c_contiguous and kept.q.shape == (2 * r, 2 * n)
+        assert kept.q.tobytes() == full.q[: 2 * r].tobytes()
+        assert kept.energies.tobytes() == full.energies.tobytes()
+
+
+def test_bdg_kept_rows_bit_equal_at_n_301():
+    full = bdg_diagonalize(301, 1.0)
+    kept = bdg_diagonalize(301, 1.0, rows=302)
+    assert kept.q.tobytes() == full.q[:302].tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 3, 84])
+def test_bdg_rejects_a_row_count_that_is_no_site_prefix(rows):
+    with pytest.raises(ValueError, match="not an even count"):
+        bdg_diagonalize(41, 1.0, rows=rows)
+
+
+def _perturbed_schur(monkeypatch, perturb):
+    """fermion.schur with ``perturb(t, z)`` applied to its factors."""
+    original = fermion.schur
+
+    def perturbed(h, overwrite_a=False):
+        t, z = original(h, overwrite_a)
+        perturb(t, z)
+        return t, z
+
+    monkeypatch.setattr(fermion, "schur", perturbed)
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_schur_vector_checks_reject_a_perturbed_vector(monkeypatch, rows):
+    """The orthogonality check runs on all of Z, also rows of Q that the
+    spectrum does not keep."""
+    def perturb(t, z):
+        z[-1, 0] += 1e-6
+
+    _perturbed_schur(monkeypatch, perturb)
+    with pytest.raises(NumericalConsistencyError, match="Q deviates from orthogonality by"):
+        bdg_diagonalize(41, 1.0, rows)
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_schur_vector_checks_reject_a_wrong_energy(monkeypatch, rows):
+    """An energy read off a perturbed T no longer reconstructs h."""
+    def perturb(t, z):
+        t[0, 1] *= 1.0 + 1e-6
+
+    _perturbed_schur(monkeypatch, perturb)
+    with pytest.raises(NumericalConsistencyError, match=r"spectrum does not reconstruct h \(error"):
+        bdg_diagonalize(41, 1.0, rows)
+
+
+def test_reads_past_the_kept_rows_are_rejected():
+    """A spectrum with the rows of sites 0 … 4 forms their covariance and
+    their mode amplitudes, and nothing further."""
+    n, kept = 12, 5
+    spectrum = bdg_diagonalize(n, 1.0, rows=2 * kept)
+    full = bdg_diagonalize(n, 1.0)
+    reads = [
+        lambda: thermal_covariance(spectrum, 2.0),
+        lambda: thermal_covariance(spectrum, 2.0, prefix=kept + 1),
+        lambda: chi2_E_quadratic(spectrum, 2.0, kept),
+        lambda: XLineTable(spectrum, kept),
+        lambda: weak_x_lines(spectrum, 2.0, n - 1),
+        lambda: _site_mode_amplitudes(spectrum, kept),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match="reads past the 10 rows of Q the spectrum keeps"):
+            read()
+    with pytest.raises(ValueError, match="site outside the chain"):
+        chi2_E_quadratic(spectrum, 2.0, n)
+    block = thermal_covariance(spectrum, 2.0, prefix=kept).gamma
+    assert block.tobytes() == thermal_covariance(full, 2.0, prefix=kept).gamma.tobytes()
+    assert chi2_E_quadratic(spectrum, 2.0, kept - 1) == chi2_E_quadratic(full, 2.0, kept - 1)
 
 
 def _fresh_schur_routes(setup):

@@ -149,14 +149,27 @@ def _line_array(table):
 
 def test_bdg_diagonalize_frees_the_schur_factors():
     """The Schur form runs in place on h, so T takes h's block; T is freed
-    before Q is gathered from Z a band of rows at a time, and Z before h is
-    rebuilt for the checks, whose residuals are formed in bands.  So two
-    blocks are held at any time, plus LAPACK's work array and a band or
-    two: 2.40 blocks here and at n = 301.  A small chain first loads
-    scipy's LAPACK extension, whose load is no array of the call."""
+    before the checks run on Z in bands, against bands of h read off its
+    off-diagonals, and Z once the whole Q is gathered from it a band of
+    rows at a time.  So two blocks are held at any time, plus LAPACK's work
+    array and a band or two: 2.21 blocks here, 2.15 at n = 301.  A small
+    chain first loads scipy's LAPACK extension, whose load is no array of
+    the call."""
     bdg_diagonalize(2, 1.0)
     _, peak = peak_blocks(lambda: bdg_diagonalize(FF_N, 1.0), block=FF_BLOCK)
-    assert peak <= 2.5
+    assert peak <= 2.25
+
+
+def test_bdg_diagonalize_gathers_only_the_kept_rows():
+    """With the centre probe's rows of Q (2·151 of 602 at n = 301), the
+    Schur form's T and Z are the peak, 2.06 blocks, and the spectrum keeps
+    half a block: no full Q and no h is allocated."""
+    n = 301
+    bdg_diagonalize(2, 1.0)
+    spectrum, peak, held = traced_blocks(lambda: bdg_diagonalize(n, 1.0, rows=302), block=(2 * n) ** 2 * 8)
+    assert spectrum.q.shape == (302, 2 * n)
+    assert peak <= 2.15
+    assert held <= 0.55
 
 
 def test_norm_guard_holds_the_gram_matrix_and_its_factor():
@@ -172,15 +185,16 @@ def test_norm_guard_holds_the_gram_matrix_and_its_factor():
 
 
 def test_fermion_model_holds_no_line_array():
-    """The model keeps its spectrum, Q and h (two blocks) and the energies,
-    and no array with one entry per line: the 24 B per line of a line
-    table are gone.  A small chain first loads scipy's LAPACK extension."""
+    """The model keeps the energies and the 2·(site + 1) rows of Q that
+    its β contexts read, half a block at the centre, and no array with one
+    entry per line: no h, no full Q and none of a line table's 24 B per
+    line.  A small chain first loads scipy's LAPACK extension."""
     bdg_diagonalize(2, 1.0)
     model, _, held = traced_blocks(lambda: FermionModel(FF_N, 1.0, FF_SITE), block=FF_BLOCK)
-    assert held <= 2.05
+    assert held <= 0.55
     arrays = {name: value.shape for obj in (model, model.spectrum)
               for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
-    assert arrays == {"q": (2 * FF_N, 2 * FF_N), "couplings": (2 * FF_N, 2 * FF_N), "energies": (FF_N,)}
+    assert arrays == {"q": (2 * (FF_SITE + 1), 2 * FF_N), "energies": (FF_N,)}
 
 
 def _random_spectrum(n):
@@ -195,7 +209,7 @@ def _random_spectrum(n):
 def test_chi_E_holds_one_line_array(n):
     """One β's χ_E fills one array of the line terms; beside it, a band of
     n/16 modes holds a few n/16 × n arrays, and numpy's iterator its fixed
-    buffers: 1.25 line arrays at n = 301, 1.16 at n = 1001."""
+    buffers: 1.28 line arrays at n = 301, 1.17 at n = 1001."""
     spectrum = bdg_diagonalize(n, 1.0) if n == 301 else _random_spectrum(n)
     _, peak = peak_blocks(lambda: chi2_E_quadratic(spectrum, 2.0, n // 2), block=8 * n * (2 * n - 1))
     assert peak <= 1.3
