@@ -56,7 +56,6 @@ from .cft import (
 from .fermion import (
     BogoliubovSpectrum,
     MajoranaCovariance,
-    XLineTable,
     bdg_diagonalize,
     chi2_E_quadratic,
     connected_xx,
@@ -193,7 +192,6 @@ __all__ = [
     # fermion
     "BogoliubovSpectrum",
     "MajoranaCovariance",
-    "XLineTable",
     "bdg_diagonalize",
     "chi2_E_quadratic",
     "connected_xx",

@@ -51,7 +51,6 @@ __all__ = [
     "string_x_expectation",
     "connected_xx",
     "gaussian_entropy",
-    "XLineTable",
     "weak_x_lines",
     "chi2_E_quadratic",
 ]
@@ -569,122 +568,16 @@ def _site_mode_amplitudes(spectrum: BogoliubovSpectrum, site: int) -> tuple[np.n
     return a, b
 
 
-class XLineTable:
-    """The β-independent part of :func:`weak_x_lines` for one spectrum and site.
+def _x_lines(spectrum: BogoliubovSpectrum, beta: float, site: int, freq: np.ndarray, visit) -> None:
+    """The weak-X lines of ``site`` at inverse temperature β, a run at a time.
 
-    Every line weight is an occupation factor times a mode-pair strength.
-    The strength depends only on the spectrum and the site; the occupation
-    is a product of two entries of g₂ = [1 − f, f], the Fermi factors
-    f_k = 1/(1 + e^{βε_k}) and their complements.  The table holds the
-    line frequencies, the strengths and for each line the two int32
-    indices into g₂, in build order: the pair lines, the negated pair
-    lines, then the particle-hole block.  :meth:`weights` forms the weights
-    of one β over these lines, unsorted and unmerged; χ_E is linear in the
-    weights, so ``chi2_E_spectral((table.frequencies, table.weights(β)), β)``
-    needs no merge.  :func:`chi2_E_quadratic` gives that sum's bits without
-    a table.
-    """
-
-    def __init__(self, spectrum: BogoliubovSpectrum, site: int):
-        a, b = _site_mode_amplitudes(spectrum, site)
-        n = spectrum.n_modes
-        eps = spectrum.energies
-        z = a * b.conj()
-        m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
-        sym = m1 + m1.T
-        s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
-        s_ph = sym - 2.0 * np.real(np.outer(z, z))
-        del m1, sym
-        # Pair lines at ±(ε_k + ε_l), k < l, occupied by (1 − f_k)(1 − f_l)
-        # and f_k f_l; particle-hole lines at ε_k − ε_l over ordered pairs
-        # including k = l, occupied by (1 − f_k) f_l.  Each line array is
-        # filled in place, in this order.
-        iu, il = np.triu_indices(n, k=1)
-        npair = iu.size
-        ph = slice(2 * npair, None)
-        freq = np.empty(2 * npair + n * n)
-        np.add(eps[iu], eps[il], out=freq[:npair])
-        np.negative(freq[:npair], out=freq[npair:ph.start])
-        np.subtract(eps[:, None], eps[None, :], out=freq[ph].reshape(n, n))
-        self.frequencies = freq
-        self.energies = eps
-
-        def lines(pair: np.ndarray, neg_pair: np.ndarray, ph_block: np.ndarray, dtype) -> np.ndarray:
-            out = np.empty(freq.size, dtype=dtype)
-            out[:npair] = pair
-            out[npair:ph.start] = neg_pair
-            out[ph].reshape(n, n)[...] = ph_block
-            return out
-
-        s_kl = s_pair[iu, il]
-        del s_pair
-        self.strengths = lines(s_kl, s_kl, s_ph, float)
-        del s_kl, s_ph
-        # Indices into g₂ = [1 − f, f]: k and l, or n + k and n + l.
-        rows = np.arange(n, dtype=np.int32)[:, None]
-        self.occ_a = lines(iu, n + iu, rows, np.int32)
-        self.occ_b = lines(il, n + il, n + rows.T, np.int32)
-
-    def weights(self, beta: float) -> np.ndarray:
-        """The line weights of the Gibbs state at inverse temperature β,
-        in the order of :attr:`frequencies`."""
-        with np.errstate(over="ignore"):
-            f = 1.0 / (1.0 + np.exp(beta * self.energies))
-        g2 = np.concatenate([1.0 - f, f])
-        # (g₂[a] g₂[b]) s, formed in one buffer.  Indexing, unlike take,
-        # reads the int32 indices without an intp copy of them.
-        weight = g2[self.occ_a]
-        weight *= g2[self.occ_b]
-        weight *= self.strengths
-        if weight.size and float(weight.min()) < -1e-10:
-            raise NumericalConsistencyError(f"negative line weight {weight.min()}")
-        np.clip(weight, 0.0, None, out=weight)
-        return weight
-
-
-def weak_x_lines(
-    spectrum: BogoliubovSpectrum,
-    beta: float,
-    site: int,
-    *,
-    group_atol: float | None = None,
-) -> SpectralLines:
-    """Discrete lines of the connected autocorrelation ⟨X_j(t) X_j(0)⟩_c.
-
-    X_j is a fermion bilinear, so Wick's theorem reduces the correlator to
-    pair lines at ω = ±(ε_k + ε_l) and particle-hole lines at ω = ε_k − ε_l:
-
-        C(t) = ⟨x(t)x⟩⟨p(t)p⟩ − ⟨x(t)p⟩⟨p(t)x⟩,
-
-    with the disconnected ⟨X⟩² term dropped by the pairing structure.  Total
-    weight is 1 − ⟨X_j⟩² and every weight is non-negative (AM–GM on the mode
-    amplitudes); detailed balance w(−ω) = e^{−βω} w(ω) holds line by line.
-    The lines are an :class:`XLineTable`'s, merged by
-    :meth:`SpectralLines.merged` within ``group_atol`` (by default 1e-10
-    times the largest |ω|, at least 1e-10).  χ_E needs no merge and no
-    table: :func:`chi2_E_quadratic` sums the same lines term by term.
-    """
-    table = XLineTable(spectrum, site)
-    freq, weight = table.frequencies, table.weights(beta)
-    del table  # the strengths and Fermi-factor indices are not merged
-    if group_atol is None:
-        group_atol = 1e-10 * max(1.0, -float(freq.min()), float(freq.max()))
-    return SpectralLines.merged(freq, weight, group_atol)
-
-
-def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:
-    """Environment coefficient χ⁽²⁾_E = ½ Σ_l w_l f_β(ω_l) for a weak X_j
-    measurement on the Gibbs chain, over the unmerged lines of
-    :func:`weak_x_lines` but with no :class:`XLineTable`.
-
-    One array holds the terms w_l f_β(ω_l), in the table's line order and
-    each formed with its elementwise formulas, so the sum has the bits of
-    ``chi2_E_spectral((table.frequencies, table.weights(β)), β)``.  They
-    are formed one band of modes k at a time from the site's O(n) mode
-    amplitudes, as broadcast products into n/16 × n buffers that every band
-    reuses: beside the terms, three such buffers, the band's complex
-    products and its pair lines are held.  A weight below −1e-10 raises, as
-    in :meth:`XLineTable.weights`.
+    The n(2n − 1) frequencies fill ``freq``: the pair lines, the negated pair
+    lines, then the particle-hole block.  A weight is an occupation, two of
+    the Fermi factors f_k = 1/(1 + e^{βε_k}) and their complements, times a
+    strength from the site's O(n) mode amplitudes, formed one band of n/16
+    modes k at a time in n/16 × n buffers that every band reuses.  After each
+    run, ``visit(where, weight)`` gets the run's slice of ``freq``, which is
+    not read again, and its unclipped weights in a reused buffer.
     """
     a, b = _site_mode_amplitudes(spectrum, site)
     eps = spectrum.energies
@@ -696,19 +589,7 @@ def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Ch
         f = 1.0 / (1.0 + np.exp(beta * eps))
     fc = 1.0 - f
     npair = n * (n - 1) // 2
-    terms = np.empty(2 * npair + n * n)
-    pair, neg_pair, ph = terms[:npair], terms[npair : 2 * npair], terms[2 * npair :].reshape(n, n)
-    lowest = np.inf
-
-    def weigh(out: np.ndarray, weight: np.ndarray) -> None:
-        """``out``, the lines' frequencies, becomes w f_β(ω)."""
-        nonlocal lowest
-        f_beta_in_place(out, beta)
-        if weight.size:
-            lowest = np.minimum(lowest, weight.min())
-        np.maximum(weight, 0.0, out=weight)  # np.clip(weight, 0.0, None), unwrapped
-        with np.errstate(invalid="ignore"):  # an overflowed f_β; _chi2_E rejects the nan
-            out *= weight
+    pair, neg_pair, ph = freq[:npair], freq[npair : 2 * npair], freq[2 * npair :].reshape(n, n)
 
     # Real band buffers, reused by every band.  A kept complex buffer would
     # raise the peak at n = 1001, which falls at the pair lines' gather.
@@ -737,10 +618,10 @@ def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Ch
         stop = start + s_kl.size
         pair[start:stop] = np.add(eps[rows, None], eps, out=s)[upper]
         np.negative(pair[start:stop], out=neg_pair[start:stop])
-        for out, occ in ((pair, fc), (neg_pair, f)):
+        for offset, occ in ((0, fc), (npair, f)):
             weight = np.multiply(occ[rows, None], occ, out=s)[upper]
             weight *= s_kl
-            weigh(out[start:stop], weight)
+            visit(slice(offset + start, offset + stop), weight)
         start = stop
         del s_kl, weight
         # Particle-hole lines at ε_k − ε_l, k and l in any order, occupied
@@ -748,7 +629,67 @@ def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Ch
         weight = strengths(rows, sym, z)
         weight *= np.multiply(fc[rows, None], f, out=sym)
         np.subtract(eps[rows, None], eps, out=ph[rows])
-        weigh(ph[rows], weight)
+        visit(slice(2 * npair + rows.start * n, 2 * npair + rows.stop * n), weight.reshape(-1))
+
+
+def weak_x_lines(
+    spectrum: BogoliubovSpectrum,
+    beta: float,
+    site: int,
+    *,
+    group_atol: float | None = None,
+) -> SpectralLines:
+    """Discrete lines of the connected autocorrelation ⟨X_j(t) X_j(0)⟩_c.
+
+    X_j is a fermion bilinear, so Wick's theorem reduces the correlator to
+    pair lines at ω = ±(ε_k + ε_l) and particle-hole lines at ω = ε_k − ε_l:
+
+        C(t) = ⟨x(t)x⟩⟨p(t)p⟩ − ⟨x(t)p⟩⟨p(t)x⟩,
+
+    with the disconnected ⟨X⟩² term dropped by the pairing structure.  Total
+    weight is 1 − ⟨X_j⟩² and every weight is non-negative (AM–GM on the mode
+    amplitudes); detailed balance w(−ω) = e^{−βω} w(ω) holds line by line.
+    A weight below −1e-10 raises; the rest are clipped at 0 and the lines
+    merged by :meth:`SpectralLines.merged` within ``group_atol`` (by default
+    1e-10 times the largest |ω|, at least 1e-10).  χ_E needs no merge:
+    :func:`chi2_E_quadratic` sums the same lines term by term.
+    """
+    n = spectrum.n_modes
+    freq, weight = np.empty((2, n * (2 * n - 1)))
+    _x_lines(spectrum, beta, site, freq, weight.__setitem__)  # each run's weights copied into place
+    if float(weight.min()) < -1e-10:
+        raise NumericalConsistencyError(f"negative line weight {weight.min()}")
+    np.clip(weight, 0.0, None, out=weight)
+    if group_atol is None:
+        group_atol = 1e-10 * max(1.0, -float(freq.min()), float(freq.max()))
+    return SpectralLines.merged(freq, weight, group_atol)
+
+
+def chi2_E_quadratic(spectrum: BogoliubovSpectrum, beta: float, site: int) -> Chi2Result:
+    """Environment coefficient χ⁽²⁾_E = ½ Σ_l w_l f_β(ω_l) for a weak X_j
+    measurement on the Gibbs chain, over the unmerged lines of
+    :func:`weak_x_lines`: χ_E is linear in the weights, so it needs no merge.
+
+    One array holds the terms w_l f_β(ω_l), each run's frequencies turned
+    into its terms in place; beside it, only the line kernel's band buffers
+    are held.  A weight below −1e-10 raises, as in :func:`weak_x_lines`.
+    """
+    n = spectrum.n_modes
+    terms = np.empty(n * (2 * n - 1))
+    lowest = np.inf
+
+    def weigh(where: slice, weight: np.ndarray) -> None:
+        """The run's frequencies become w f_β(ω)."""
+        nonlocal lowest
+        out = terms[where]
+        f_beta_in_place(out, beta)
+        if weight.size:
+            lowest = np.minimum(lowest, weight.min())
+        np.maximum(weight, 0.0, out=weight)  # np.clip(weight, 0.0, None), unwrapped
+        with np.errstate(invalid="ignore"):  # an overflowed f_β; _chi2_E rejects the nan
+            out *= weight
+
+    _x_lines(spectrum, beta, site, terms, weigh)
     if lowest < -1e-10:
         raise NumericalConsistencyError(f"negative line weight {lowest}")
     return _chi2_E(0.5 * float(np.sum(terms)), "spectral")

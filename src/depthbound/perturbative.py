@@ -57,6 +57,7 @@ __all__ = [
     "chi2_E_eigenbasis",
     "chi2_E_spectral",
     "chi2_B_correlator_lb",
+    "correlator_lb_value",
 ]
 
 

@@ -1,7 +1,9 @@
-"""The backends as a library: import cost, rows against the CLI, and the
-README's Python examples."""
+"""The backends as a library: import cost, export lists, rows against the
+CLI, and the README's Python examples."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import depthbound
 from depthbound import backends, models
 from depthbound.cli import main
 
@@ -22,6 +25,23 @@ def test_import_loads_no_cli_argparse_or_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_every_export_resolves():
+    """Every name in a module's ``__all__`` and in the package's resolves, and
+    the package exports only what its modules export (and its version), so
+    a deleted name cannot leave a dangling export."""
+    exported = set()
+    for info in pkgutil.iter_modules(depthbound.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"depthbound.{info.name}")
+        names = getattr(module, "__all__", [])
+        assert [name for name in names if not hasattr(module, name)] == [], info.name
+        exported.update(names)
+    assert [name for name in depthbound.__all__ if not hasattr(depthbound, name)] == []
+    assert len(set(depthbound.__all__)) == len(depthbound.__all__)
+    assert set(depthbound.__all__) - exported == {"__version__"}
 
 
 def _cells(ctx, x):

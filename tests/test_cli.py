@@ -1034,8 +1034,8 @@ def test_scan_cft_fits_kappa_once(tmp_path, monkeypatch, bdg_calls, threads):
 
 @pytest.fixture
 def forbid_line_merge(monkeypatch):
-    """chi_E sums over the line table's unmerged lines: the run path never
-    merges a line."""
+    """chi_E sums over the unmerged lines: the run path never merges a
+    line."""
     def forbidden(*args, **kwargs):
         raise AssertionError("SpectralLines.merged called on the run path")
 
@@ -1043,17 +1043,17 @@ def forbid_line_merge(monkeypatch):
 
 
 @pytest.fixture
-def forbid_line_table(monkeypatch):
-    """chi_E is summed term by term from the spectrum: the run path builds
-    no XLineTable."""
-    def forbidden(self, *args, **kwargs):
-        raise AssertionError("XLineTable built on the run path")
+def forbid_weak_x_lines(monkeypatch):
+    """chi_E is summed term by term from the spectrum: the run path never
+    asks weak_x_lines for the lines."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("weak_x_lines called on the run path")
 
-    monkeypatch.setattr(fermion.XLineTable, "__init__", forbidden)
+    monkeypatch.setattr(fermion, "weak_x_lines", forbidden)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_scan_freefermion_builds_no_line_table(tmp_path, bdg_calls, forbid_line_table, forbid_line_merge, threads):
+def test_scan_freefermion_builds_no_line_table(tmp_path, bdg_calls, forbid_weak_x_lines, forbid_line_merge, threads):
     out = tmp_path / "s.csv"
     assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
                "--beta-grid", "1,2,3,4", "--x-grid", "2:6", "--threads", threads,
@@ -1063,7 +1063,7 @@ def test_scan_freefermion_builds_no_line_table(tmp_path, bdg_calls, forbid_line_
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_fig2_builds_no_line_table(tmp_path, bdg_calls, forbid_line_table, forbid_line_merge, threads):
+def test_fig2_builds_no_line_table(tmp_path, bdg_calls, forbid_weak_x_lines, forbid_line_merge, threads):
     assert run("fig2", "--n", "21", "--beta-grid", "5,10", "--x-grid", "2:4",
                "--threads", threads, "--out", str(tmp_path / "f2")) == 0
     assert sorted(bdg_calls) == [(21, 0.5, PROBE_ROWS_21), (21, 1.0, PROBE_ROWS_21), (21, 1.5, PROBE_ROWS_21)]

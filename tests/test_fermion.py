@@ -20,7 +20,6 @@ from depthbound import fermion
 from depthbound.checks import pfaffian_error
 from depthbound.fermion import (
     MajoranaCovariance,
-    XLineTable,
     _norm_below,
     _site_mode_amplitudes,
     bdg_diagonalize,
@@ -246,7 +245,6 @@ def test_reads_past_the_kept_rows_are_rejected():
         lambda: thermal_covariance(spectrum, 2.0),
         lambda: thermal_covariance(spectrum, 2.0, prefix=kept + 1),
         lambda: chi2_E_quadratic(spectrum, 2.0, kept),
-        lambda: XLineTable(spectrum, kept),
         lambda: weak_x_lines(spectrum, 2.0, n - 1),
         lambda: _site_mode_amplitudes(spectrum, kept),
     ]
@@ -646,8 +644,10 @@ def test_chi2_E_decays_with_beta():
 
 
 def _rebuilt_lines(spectrum, beta, site):
-    """Every line rebuilt at this beta, unmerged, as before the line table:
-    the pair lines, the negated pair lines, then the particle-hole block."""
+    """Every line rebuilt at this beta from whole n×n outer products,
+    unmerged: the pair lines, the negated pair lines, then the particle-hole
+    block.  It is the reference for the line kernel's order, weights and
+    negative-weight message."""
     if not 0 <= site < spectrum.n_modes:
         raise ValueError("site outside the chain")
     eps = spectrum.energies
@@ -677,7 +677,7 @@ def _rebuilt_lines(spectrum, beta, site):
 
 
 def _weak_x_lines_rebuilt(spectrum, beta, site):
-    """Every line rebuilt and merged at this beta, as before the line table."""
+    """Every line rebuilt and merged at this beta."""
     freq, weight = _rebuilt_lines(spectrum, beta, site)
     return SpectralLines.merged(freq, weight, 1e-10 * max(1.0, float(np.max(np.abs(freq)))))
 
@@ -698,9 +698,9 @@ def _site(n, site_pick):
 @given(beta=BETAS, **LINE_TABLE_CASES)
 @example(n=41, g=1.0, beta=1e3, site_pick=0.5)  # exp(beta * eps) overflows to inf
 @example(n=2, g=0.3, beta=0.0, site_pick=-1)
-def test_line_table_bitwise_equals_rebuilt_lines(n, g, beta, site_pick):
-    """The table's lines, weighted at one beta and merged, give the bits of
-    rebuilding and merging them there, at either chain end and inside."""
+def test_weak_x_lines_bit_equal_to_rebuilt_lines(n, g, beta, site_pick):
+    """The line kernel's lines, merged, give the bits of rebuilding and
+    merging them at one beta, at either chain end and inside."""
     site = _site(n, site_pick)
     spectrum = bdg_diagonalize(n, g)
     got = weak_x_lines(spectrum, beta, site)
@@ -710,16 +710,21 @@ def test_line_table_bitwise_equals_rebuilt_lines(n, g, beta, site_pick):
 
 
 def test_line_table_serves_many_betas():
+    """At several beta the line kernel's unmerged lines, in their order, and
+    weak_x_lines' merged lines have the bits of the rebuilt lines."""
     spectrum = bdg_diagonalize(21, 1.0)
-    table = XLineTable(spectrum, 10)
     for beta in (0.0, 2.0, 30.0):
+        freq, weight = np.empty((2, 21 * 41))
+        fermion._x_lines(spectrum, beta, 10, freq, weight.__setitem__)
         ref_f, ref_w = _rebuilt_lines(spectrum, beta, 10)
-        assert table.frequencies.tobytes() == ref_f.tobytes()
-        assert table.weights(beta).tobytes() == ref_w.tobytes()
+        assert freq.tobytes() == ref_f.tobytes()
+        assert np.clip(weight, 0.0, None).tobytes() == ref_w.tobytes()
+        got = weak_x_lines(spectrum, beta, 10)
         merged = _weak_x_lines_rebuilt(spectrum, beta, 10)
-        assert weak_x_lines(spectrum, beta, 10).weights.tobytes() == merged.weights.tobytes()
+        assert got.frequencies.tobytes() == merged.frequencies.tobytes()
+        assert got.weights.tobytes() == merged.weights.tobytes()
     with pytest.raises(ValueError, match="site outside"):
-        XLineTable(spectrum, 21)
+        weak_x_lines(spectrum, 2.0, 21)
 
 
 def _chi_E_or_error(call):
@@ -737,14 +742,13 @@ def _chi_E_or_error(call):
 )
 @example(n=41, g=1.0, beta=2.0)
 @example(n=60, g=0.0, beta=1e308)
-def test_chi2_E_quadratic_bit_equal_to_line_table_sum(n, g, beta):
-    """The run path's χ_E, summed term by term with no line table, has the
-    bits of the sum over an XLineTable's weights, at every site; where that
-    sum raises (an overflowed β ω), it raises the same error."""
+def test_chi2_E_quadratic_bit_equal_to_rebuilt_line_sum(n, g, beta):
+    """The run path's χ_E, summed term by term, has the bits of the sum over
+    the rebuilt lines' weights, at every site; where that sum raises (an
+    overflowed β ω), it raises the same error."""
     spectrum = bdg_diagonalize(n, g)
     for site in range(n):
-        table = XLineTable(spectrum, site)
-        ref = _chi_E_or_error(lambda: chi2_E_spectral((table.frequencies, table.weights(beta)), beta))
+        ref = _chi_E_or_error(lambda: chi2_E_spectral(_rebuilt_lines(spectrum, beta, site), beta))
         got = _chi_E_or_error(lambda: chi2_E_quadratic(spectrum, beta, site))
         assert got == ref and (isinstance(got, str) or math.copysign(1.0, got) == math.copysign(1.0, ref))
 
@@ -752,25 +756,27 @@ def test_chi2_E_quadratic_bit_equal_to_line_table_sum(n, g, beta):
 def test_chi2_E_quadratic_rejects_a_negative_line_weight():
     """Real amplitudes b ≈ 1.1 a make every line strength |a_k b_l − a_l b_k|²
     about 1e-20; at amplitudes near 1e3, rounding leaves some of them far
-    below −1e-10.  The sum term by term then stops as the line table does,
-    with the same lowest weight in its message."""
+    below −1e-10.  The sum term by term then stops as weak_x_lines does,
+    with the rebuilt lines' lowest weight in its message."""
     n, site = 8, 3
     q = np.zeros((2 * n, 2 * n))
     q[2 * site, 0::2] = np.random.default_rng(1).uniform(1e3, 2e3, n)
     q[2 * site + 1, 0::2] = 1.1 * q[2 * site, 0::2]
     spectrum = SimpleNamespace(n_modes=n, energies=np.linspace(0.5, 4.0, n), q=q)
-    with pytest.raises(NumericalConsistencyError, match="negative line weight") as ref:
-        XLineTable(spectrum, site).weights(0.0)
+    with pytest.raises(ValueError, match="negative line weight") as ref:
+        _rebuilt_lines(spectrum, 0.0, site)
+    with pytest.raises(NumericalConsistencyError) as lines:
+        weak_x_lines(spectrum, 0.0, site)
     with pytest.raises(NumericalConsistencyError) as got:
         chi2_E_quadratic(spectrum, 0.0, site)
-    assert str(got.value) == str(ref.value)
+    assert str(got.value) == str(lines.value) == str(ref.value)
     with pytest.raises(ValueError, match="site outside"):
         chi2_E_quadratic(spectrum, 0.0, n)
 
 
-def _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, site):
-    got = chi2_E_spectral((table.frequencies, table.weights(beta)), beta).value
-    ref = chi2_E_spectral(_weak_x_lines_rebuilt(spectrum, beta, site), beta).value
+def _assert_chi_E_unmerged_matches_merged(spectrum, beta, site):
+    got = chi2_E_quadratic(spectrum, beta, site).value
+    ref = chi2_E_spectral(weak_x_lines(spectrum, beta, site), beta).value
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -779,41 +785,19 @@ def _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, site):
 @example(betas=[0.0, 2.0, 1e3], n=41, g=1.0, site_pick=0.5)
 @example(betas=[0.0, 200.0], n=2, g=0.3, site_pick=-1)
 def test_chi_E_over_unmerged_table_lines_matches_merged_lines(betas, n, g, site_pick):
-    """chi_E is linear in the line weights, so one table's unsorted,
-    unmerged lines give the chi_E of the merged lines at every beta."""
+    """chi_E is linear in the line weights, so the sum over the unsorted,
+    unmerged lines gives the chi_E of the merged lines at every beta."""
     site = _site(n, site_pick)
     spectrum = bdg_diagonalize(n, g)
-    table = XLineTable(spectrum, site)
     for beta in betas:
-        _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, site)
+        _assert_chi_E_unmerged_matches_merged(spectrum, beta, site)
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
 def test_chi_E_over_unmerged_table_lines_matches_merged_lines_at_n_301(g):
     spectrum = bdg_diagonalize(301, g)
-    table = XLineTable(spectrum, 150)
     for beta in (10.0, 100.0):
-        _assert_chi_E_unmerged_matches_merged(spectrum, table, beta, 150)
-
-
-def _concatenated_table(spectrum, site):
-    """The line table as built before its arrays were filled in place: the
-    lines concatenated in build order."""
-    n, eps = spectrum.n_modes, spectrum.energies
-    a, b = _site_mode_amplitudes(spectrum, site)
-    z = a * b.conj()
-    m1 = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
-    sym = m1 + m1.T
-    s_pair = sym - 2.0 * np.real(np.outer(z, z.conj()))
-    s_ph = sym - 2.0 * np.real(np.outer(z, z))
-    iu, il = np.triu_indices(n, k=1)
-    k, l = np.divmod(np.arange(n * n), n)
-    e_pair = eps[iu] + eps[il]
-    freq = np.concatenate([e_pair, -e_pair, (eps[:, None] - eps[None, :]).reshape(-1)])
-    strength = np.concatenate([s_pair[iu, il], s_pair[iu, il], s_ph.reshape(-1)])
-    occ_a = np.concatenate([iu, n + iu, k])
-    occ_b = np.concatenate([il, n + il, n + l])
-    return freq, strength, occ_a, occ_b
+        _assert_chi_E_unmerged_matches_merged(spectrum, beta, 150)
 
 
 def _where_reduce(freq, starts, means, weight):
@@ -825,42 +809,15 @@ def _where_reduce(freq, starts, means, weight):
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    n=st.sampled_from([2, 3, 21]),
-    g=st.floats(0.3, 2.0),
-    beta=st.one_of(st.just(0.0), st.floats(0.0, 200.0), st.just(1e3)),
-    site_pick=st.floats(0.0, 1.0),
-)
-@example(n=21, g=1.0, beta=1e3, site_pick=0.5)  # exp(beta * eps) overflows to inf
-def test_line_table_bit_equal_to_concatenated_build(n, g, beta, site_pick):
-    """The table filled in place holds the bits of the concatenated build,
-    in build order, and .weights(beta) gives the bits of the old
-    take-multiply-clip path."""
-    site = round(site_pick * (n - 1))
-    spectrum = bdg_diagonalize(n, g)
-    table = XLineTable(spectrum, site)
-    freq, strength, occ_a, occ_b = _concatenated_table(spectrum, site)
-    assert table.frequencies.tobytes() == freq.tobytes()
-    assert table.strengths.tobytes() == strength.tobytes()
-    assert table.occ_a.dtype == table.occ_b.dtype == np.int32
-    assert np.array_equal(table.occ_a, occ_a) and np.array_equal(table.occ_b, occ_b)
-    with np.errstate(over="ignore"):
-        f = 1.0 / (1.0 + np.exp(beta * spectrum.energies))
-    g2 = np.concatenate([1.0 - f, f])
-    weight = np.clip(g2[occ_a] * g2[occ_b] * strength, 0.0, None)
-    assert table.weights(beta).tobytes() == weight.tobytes()
-
-
-@settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([2, 3, 21]), seed=st.integers(0, 2**32 - 1))
 def test_merged_lines_bit_equal_to_where_form(n, seed):
-    """SpectralLines.merged over a line table's frequencies gives the bits
+    """SpectralLines.merged over the rebuilt lines' frequencies gives the bits
     of the np.where form over the sorted lines' groups, with zero and
     sub-1e-300 weights among the lines, so that light groups sit at their
     plain mean."""
     rng = np.random.default_rng(seed)
     spectrum = bdg_diagonalize(n, float(rng.uniform(0.3, 2.0)))
-    freq = XLineTable(spectrum, int(rng.integers(n))).frequencies
+    freq = _rebuilt_lines(spectrum, 0.0, int(rng.integers(n)))[0]
     weight = rng.random(freq.size)
     weight[rng.random(weight.size) < 0.3] = 0.0
     weight[rng.random(weight.size) < 0.2] = 1e-310

@@ -17,7 +17,6 @@ import pytest
 
 from depthbound.backends import FermionModel
 from depthbound.fermion import (
-    XLineTable,
     _norm_below,
     bdg_diagonalize,
     chi2_E_quadratic,
@@ -138,13 +137,7 @@ def ff_spectrum():
     return bdg_diagonalize(FF_N, 1.0)
 
 
-@pytest.fixture(scope="module")
-def ff_table(ff_spectrum):
-    return XLineTable(ff_spectrum, FF_SITE)
-
-
-def _line_array(table):
-    return 8 * table.strengths.size
+FF_LINES = 8 * FF_N * (2 * FF_N - 1)  # one float64 array over the probe's lines
 
 
 def test_bdg_diagonalize_frees_the_schur_factors():
@@ -226,33 +219,18 @@ def test_kappa_fit_covariance_stays_under_one_block():
     assert peak < 1.0
 
 
-def test_line_table_build_gathers_one_array_at_a_time(ff_spectrum, ff_table):
-    """The table keeps the frequencies, the strengths and two int32 index
-    arrays (three line arrays), each filled in place in build order; on
-    top of them the n×n strength blocks and the pair indices bring the
-    peak to 4.17 line arrays."""
-    _, peak = peak_blocks(lambda: XLineTable(ff_spectrum, FF_SITE), block=_line_array(ff_table))
-    assert peak <= 4.5
-
-
-def test_line_table_weights_form_in_one_buffer(ff_table):
-    """One weight buffer and one gathered factor: 2.44 line arrays, the
-    excess over two being the 67 KiB that numpy's int32 indexing buffers
-    take whatever the index count."""
-    _, peak = peak_blocks(lambda: ff_table.weights(2.0), block=_line_array(ff_table))
-    assert peak <= 2.75
-
-
-def test_chi2_E_spectral_forms_f_beta_in_place(ff_table):
-    lines = (ff_table.frequencies, ff_table.weights(2.0))
-    _, peak = peak_blocks(lambda: chi2_E_spectral(lines, 2.0), block=_line_array(ff_table))
+def test_chi2_E_spectral_forms_f_beta_in_place():
+    size = FF_N * (2 * FF_N - 1)
+    lines = (np.linspace(-4.0, 4.0, size), np.random.default_rng(0).random(size))
+    _, peak = peak_blocks(lambda: chi2_E_spectral(lines, 2.0), block=FF_LINES)
     assert peak <= 2.5
 
 
-def test_weak_x_lines_drops_the_table_before_merging(ff_spectrum, ff_table):
-    """The table's strengths and indices are dropped before the merge, which
-    holds the unsorted frequencies and weights, their sorted copies, the
-    group starts and the group sums: 7.40 line arrays, 7.0 at n = 301 and
+def test_weak_x_lines_holds_no_line_table(ff_spectrum):
+    """The line kernel fills the frequencies and a copy of the weights a band
+    at a time, with no table of strengths or Fermi-factor indices; the
+    merge then holds those two arrays, their sorted copies, the group
+    starts and the group sums: 7.40 line arrays, 7.0 at n = 301 and
     1001."""
-    _, peak = peak_blocks(lambda: weak_x_lines(ff_spectrum, 2.0, FF_SITE), block=_line_array(ff_table))
+    _, peak = peak_blocks(lambda: weak_x_lines(ff_spectrum, 2.0, FF_SITE), block=FF_LINES)
     assert peak <= 7.75
