@@ -188,6 +188,7 @@ def _check_schur_vectors(z: np.ndarray, order: np.ndarray, energies: np.ndarray,
 
 
 _FLAPACK = "scipy.linalg._flapack"
+_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 _DGEES_LOCK = threading.Lock()
 _dgees = None  # scipy's LAPACK dgees wrapper, loaded on the first Schur form
 
@@ -196,17 +197,28 @@ def _load_dgees():
     """``dgees`` from scipy's compiled LAPACK extension, without the
     ``scipy.linalg`` package around it: the extension's file is looked up
     in scipy's package directory (``find_spec`` imports nothing) and loaded
-    alone.  Without the file, the normal import system loads the module."""
-    spec = importlib.util.find_spec("scipy")
-    for root in spec.submodule_search_locations if spec is not None else ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
-                loader.exec_module(module)
-                return module.dgees
-    return importlib.import_module(_FLAPACK).dgees
+    alone.  Without the file, the normal import system loads the module.
+
+    scipy's OpenBLAS reads ``OPENBLAS_THREAD_TIMEOUT`` once, as it loads.
+    Unless the user set it, it is 4 (2⁴ cycles, the minimum) for the load
+    only, so that pool sleeps after each call instead of spinning ~0.1 s
+    against numpy's; its thread count, and so every bit, is kept."""
+    user_set = _TIMEOUT in os.environ
+    os.environ.setdefault(_TIMEOUT, "4")
+    try:
+        spec = importlib.util.find_spec("scipy")
+        for root in spec.submodule_search_locations if spec is not None else ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(root, "linalg", "_flapack" + suffix)
+                if os.path.isfile(path):
+                    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+                    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+                    loader.exec_module(module)
+                    return module.dgees
+        return importlib.import_module(_FLAPACK).dgees
+    finally:
+        if not user_set:
+            del os.environ[_TIMEOUT]
 
 
 def _no_sort(wr, wi=None):
@@ -224,7 +236,8 @@ def schur(h: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndar
     still allocates a Z, which is freed before the factorization.  Only
     scipy's LAPACK extension is loaded, once per process and under a lock,
     so the free-fermion runs skip the ``scipy.linalg`` import and the dense
-    and cft runs, which never call this, load no scipy at all.  A failed
+    and cft runs, which never call this, load no scipy at all.  scipy's
+    OpenBLAS pool sleeps between calls (:func:`_load_dgees`).  A failed
     factorization raises :class:`NumericalConsistencyError`.
     """
     global _dgees

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from depthbound import backends
 from depthbound.cft import (
     CftParams,
     alpha_delta,
@@ -22,6 +23,7 @@ from depthbound.fermion import (
     bdg_diagonalize,
     chi2_E_quadratic,
     connected_xx,
+    ground_state_covariance,
     thermal_covariance,
 )
 
@@ -235,6 +237,25 @@ def test_fit_kappa_input_validation():
         fit_kappa([2, 11, 12, 13, 14], np.ones(5), 1.0)  # below min separation
     with pytest.raises(ValueError):
         fit_kappa([10, 11, 12, 13, 14], [1, 1, -1, 1, 1], 1.0)  # sign
+
+
+def test_critical_connected_xx_follows_pfeuty_closed_form():
+    """At g = 1 the connected X correlator is 4/(pi^2 (4 r^2 - 1)) (Pfeuty
+    1970).  From the centre of an n = 1001 chain, at r = 10 ... 50 the
+    lattice value is within -0.26 % and +0.14 % of it."""
+    n = 1001
+    center = backends._center_site(n)
+    cov = ground_state_covariance(n, 1.0, prefix=center + 1)
+    for r in range(10, 51):
+        exact = 4.0 / (math.pi**2 * (4 * r * r - 1))
+        assert connected_xx(cov, center, center - r) == pytest.approx(exact, rel=5e-3)
+
+
+def test_lattice_kappa_fit_at_n_1001_is_one_over_pi_squared(monkeypatch):
+    """The amplitude fit the cft backend runs, on an n = 1001 chain, lies
+    within 3.8e-4 of kappa = 1/pi^2, the closed form's amplitude."""
+    monkeypatch.setattr(backends, "_KAPPA_CACHE", {})
+    assert backends.fit_lattice_kappa(1001, 1.0) == pytest.approx(1.0 / math.pi**2, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -850,6 +850,24 @@ def test_fig2_first_schur_forms_race_in_a_fresh_process(tmp_path):
         assert got == (GOLDEN / f"fig2_n61_{panel}.csv").read_bytes()
 
 
+def test_fig2_bits_do_not_depend_on_the_openblas_thread_timeout(tmp_path):
+    """The Schur form's OpenBLAS loads with the shortest thread timeout
+    unless the user sets one; 28, OpenBLAS's default, keeps its workers
+    spinning between calls.  The timeout changes when the workers sleep,
+    not how the work is split, so both runs write the same bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    outputs = []
+    for timeout in (None, "28"):
+        stem = tmp_path / f"timeout{timeout}"
+        run_env = env if timeout is None else dict(env, OPENBLAS_THREAD_TIMEOUT=timeout)
+        subprocess.run([sys.executable, "-m", "depthbound", "fig2", "--n", "41", "--beta-grid", "10,20",
+                        "--x-grid", "1:3", "--out", str(stem)],
+                       env=run_env, capture_output=True, check=True, timeout=120)
+        outputs.append([(tmp_path / f"{stem.name}_{panel}.csv").read_bytes() for panel in ("ratio", "depth")])
+    assert outputs[0] == outputs[1]
+
+
 def test_readme_cft_bound_matches_golden(tmp_path):
     out = tmp_path / "cft.csv"
     assert run("bound", "--backend", "cft", "--beta", "50", "--epsilon", "0", "--out", str(out)) == 0

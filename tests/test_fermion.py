@@ -1,5 +1,6 @@
 """Free-fermion backend: BdG spectra, covariances, Pfaffians, Wick lines."""
 
+import json
 import math
 import os
 import subprocess
@@ -328,6 +329,93 @@ def test_concurrent_first_schur_forms_load_the_extension_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(loads) == 1
     assert all(np.array_equal(t, t_ref) and np.array_equal(z, z_ref) for t, z in results)
+
+
+@pytest.mark.parametrize("user", [None, "28", ""])
+def test_load_dgees_sets_the_thread_timeout_for_the_load_alone(monkeypatch, user):
+    """The load sees OPENBLAS_THREAD_TIMEOUT = 4 unless the user set a value,
+    which it sees unchanged; afterwards, a failed load included, the
+    environment is what it was."""
+    if user is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", user)
+    seen = []
+
+    def find_spec(name):
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        raise ImportError("no scipy")
+
+    before = dict(os.environ)
+    monkeypatch.setattr(fermion.importlib.util, "find_spec", find_spec)
+    with pytest.raises(ImportError):
+        fermion._load_dgees()
+    assert seen == ["4" if user is None else user]
+    assert dict(os.environ) == before
+
+
+_IDLE_CHILD = """
+import ctypes, json, os, time
+from depthbound.fermion import majorana_couplings, schur
+
+def openblas_libs():
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-1] for line in maps if "openblas" in line}
+
+def timeout(path):  # the OPENBLAS_THREAD_TIMEOUT a loaded OpenBLAS read, where it exports it
+    read = getattr(ctypes.CDLL(path), "openblas_thread_timeout", None)
+    if read is None:
+        return None
+    read.argtypes, read.restype = [], ctypes.c_int
+    return read()
+
+env, libs, threads = dict(os.environ), openblas_libs(), len(os.listdir("/proc/self/task"))
+schur(majorana_couplings(301, 1.0))
+workers = len(os.listdir("/proc/self/task")) - threads
+cpu = time.process_time()
+time.sleep(0.3)
+print(json.dumps({
+    "idle_cpu_s": time.process_time() - cpu, "workers": workers, "env_kept": dict(os.environ) == env,
+    "numpy": sorted({timeout(p) for p in libs}, key=str),
+    "scipy": sorted({timeout(p) for p in openblas_libs() - libs}, key=str),
+}))
+"""
+
+
+def _idle_after_schur(**env):
+    """One Schur form in a fresh process, then a 0.3 s sleep: the CPU the
+    sleep burns, the threads scipy's OpenBLAS pool added, whether
+    os.environ came back unchanged, and the thread timeout each OpenBLAS
+    (numpy's, loaded before; scipy's, loaded by the Schur form) read."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task and /proc/self/maps")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"} | env
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _IDLE_CHILD], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_schur_pool_sleeps_after_the_call():
+    """scipy's OpenBLAS reads the shortest thread timeout, so its workers
+    sleep once dgees ends; at the default they spun about 0.1 s (0.13 s of
+    CPU in the sleep on 2 cores).  numpy's OpenBLAS keeps its setting."""
+    run = _idle_after_schur()
+    assert run["env_kept"]
+    assert run["scipy"] in ([4], [None])
+    assert run["numpy"] in ([0], [None])
+    if run["workers"] > 0:
+        assert run["idle_cpu_s"] < 0.03
+
+
+def test_user_thread_timeout_is_kept():
+    """A value the user set before the first Schur form is neither
+    overwritten nor removed, and scipy's OpenBLAS reads it: 28, OpenBLAS's
+    default, gives back the spinning pool."""
+    run = _idle_after_schur(OPENBLAS_THREAD_TIMEOUT="28")
+    assert run["env_kept"]
+    assert run["scipy"] in ([28], [None])
+    assert run["numpy"] in ([28], [None])
 
 
 # ---------------------------------------------------------------------------
