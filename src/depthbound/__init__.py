@@ -30,6 +30,14 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+from ._openblas import short_thread_timeout
+
+# numpy's OpenBLAS reads its thread timeout as numpy loads; the submodules
+# below import numpy, so when this package is the first to, the load is here.
+with short_thread_timeout():
+    import numpy
+del numpy, short_thread_timeout
+
 from .bounds import (
     DepthBoundResult,
     approx_verdict,

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._openblas import short_thread_timeout
 from .models import SpectralLines
 from .perturbative import Chi2Result, _chi2_E, f_beta_in_place
 from .states import NumericalConsistencyError, entropy_from_spectrum
@@ -188,7 +189,6 @@ def _check_schur_vectors(z: np.ndarray, order: np.ndarray, energies: np.ndarray,
 
 
 _FLAPACK = "scipy.linalg._flapack"
-_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 _DGEES_LOCK = threading.Lock()
 _dgees = None  # scipy's LAPACK dgees wrapper, loaded on the first Schur form
 
@@ -199,13 +199,12 @@ def _load_dgees():
     in scipy's package directory (``find_spec`` imports nothing) and loaded
     alone.  Without the file, the normal import system loads the module.
 
-    scipy's OpenBLAS reads ``OPENBLAS_THREAD_TIMEOUT`` once, as it loads.
-    Unless the user set it, it is 4 (2⁴ cycles, the minimum) for the load
-    only, so that pool sleeps after each call instead of spinning ~0.1 s
-    against numpy's; its thread count, and so every bit, is kept."""
-    user_set = _TIMEOUT in os.environ
-    os.environ.setdefault(_TIMEOUT, "4")
-    try:
+    The extension links scipy's own OpenBLAS, which loads here inside
+    :func:`~depthbound._openblas.short_thread_timeout`, as numpy's does at
+    ``import depthbound``: unless the user set a thread timeout, its pool
+    sleeps soon after each call instead of spinning ~0.1 s; its thread
+    count, and so every bit, is kept."""
+    with short_thread_timeout():
         spec = importlib.util.find_spec("scipy")
         for root in spec.submodule_search_locations if spec is not None else ():
             for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -216,9 +215,6 @@ def _load_dgees():
                     loader.exec_module(module)
                     return module.dgees
         return importlib.import_module(_FLAPACK).dgees
-    finally:
-        if not user_set:
-            del os.environ[_TIMEOUT]
 
 
 def _no_sort(wr, wi=None):
@@ -237,8 +233,9 @@ def schur(h: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndar
     scipy's LAPACK extension is loaded, once per process and under a lock,
     so the free-fermion runs skip the ``scipy.linalg`` import and the dense
     and cft runs, which never call this, load no scipy at all.  scipy's
-    OpenBLAS pool sleeps between calls (:func:`_load_dgees`).  A failed
-    factorization raises :class:`NumericalConsistencyError`.
+    OpenBLAS pool, like numpy's, sleeps between calls unless the user set a
+    thread timeout (:func:`_load_dgees`).  A failed factorization raises
+    :class:`NumericalConsistencyError`.
     """
     global _dgees
     with _DGEES_LOCK:

@@ -850,22 +850,39 @@ def test_fig2_first_schur_forms_race_in_a_fresh_process(tmp_path):
         assert got == (GOLDEN / f"fig2_n61_{panel}.csv").read_bytes()
 
 
-def test_fig2_bits_do_not_depend_on_the_openblas_thread_timeout(tmp_path):
-    """The Schur form's OpenBLAS loads with the shortest thread timeout
-    unless the user sets one; 28, OpenBLAS's default, keeps its workers
-    spinning between calls.  The timeout changes when the workers sleep,
-    not how the work is split, so both runs write the same bytes."""
+def _csvs_at_thread_timeout(tmp_path, timeout, *args):
+    """The CSVs a CLI command writes in a fresh process, in a directory of
+    its own, with OPENBLAS_THREAD_TIMEOUT unset or set to ``timeout``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_THREAD_TIMEOUT", None)
-    outputs = []
-    for timeout in (None, "28"):
-        stem = tmp_path / f"timeout{timeout}"
-        run_env = env if timeout is None else dict(env, OPENBLAS_THREAD_TIMEOUT=timeout)
-        subprocess.run([sys.executable, "-m", "depthbound", "fig2", "--n", "41", "--beta-grid", "10,20",
-                        "--x-grid", "1:3", "--out", str(stem)],
-                       env=run_env, capture_output=True, check=True, timeout=120)
-        outputs.append([(tmp_path / f"{stem.name}_{panel}.csv").read_bytes() for panel in ("ratio", "depth")])
-    assert outputs[0] == outputs[1]
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    cwd = tmp_path / f"timeout{timeout}"
+    cwd.mkdir()
+    subprocess.run([sys.executable, "-m", "depthbound", *args], cwd=cwd, env=env, capture_output=True,
+                   check=True, timeout=120)
+    return {path.name: path.read_bytes() for path in sorted(cwd.glob("*.csv"))}
+
+
+def test_fig2_bits_do_not_depend_on_the_openblas_thread_timeout(tmp_path):
+    """Both OpenBLAS libraries, numpy's and the Schur form's, load with a
+    short thread timeout unless the user sets one; 28, OpenBLAS's
+    default, keeps their workers spinning between calls.  The timeout
+    changes when the workers sleep, not how the work is split, so both
+    runs write the same bytes."""
+    args = ("fig2", "--n", "41", "--beta-grid", "10,20", "--x-grid", "1:3", "--out", "fig2")
+    plain = _csvs_at_thread_timeout(tmp_path, None, *args)
+    assert sorted(plain) == ["fig2_depth.csv", "fig2_ratio.csv"]
+    assert _csvs_at_thread_timeout(tmp_path, "28", *args) == plain
+
+
+def test_dense_scan_bits_do_not_depend_on_the_openblas_thread_timeout(tmp_path):
+    """The same for a dense scan, which runs on numpy's OpenBLAS alone."""
+    args = ("scan", "--backend", "dense", "--n", "8", "--g", "1", "--beta-grid", "0.5,2", "--x-grid", "1:3",
+            "--out", "dense.csv")
+    plain = _csvs_at_thread_timeout(tmp_path, None, *args)
+    assert list(plain) == ["dense.csv"]
+    assert _csvs_at_thread_timeout(tmp_path, "28", *args) == plain
 
 
 def test_readme_cft_bound_matches_golden(tmp_path):

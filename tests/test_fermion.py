@@ -17,7 +17,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from depthbound import fermion
+from depthbound import _openblas, fermion
 from depthbound.checks import pfaffian_error
 from depthbound.fermion import (
     MajoranaCovariance,
@@ -333,9 +333,10 @@ def test_concurrent_first_schur_forms_load_the_extension_once(monkeypatch):
 
 @pytest.mark.parametrize("user", [None, "28", ""])
 def test_load_dgees_sets_the_thread_timeout_for_the_load_alone(monkeypatch, user):
-    """The load sees OPENBLAS_THREAD_TIMEOUT = 4 unless the user set a value,
-    which it sees unchanged; afterwards, a failed load included, the
-    environment is what it was."""
+    """The shared guard gives its body OPENBLAS_THREAD_TIMEOUT = 16 unless the
+    user set a value, which the body sees unchanged; afterwards, a raising
+    body included, the environment is what it was.  ``_load_dgees`` loads
+    scipy's extension inside it, and a failed load restores it too."""
     if user is None:
         monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
     else:
@@ -347,20 +348,24 @@ def test_load_dgees_sets_the_thread_timeout_for_the_load_alone(monkeypatch, user
         raise ImportError("no scipy")
 
     before = dict(os.environ)
+    with pytest.raises(ImportError), _openblas.short_thread_timeout():
+        find_spec("numpy")
+    assert dict(os.environ) == before
     monkeypatch.setattr(fermion.importlib.util, "find_spec", find_spec)
     with pytest.raises(ImportError):
         fermion._load_dgees()
-    assert seen == ["4" if user is None else user]
+    assert seen == ["16" if user is None else user] * 2
     assert dict(os.environ) == before
 
 
 _IDLE_CHILD = """
 import ctypes, json, os, time
-from depthbound.fermion import majorana_couplings, schur
+env = dict(os.environ)
+{imports}
 
 def openblas_libs():
     with open("/proc/self/maps") as maps:
-        return {line.split()[-1] for line in maps if "openblas" in line}
+        return {{line.split()[-1] for line in maps if "openblas" in line}}
 
 def timeout(path):  # the OPENBLAS_THREAD_TIMEOUT a loaded OpenBLAS read, where it exports it
     read = getattr(ctypes.CDLL(path), "openblas_thread_timeout", None)
@@ -369,50 +374,77 @@ def timeout(path):  # the OPENBLAS_THREAD_TIMEOUT a loaded OpenBLAS read, where 
     read.argtypes, read.restype = [], ctypes.c_int
     return read()
 
-env, libs, threads = dict(os.environ), openblas_libs(), len(os.listdir("/proc/self/task"))
-schur(majorana_couplings(301, 1.0))
-workers = len(os.listdir("/proc/self/task")) - threads
+libs = openblas_libs()
+{work}
 cpu = time.process_time()
 time.sleep(0.3)
-print(json.dumps({
-    "idle_cpu_s": time.process_time() - cpu, "workers": workers, "env_kept": dict(os.environ) == env,
-    "numpy": sorted({timeout(p) for p in libs}, key=str),
-    "scipy": sorted({timeout(p) for p in openblas_libs() - libs}, key=str),
-}))
+print(json.dumps({{
+    "idle_cpu_s": time.process_time() - cpu, "workers": len(os.listdir("/proc/self/task")) - 1,
+    "env_kept": dict(os.environ) == env,
+    "numpy": sorted({{timeout(p) for p in libs}}, key=str),
+    "scipy": sorted({{timeout(p) for p in openblas_libs() - libs}}, key=str),
+}}))
 """
+_SCHUR = ("from depthbound.fermion import majorana_couplings, schur", "schur(majorana_couplings(301, 1.0))")
+_DENSE = ("import depthbound.cli\nfrom depthbound.models import ThermalEigensystem, build_tfim",
+          "ThermalEigensystem.of(build_tfim(10, 1.0))")
 
 
-def _idle_after_schur(**env):
-    """One Schur form in a fresh process, then a 0.3 s sleep: the CPU the
-    sleep burns, the threads scipy's OpenBLAS pool added, whether
-    os.environ came back unchanged, and the thread timeout each OpenBLAS
-    (numpy's, loaded before; scipy's, loaded by the Schur form) read."""
+def _idle_after(child, **env):
+    """``child``'s imports and work in a fresh process, then a 0.3 s sleep:
+    the CPU the sleep burns, the OpenBLAS worker threads alive, whether
+    os.environ came back to what it was before the imports, and the thread
+    timeout each OpenBLAS (numpy's, loaded by the imports; scipy's, loaded
+    by a Schur form) read."""
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("needs /proc/self/task and /proc/self/maps")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"} | env
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _IDLE_CHILD], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
+    imports, work = child
+    out = subprocess.run([sys.executable, "-c", _IDLE_CHILD.format(imports=imports, work=work)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
     return json.loads(out.stdout)
 
 
 def test_schur_pool_sleeps_after_the_call():
-    """scipy's OpenBLAS reads the shortest thread timeout, so its workers
-    sleep once dgees ends; at the default they spun about 0.1 s (0.13 s of
-    CPU in the sleep on 2 cores).  numpy's OpenBLAS keeps its setting."""
-    run = _idle_after_schur()
+    """Both OpenBLAS libraries read the short thread timeout, so their
+    workers sleep soon after dgees ends; at the default they spun about
+    0.1 s (0.13 s of CPU in the sleep on 2 cores)."""
+    run = _idle_after(_SCHUR)
     assert run["env_kept"]
-    assert run["scipy"] in ([4], [None])
-    assert run["numpy"] in ([0], [None])
+    assert run["scipy"] in ([16], [None])
+    assert run["numpy"] in ([16], [None])
     if run["workers"] > 0:
         assert run["idle_cpu_s"] < 0.03
 
 
+def test_dense_pool_sleeps_after_the_eigensystem():
+    """A dense run loads no scipy; numpy's OpenBLAS, loaded by ``import
+    depthbound``, reads the short thread timeout, so its workers sleep
+    soon after the last eigh ends.  At the default they spun about 0.1 s:
+    the sleep burned 0.13 s of CPU on 2 cores.  ``import depthbound``
+    leaves os.environ as it was."""
+    run = _idle_after(_DENSE)
+    assert run["env_kept"]
+    assert run["scipy"] == []
+    assert run["numpy"] in ([16], [None])
+    if run["workers"] > 0:
+        assert run["idle_cpu_s"] < 0.03
+
+
+def test_numpy_loaded_first_keeps_its_thread_timeout():
+    """numpy imported before depthbound has its OpenBLAS loaded already:
+    the guard cannot reach it, and it keeps what it read (0, unset)."""
+    run = _idle_after(("import numpy\n" + _DENSE[0], _DENSE[1]))
+    assert run["env_kept"]
+    assert run["numpy"] in ([0], [None])
+
+
 def test_user_thread_timeout_is_kept():
-    """A value the user set before the first Schur form is neither
-    overwritten nor removed, and scipy's OpenBLAS reads it: 28, OpenBLAS's
-    default, gives back the spinning pool."""
-    run = _idle_after_schur(OPENBLAS_THREAD_TIMEOUT="28")
+    """A value the user set before ``import depthbound`` is neither
+    overwritten nor removed, and both OpenBLAS libraries read it: 28,
+    OpenBLAS's default, gives back the spinning pools."""
+    run = _idle_after(_SCHUR, OPENBLAS_THREAD_TIMEOUT="28")
     assert run["env_kept"]
     assert run["scipy"] in ([28], [None])
     assert run["numpy"] in ([28], [None])
