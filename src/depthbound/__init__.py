@@ -8,11 +8,11 @@ entropies and susceptibilities are reported in nats.
 Layers
 ------
 ``states`` / ``purification``
-    Dense state containers, entropies, purifications, channels, and the
-    two-route criterion evaluator.
+    Density operators, entropies, measurements, and the projective Holevo
+    informations evaluated on the system.
 ``perturbative``
-    Quadratic susceptibilities: the general Lieb-map form, the thermal
-    eigenbasis sum, the spectral-line form, and the correlator lower bound.
+    Quadratic susceptibilities: the system-side Lieb-map form, the thermal
+    eigenbasis sum, and the correlator lower bound.
 ``bounds``
     Verdict assembly: thresholds k(epsilon), depth floors from graph distance.
 ``models`` / ``fermion``
@@ -24,6 +24,13 @@ Layers
     chi_E, and per point chi_B and the verdict.
 ``cli``
     The ``depthbound`` command-line driver: options, runs and writers.
+``oracles``
+    The cross-check routes: state vectors, purifications, channels and the
+    two-route criterion evaluator, the general chi2 formula and the Lieb
+    maps, dense Gibbs states, spectral-line and finite-difference oracles.
+    Only ``selftest`` (``checks``), the tests and library callers use them,
+    so the command-line runs never import this module; every name it holds
+    also resolves from its old module and from the package.
 """
 
 from __future__ import annotations
@@ -78,60 +85,29 @@ from .fermion import (
     x_expectation,
 )
 from .models import (
-    OracleEstimate,
     ParitySector,
     SpectralLines,
     SpinHamiltonian,
     ThermalEigensystem,
     build_tfim,
-    dynamical_correlation,
-    gibbs_state,
-    holevo_finite_difference,
 )
 from .perturbative import (
     Chi2Result,
-    XiOperator,
-    build_xi,
-    chi2_B_correlator_lb,
     chi2_E_eigenbasis,
-    chi2_E_eigensum,
-    chi2_E_spectral,
-    chi2_general,
     chi2_system,
     correlator_lb_value,
     f_beta_weight,
-    lieb_R_map,
-    lieb_T_map,
 )
 from .purification import (
-    CriterionResult,
-    IsometryChannel,
-    MeasuredEnsemble,
     MeasurementSpec,
-    PrivateInformation,
-    PurifiedState,
-    TraceOutChannel,
-    apply_measurement,
-    canonical_purification,
-    ensemble_purification,
-    holevo_information,
-    measurement_dilation,
-    private_information,
     projective_chi_B,
-    projective_chi_E,
     projective_chi_E_factors,
-    theorem_criterion,
 )
 from .states import (
     DensityOperator,
     NumericalConsistencyError,
-    QubitGraph,
-    StateVector,
+    _forward_to_oracles,
     entropy_from_spectrum,
-    graph_distance,
-    mutual_information,
-    partial_trace,
-    trace_distance,
     von_neumann_entropy,
 )
 
@@ -227,3 +203,7 @@ __all__ = [
     "h_delta",
     "k2_cft",
 ]
+
+# The oracle routes load on first use (PEP 562): the run path never imports them.
+__getattr__ = _forward_to_oracles(globals())
+del _forward_to_oracles

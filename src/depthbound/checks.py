@@ -15,11 +15,11 @@ from .bounds import g_func, k_func
 from .cft import alpha_delta, h_delta
 from .fermion import (bdg_diagonalize, chi2_E_quadratic, connected_xx, gaussian_entropy, many_body_energies,
                       pfaffian, thermal_covariance, x_expectation)
-from .models import (PAULI, SpinHamiltonian, build_tfim, dynamical_correlation, gibbs_state,
-                     holevo_finite_difference)
-from .perturbative import build_xi, chi2_E_eigensum, chi2_E_spectral, chi2_general, lieb_R_map, lieb_T_map
-from .purification import canonical_purification
-from .states import StateVector, embed_operator, operator_norm, von_neumann_entropy
+from .models import PAULI, SpinHamiltonian, build_tfim
+from .oracles import (StateVector, build_xi, canonical_purification, chi2_E_eigensum, chi2_E_spectral,
+                      chi2_general, dynamical_correlation, embed_operator, gibbs_state, holevo_finite_difference,
+                      lieb_R_map, lieb_T_map)
+from .states import operator_norm, von_neumann_entropy
 
 X = PAULI["X"]
 

@@ -30,13 +30,11 @@ identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -170,6 +168,8 @@ def _parse_terms(raw: dict[str, str]) -> tuple[tuple[float, tuple[tuple[int, str
 
 def _load_config_file(path: str) -> tuple[dict[str, str], dict[str, str]]:
     """Flat key=value sections; returns (flag values, custom terms)."""
+    import configparser  # only a run with --config reads one
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -476,6 +476,8 @@ def _pool_map(workers: int, fn, items) -> list:
     """``[fn(item) for item in items]``, on a thread pool when workers > 1."""
     if workers == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging and queue too
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

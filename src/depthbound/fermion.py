@@ -328,9 +328,13 @@ class MajoranaCovariance:
         g = self.gamma
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise ValueError("covariance must be even-dimensional and square")
-        asym = g + g.T
+        with np.errstate(invalid="ignore"):  # inf − inf; the test below rejects it
+            asym = g + g.T
         np.abs(asym, out=asym)  # a complex Γ keeps |·| in the real parts
-        if float(asym.real.max()) > 1e-10:
+        # An inf or nan entry leaves an inf or nan in asym, which fails too.
+        if not float(asym.real.max()) <= 1e-10:
+            if not np.isfinite(g).all():
+                raise ValueError("covariance must be finite")
             raise ValueError("covariance must be antisymmetric")
         del asym
         # The Cholesky test settles every valid Γ; only a Γ it cannot clear
@@ -378,7 +382,7 @@ def thermal_covariance(
     36, L205, 2003), so that block is itself the covariance of those sites,
     and the norm guard runs on it.
     """
-    if beta < 0:
+    if not beta >= 0:  # nan too
         raise ValueError("beta must be non-negative")
     n = spectrum.n_modes
     if prefix is None:
@@ -589,6 +593,8 @@ def _x_lines(spectrum: BogoliubovSpectrum, beta: float, site: int, freq: np.ndar
     run, ``visit(where, weight)`` gets the run's slice of ``freq``, which is
     not read again, and its unclipped weights in a reused buffer.
     """
+    if not beta >= 0:  # nan too
+        raise ValueError("beta must be non-negative")
     a, b = _site_mode_amplitudes(spectrum, site)
     eps = spectrum.energies
     n = eps.size

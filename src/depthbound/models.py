@@ -1,6 +1,9 @@
-"""Dense spin models: Pauli-term Hamiltonians, their thermal eigensystems,
-Gibbs states, dynamical correlation spectra, and the finite-difference
-oracle for the second-order Holevo coefficients.
+"""Dense spin models: Pauli-term Hamiltonians, their thermal eigensystems
+and Gibbs marginals, and spectral lines.
+
+Dense Gibbs states, dynamical correlation spectra and the finite-difference
+oracle for the second-order Holevo coefficients are oracle routes in
+:mod:`depthbound.oracles`; their names resolve here too.
 
 The workhorse model is the open transverse-field Ising chain
 
@@ -18,13 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .states import (
-    DENSE_QUBIT_CAP,
-    DensityOperator,
-    NumericalConsistencyError,
-    apply_on_sites,
-)
-from .purification import MeasurementSpec, apply_measurement, canonical_purification, holevo_information
+from .states import DENSE_QUBIT_CAP, DensityOperator, NumericalConsistencyError, _forward_to_oracles
 
 __all__ = [
     "PAULI",
@@ -504,7 +501,7 @@ class ThermalEigensystem:
     def weights(self, beta: float) -> np.ndarray:
         """Gibbs weights p_i = e^{−beta E_i}/Z, max-shift stabilized: with
         the ground energy at 0, sum(e^{−beta E_i}) lies in [1, d]."""
-        if beta < 0:
+        if not beta >= 0:  # nan too
             raise ValueError("beta must be non-negative")
         e = self.energies - self.energies.min()
         # beta E_i past the float range is inf, and exp(−inf) = 0.
@@ -520,6 +517,8 @@ class ThermalEigensystem:
 
     def rotate(self, op: np.ndarray, op_sites: Sequence[int]) -> np.ndarray:
         """V† (O ⊗ I) V for a local operator O on ``op_sites``."""
+        from .oracles import apply_on_sites
+
         v = self.vectors
         n = len(self.sites)
         # The column index of V acts as n extra qubits behind the register.
@@ -804,22 +803,8 @@ def _projected_blocks(
         yield outcome, weight, gram
 
 
-def gibbs_state(
-    hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem, beta: float
-) -> DensityOperator:
-    """rho = e^{−beta H}/Z via eigendecomposition with max-shift stabilization."""
-    eig = ThermalEigensystem.of(hamiltonian)
-    p = eig.weights(beta)
-    v = eig.vectors
-    mat = (v * p) @ v.conj().T
-    tr = float(np.real(np.trace(mat)))
-    if abs(tr - 1.0) > 1e-12:
-        raise NumericalConsistencyError(f"Gibbs state trace deviates by {tr - 1.0}")
-    return DensityOperator(mat, eig.sites, check=False)
-
-
 # ---------------------------------------------------------------------------
-# Dynamical correlations
+# Spectral lines
 # ---------------------------------------------------------------------------
 
 
@@ -884,133 +869,4 @@ class SpectralLines:
         return phases @ self.weights.astype(complex)
 
 
-def dynamical_correlation(
-    hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem,
-    beta: float,
-    observable: np.ndarray,
-    *,
-    times: Sequence[float] | None = None,
-    group_atol: float | None = None,
-) -> SpectralLines | np.ndarray:
-    """Connected autocorrelation C(t) = <O(t)O(0)> − <O>² of a Gibbs state.
-
-    With ``times`` given, returns complex samples C(t); otherwise returns the
-    discrete :class:`SpectralLines` at frequencies omega = E_j − E_i with
-    weights p_i |O_ij|², merged over near-degenerate frequencies, with <O>²
-    subtracted from the omega=0 group (which stays non-negative).
-    """
-    eig = ThermalEigensystem.of(hamiltonian)
-    p = eig.weights(beta)
-    e = eig.energies
-    v = eig.vectors
-    o_t = v.conj().T @ np.asarray(observable) @ v
-    mean = float(np.real(np.sum(p * np.diagonal(o_t))))
-    omega = e[None, :] - e[:, None]
-    weights = p[:, None] * np.abs(o_t) ** 2
-    freqs = omega.reshape(-1)
-    wts = weights.reshape(-1)
-    keep = wts > 1e-300
-    freqs, wts = freqs[keep], wts[keep]
-    if group_atol is None:
-        group_atol = 1e-10 * max(1.0, float(np.max(np.abs(freqs))) if freqs.size else 1.0)
-    merged = SpectralLines.merged(freqs, wts, group_atol)
-    freqs, wts = merged.frequencies, merged.weights
-    # Connected part: remove <O>² from the static group.
-    zero_idx = int(np.argmin(np.abs(freqs))) if freqs.size else -1
-    if zero_idx < 0 or abs(freqs[zero_idx]) > group_atol:
-        freqs = np.append(freqs, 0.0)
-        wts = np.append(wts, 0.0)
-        zero_idx = freqs.size - 1
-    wts[zero_idx] -= mean * mean
-    if wts[zero_idx] < -1e-10:
-        raise NumericalConsistencyError(f"static connected weight {wts[zero_idx]} below -1e-10")
-    wts[zero_idx] = max(wts[zero_idx], 0.0)
-    lines = SpectralLines(freqs, wts)
-    if times is not None:
-        return lines.sample(np.asarray(times, dtype=float))
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleEstimate:
-    """Richardson-extrapolated chi(mu)/mu² with a grid-refinement uncertainty."""
-
-    value: float
-    uncertainty: float
-    samples: tuple[tuple[float, float], ...]  # (mu, chi(mu)/mu²)
-
-
-def _richardson(values: Sequence[float]) -> tuple[float, float]:
-    """Extrapolate chi/mu² samples on a ratio-2 geometric mu grid to mu→0.
-
-    chi(mu)/mu² has an even Taylor expansion in mu, so each Richardson stage
-    cancels the leading mu² error term (weights 4/3, 16/15, ...).
-    """
-    table = [list(values)]
-    factor = 4.0
-    while len(table[-1]) > 1:
-        prev = table[-1]
-        table.append(
-            [(factor * prev[i + 1] - prev[i]) / (factor - 1.0) for i in range(len(prev) - 1)]
-        )
-        factor *= 4.0
-    best = table[-1][0]
-    if len(table) >= 2 and len(table[-2]) >= 2:
-        runner = table[-2][-1]
-        uncertainty = abs(best - runner)
-    else:
-        uncertainty = abs(values[-1] - best)
-    return best, uncertainty
-
-
-def holevo_finite_difference(
-    hamiltonian: SpinHamiltonian,
-    beta: float,
-    observable: np.ndarray,
-    obs_sites: Sequence[int],
-    region: Sequence[int],
-    *,
-    mu_grid: Sequence[float] = (0.02, 0.01, 0.005, 0.0025),
-    rel_tol: float = 1e-3,
-) -> OracleEstimate:
-    """Finite-difference oracle for the quadratic Holevo coefficient chi2.
-
-    With elements F_pm = I/2 pm mu O the Holevo quantity of the conditioned
-    ensemble opens as chi(mu) = 4 mu^2 chi2 + O(mu^4) (the binary-outcome KL
-    expansion carries (2 mu)^2/2 and the susceptibility convention another
-    1/2), so each sample is chi(mu)/(4 mu^2) and the grid is Richardson-
-    extrapolated to mu -> 0.
-
-    ``region`` may be system sites (chi_B-type) or the string "env" for the
-    purification environment.  The mu grid must be geometric with ratio 2
-    (checked); the estimate errors out if the grid-refinement uncertainty
-    exceeds ``rel_tol`` times the value.
-    """
-    mus = [float(m) for m in mu_grid]
-    if len(mus) < 3:
-        raise ValueError("need at least three mu values for the extrapolation")
-    if any(not 0.0 < m <= 0.05 for m in mus):
-        raise ValueError("mu values must lie in (0, 0.05]")
-    for a, b in zip(mus, mus[1:]):
-        if abs(a / b - 2.0) > 1e-12:
-            raise ValueError("mu grid must be geometric with ratio 2")
-    rho = gibbs_state(hamiltonian, beta)
-    psi = canonical_purification(rho)
-    target = psi.env_sites if isinstance(region, str) and region == "env" else tuple(region)
-    samples = []
-    for mu in mus:
-        m = MeasurementSpec.weak(observable, mu, tuple(obs_sites))
-        ens = apply_measurement(psi, m)
-        chi = holevo_information(ens, target)
-        samples.append((mu, chi / (4.0 * mu * mu)))
-    value, uncertainty = _richardson([s[1] for s in samples])
-    if uncertainty > max(rel_tol * abs(value), 1e-12):
-        raise ValueError(
-            f"oracle uncertainty {uncertainty} exceeds {rel_tol} x |{value}|; refine the grid"
-        )
-    return OracleEstimate(value, uncertainty, tuple(samples))
+__getattr__ = _forward_to_oracles(globals(), "_richardson")

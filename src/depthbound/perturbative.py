@@ -2,24 +2,23 @@
 
 For the symmetric two-outcome family F_± = (I ± mu*O)/2, both Holevo
 quantities vanish through first order in mu; this module computes the
-second-order coefficients chi2 = (1/2) d²chi/dmu² at mu=0 through several
-routes:
+second-order coefficients chi2 = (1/2) d²chi/dmu² at mu=0 on the run path:
 
-* ``chi2_general`` — the operator formula (1/2)(Tr[xi T_rho[xi]] − <O>²)
-  on any purified state, valid for any region;
-* ``chi2_system`` — the same formula for a system region, evaluated on the
-  state's marginal with no purification;
-* ``chi2_E_eigensum`` — the environment coefficient of a Gibbs state from a
-  dense eigendecomposition (normalized, connected form);
-* ``chi2_E_spectral`` — the same quantity as a weighted sum over spectral
-  lines of the dynamical autocorrelation of O;
-* ``chi2_B_correlator_lb`` — a rigorous lower bound on the system-side
+* ``chi2_system`` — the operator formula (1/2)(Tr[xi T_sigma[xi]] − <O>²)
+  for a system region, evaluated on the state's marginal with no
+  purification;
+* ``chi2_E_eigenbasis`` — the environment coefficient of a Gibbs state
+  from its eigensystem (normalized, connected form);
+* ``correlator_lb_value`` — a rigorous lower bound on the system-side
   coefficient from a static connected correlator.
 
-The kernel maps T and R are the divided-difference representations of the
-operator integrals T_s[x] = ∫ (s+z)⁻¹ x (s+z)⁻¹ dz and
-R_s[x] = ∫ (s+z)⁻¹ x (s+z)⁻¹ x (s+z)⁻¹ dz, evaluated in the eigenbasis with
+The map T is the divided-difference representation of the operator
+integral T_s[x] = ∫ (s+z)⁻¹ x (s+z)⁻¹ dz, evaluated in the eigenbasis with
 analytic confluent limits (no numerical quadrature).
+
+``chi2_general`` (any region of a purified state), ``chi2_E_eigensum``,
+``chi2_E_spectral``, ``chi2_B_correlator_lb``, ``build_xi`` and the Lieb
+maps are oracles in :mod:`depthbound.oracles`; their names resolve here too.
 
 Values are in nats per mu².
 """
@@ -27,7 +26,7 @@ Values are in nats per mu².
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +35,11 @@ from .states import (
     NEG_EIG_TOL,
     DensityOperator,
     NumericalConsistencyError,
-    StateVector,
-    apply_on_sites,
+    _forward_to_oracles,
     operator_norm,
 )
-from .models import SpinHamiltonian, ThermalEigensystem, row_chunks
-from .purification import PurifiedState, non_negative
+from .models import ThermalEigensystem, row_chunks
+from .purification import non_negative
 
 __all__ = [
     "XiOperator",
@@ -59,18 +57,6 @@ __all__ = [
     "chi2_B_correlator_lb",
     "correlator_lb_value",
 ]
-
-
-@dataclass(frozen=True)
-class XiOperator:
-    """Response operator xi^X = Tr_{X^c}[O |psi><psi|] on region X."""
-
-    matrix: np.ndarray
-    region: tuple[int, ...]
-    provenance: str
-
-    def trace_norm(self) -> float:
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).sum())
 
 
 @dataclass(frozen=True)
@@ -102,34 +88,6 @@ def _dd1_vals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (2.0 / s) * ratio
 
 
-def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
-    """Kernel K3[i,j,l] = −ln[w_i, w_j, w_l] (negated 2nd divided difference).
-
-    Equals ∫ dz ((w_i+z)(w_j+z)(w_l+z))⁻¹ > 0.  The generic branch divides
-    by the widest gap (w_l − w_i); nearly-confluent pairs fall back to the
-    midpoint formula, and the fully-confluent limit is 1/(2m²).
-    """
-    x = np.asarray(w, dtype=float)
-    dd1 = _dd1_vals(x[:, None], x[None, :])
-    num = dd1[:, :, None] - dd1[None, :, :]
-    denom = x[None, None, :] - x[:, None, None]
-    scale = x[:, None, None] + x[None, :, None] + x[None, None, :]
-    near = np.abs(denom) <= 1e-5 * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k3 = num / denom
-    if near.any():
-        a = 0.5 * (x[:, None, None] + x[None, None, :]) + 0.0 * x[None, :, None]
-        b = np.broadcast_to(x[None, :, None], a.shape)
-        dab = _dd1_vals(a, b)
-        gap = b - a
-        inner = np.abs(gap) <= 1e-5 * (a + b)
-        m = (2.0 * a + b) / 3.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conf = np.where(inner, 1.0 / (2.0 * m * m), (1.0 / a - dab) / np.where(inner, 1.0, gap))
-        k3 = np.where(near, conf, k3)
-    return k3
-
-
 def _floored_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, u = np.linalg.eigh(mat)
     if float(w.min()) < -NEG_EIG_TOL:
@@ -154,53 +112,9 @@ def _sigma_frame(sigma: DensityOperator | np.ndarray) -> tuple[np.ndarray, np.nd
     return w, u, w <= 10 * EIG_FLOOR
 
 
-def lieb_T_map(sigma: DensityOperator | np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """T_sigma[xi] = ∫₀^∞ (sigma+z)⁻¹ xi (sigma+z)⁻¹ dz via the eigenbasis kernel."""
-    w, u, tiny = _sigma_frame(sigma)
-    xi_t = u.conj().T @ xi @ u
-    _check_support(xi_t, tiny, tiny)
-    out_t = xi_t * _dd1_vals(w[:, None], w[None, :])
-    out = u @ out_t @ u.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def lieb_R_map(rho: DensityOperator | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """R_rho[x] = ∫₀^∞ (rho+z)⁻¹ x (rho+z)⁻¹ x (rho+z)⁻¹ dz (PSD for Hermitian x)."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
-    w, u = _floored_eigh(mat)
-    x_t = u.conj().T @ x @ u
-    k3 = _neg_log_dd2(w)
-    out_t = np.einsum("ij,jl,ijl->il", x_t, x_t, k3, optimize=True)
-    out = u @ out_t @ u.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # chi2 routes
 # ---------------------------------------------------------------------------
-
-
-def build_xi(
-    psi: PurifiedState | StateVector,
-    observable: np.ndarray,
-    obs_sites: Sequence[int],
-    region: Sequence[int],
-) -> XiOperator:
-    """xi^X = Tr_{X^c}[O |psi><psi|] for a region X disjoint from supp(O)."""
-    vec = psi.vector if isinstance(psi, PurifiedState) else psi
-    region = tuple(region)
-    if set(region) & set(obs_sites):
-        raise ValueError("region must be disjoint from the observable support")
-    applied = apply_on_sites(vec.amplitudes, vec.sites, observable, obs_sites)
-    n = vec.n_sites
-    pos = [vec.sites.index(s) for s in region]
-    pos_set = set(pos)
-    rest = [i for i in range(n) if i not in pos_set]
-    dx = 2 ** len(region)
-    lhs = applied.reshape((2,) * n).transpose(pos + rest).reshape(dx, -1)
-    rhs = vec.tensor().transpose(pos + rest).reshape(dx, -1)
-    xi = _hermitian_xi(lhs @ rhs.conj().T)
-    return XiOperator(xi, region, provenance=f"O on sites {tuple(obs_sites)}")
 
 
 def _hermitian_xi(xi: np.ndarray) -> np.ndarray:
@@ -220,7 +134,7 @@ def _chi2_from_xi(xi: np.ndarray, sigma: DensityOperator | np.ndarray, mean: flo
     """(1/2)(Tr[xi T_sigma[xi]] − <O>²).
 
     In sigma's eigenbasis, with x = U† xi U and K the kernel of
-    :func:`lieb_T_map`, Tr[xi T_sigma[xi]] = Σ_kl |x_kl|² K(w_k, w_l): x is
+    :func:`~depthbound.oracles.lieb_T_map`, Tr[xi T_sigma[xi]] = Σ_kl |x_kl|² K(w_k, w_l): x is
     formed an eighth of its rows at a time (at least 32), and neither
     T_sigma[xi] nor its rotation back is formed.
     """
@@ -239,22 +153,6 @@ def _chi2_from_xi(xi: np.ndarray, sigma: DensityOperator | np.ndarray, mean: flo
     return 0.5 * (quad - mean * mean)
 
 
-def chi2_general(
-    psi: PurifiedState | StateVector,
-    observable: np.ndarray,
-    obs_sites: Sequence[int],
-    region: Sequence[int],
-) -> Chi2Result:
-    """chi2_X = (1/2)(Tr[xi^X T_{rho^X}[xi^X]] − <O>²) for any region X."""
-    _check_observable_norm(observable)
-    vec = psi.vector if isinstance(psi, PurifiedState) else psi
-    xi = build_xi(vec, observable, obs_sites, region)
-    applied = apply_on_sites(vec.amplitudes, vec.sites, np.asarray(observable), tuple(obs_sites))
-    mean = float(np.real(np.vdot(vec.amplitudes, applied)))
-    value = _chi2_from_xi(xi.matrix, vec.reduced(tuple(region)), mean)
-    return Chi2Result(value, tuple(region), "general")
-
-
 def chi2_system(
     rho: DensityOperator,
     observable: np.ndarray,
@@ -266,7 +164,7 @@ def chi2_system(
     Tracing the environment out of |psi><psi| leaves rho, so with A the
     support of O and C the rest of the system, xi^X = Tr_{AC}[O_A rho] and
     sigma_X = Tr_{AC} rho; both come from the marginal rho_{AX}.  Equals
-    :func:`chi2_general` on any purification of rho.
+    :func:`~depthbound.oracles.chi2_general` on any purification of rho.
     """
     _check_observable_norm(observable)
     obs_sites, region = tuple(obs_sites), tuple(region)
@@ -318,30 +216,17 @@ def _chi2_E(value: float, method: str) -> Chi2Result:
     return Chi2Result(value, "E", method)
 
 
-def chi2_E_eigensum(
-    hamiltonian: SpinHamiltonian | np.ndarray | ThermalEigensystem,
-    beta: float,
-    observable: np.ndarray,
-) -> Chi2Result:
-    """Environment coefficient for a Gibbs state from dense diagonalization.
-
-    chi2_E = (1/2)[ sum_ij p_i |O_ij|² f_beta(E_j−E_i) − (sum_i p_i O_ii)² ]
-    with Gibbs weights p_i; the i=j kernel value is f(0)=1.
-    """
-    eig = ThermalEigensystem.of(hamiltonian)
-    obs = np.asarray(observable)
-    v = eig.vectors
-    if v.shape != obs.shape:
-        raise ValueError("H and O must act on the same space")
-    return chi2_E_eigenbasis(eig, beta, v.conj().T @ obs @ v)
-
-
 def chi2_E_eigenbasis(
     eig: ThermalEigensystem, beta: float, o_eig: np.ndarray | Sequence[np.ndarray]
 ) -> Chi2Result:
-    """:func:`chi2_E_eigensum` for an observable already in the eigenbasis,
-    o_eig = V† O V (:meth:`ThermalEigensystem.rotate`), so that a beta grid
-    rotates O once.
+    """Environment coefficient for a Gibbs state from its eigensystem,
+
+    chi2_E = (1/2)[ sum_ij p_i |O_ij|² f_beta(E_j−E_i) − (sum_i p_i O_ii)² ]
+
+    with Gibbs weights p_i (the i=j kernel value is f(0)=1), for an
+    observable already in the eigenbasis, o_eig = V† O V
+    (:meth:`ThermalEigensystem.rotate`), so that a beta grid rotates O once;
+    :func:`~depthbound.oracles.chi2_E_eigensum` rotates O itself.
 
     An O that maps each sector of ``eig`` onto itself may instead be given
     as its diagonal blocks, one per sector (:meth:`ThermalEigensystem.rotate_x`);
@@ -363,31 +248,6 @@ def chi2_E_eigenbasis(
     return _chi2_E(0.5 * (total - mean * mean), "eigensum")
 
 
-def chi2_E_spectral(lines, beta: float) -> Chi2Result:
-    """chi2_E = (1/2) sum_l w_l f_beta(omega_l) over discrete spectral lines.
-
-    Equivalent to (1/4π)∫ dω C(ω) f_beta(ω) with C(ω) = 2π Σ_l w_l δ(ω−ω_l)
-    for C(t) = Σ_l w_l e^{−i ω_l t}.  Accepts any object with
-    ``frequencies``/``weights`` arrays or a (frequencies, weights) pair.
-    """
-    if hasattr(lines, "frequencies"):
-        freqs = np.asarray(lines.frequencies, dtype=float)
-        weights = np.asarray(lines.weights, dtype=float)
-    else:
-        freqs, weights = (np.asarray(x, dtype=float) for x in lines)
-    if freqs.shape != weights.shape:
-        raise ValueError("frequencies and weights must have equal shapes")
-    if weights.size and float(weights.min()) < -1e-10:
-        raise NumericalConsistencyError(f"negative spectral weight {weights.min()}")
-    terms = f_beta_weight(np.atleast_1d(freqs), beta)
-    # The clip at 0 changes only entries with the sign bit set (negatives, −0.0).
-    if np.signbit(weights).any():
-        weights = np.clip(weights, 0.0, None)
-    with np.errstate(invalid="ignore"):  # an overflowed f_beta; _chi2_E rejects the nan
-        terms *= weights
-    return _chi2_E(0.5 * float(np.sum(terms)), "spectral")
-
-
 def correlator_lb_value(connected: float, mean_b: float) -> float:
     """<O_A O_B>_c² / (2 (1 − <O_B>²)): the strong-probe bound on chi2_B.
 
@@ -404,24 +264,4 @@ def correlator_lb_value(connected: float, mean_b: float) -> float:
     return connected * connected / (2.0 * denom)
 
 
-def chi2_B_correlator_lb(
-    rho: DensityOperator,
-    obs_a: np.ndarray,
-    sites_a: Sequence[int],
-    obs_b: np.ndarray,
-    sites_b: Sequence[int],
-) -> Chi2Result:
-    """Lower bound chi2_B >= <O_A O_B>_c² / (2(1 − <O_B>²)) for ||O_B|| <= 1."""
-    sites_a = tuple(sites_a)
-    sites_b = tuple(sites_b)
-    if set(sites_a) & set(sites_b):
-        raise ValueError("observable supports must be disjoint")
-    if operator_norm(np.asarray(obs_b)) > 1.0 + 1e-10:
-        raise ValueError("O_B must have operator norm <= 1")
-    mean_a = rho.expectation(np.asarray(obs_a), sites_a)
-    mean_b = rho.expectation(np.asarray(obs_b), sites_b)
-    joint_op = np.kron(np.asarray(obs_a), np.asarray(obs_b))
-    joint = rho.expectation(joint_op, sites_a + sites_b)
-    connected = joint - mean_a * mean_b
-    value = correlator_lb_value(connected, mean_b)
-    return Chi2Result(value, tuple(sites_b), "correlator-lower-bound")
+__getattr__ = _forward_to_oracles(globals())

@@ -2,6 +2,7 @@
 CLI, and the README's Python examples."""
 
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -27,6 +28,61 @@ def test_import_loads_no_cli_argparse_or_scipy():
     assert out == "[]\n"
 
 
+_IMPORT_LINE = """\
+import json, sys
+import depthbound.cli as cli
+
+LATE = ("depthbound.oracles", "configparser", "concurrent.futures", "logging")
+seen = {"import": [m for m in LATE if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    seen[argv[0] + " " + argv[-1]] = [code] + [m for m in LATE if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_runs_import_no_oracles(tmp_path):
+    """``import depthbound.cli`` loads neither the oracle routes nor the
+    stdlib that only ``--config`` and worker threads use, and no backend's
+    run loads the oracles: in one process, after a dense weak-x scan, a
+    dense projective-x JSON bound, a free-fermion scan, a small ``fig2``
+    and a cft scan and bound, ``depthbound.oracles`` is still absent.  A
+    ``--config`` run then loads ``configparser``, a ``--threads 2`` run
+    ``concurrent.futures``, and only ``selftest`` loads the oracles."""
+    (tmp_path / "run.ini").write_text("[run]\nbackend = freefermion\nn = 21\ng = 1\nbeta = 2\nx_grid = 3\n")
+    runs = [
+        ["scan", "--backend", "dense", "--n", "6", "--g", "1", "--beta-grid", "0.5,2", "--x-grid", "1:2",
+         "--measure", "weak-x", "--out", "dense.csv"],
+        ["bound", "--backend", "dense", "--n", "6", "--g", "1", "--beta", "1", "--x-grid", "2",
+         "--measure", "projective-x", "--format", "json"],
+        ["scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta-grid", "5,10", "--x-grid", "1:3",
+         "--out", "ff.csv"],
+        ["fig2", "--n", "21", "--beta-grid", "5", "--x-grid", "2", "--out", "f2"],
+        ["scan", "--backend", "cft", "--beta-grid", "10,20", "--x-grid", "1:3", "--out", "cft.csv"],
+        ["bound", "--backend", "cft", "--beta", "50", "--x-grid", "10"],
+        ["bound", "--config", "run.ini"],
+        ["scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta-grid", "5,10", "--x-grid", "1",
+         "--out", "threads.csv", "--threads", "2"],
+        ["selftest", "--seed", "0"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_LINE, json.dumps(runs)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen == {
+        "import": [],
+        "scan dense.csv": [0],
+        "bound json": [0],
+        "scan ff.csv": [0],
+        "fig2 f2": [0],
+        "scan cft.csv": [0],
+        "bound 10": [0],
+        "bound run.ini": [0, "configparser"],
+        "scan 2": [0, "configparser", "concurrent.futures", "logging"],
+        "selftest 0": [0, "depthbound.oracles", "configparser", "concurrent.futures", "logging"],
+    }
+
+
 def test_every_export_resolves():
     """Every name in a module's ``__all__`` and in the package's resolves, and
     the package exports only what its modules export (and its version), so
@@ -42,6 +98,26 @@ def test_every_export_resolves():
     assert [name for name in depthbound.__all__ if not hasattr(depthbound, name)] == []
     assert len(set(depthbound.__all__)) == len(depthbound.__all__)
     assert set(depthbound.__all__) - exported == {"__version__"}
+
+
+def test_oracle_routes_resolve_from_their_old_modules():
+    """Each oracle route resolves from the one module it left, and from the
+    package if it exports the name, as the oracles' own object, and is then
+    bound in that module's namespace, where an outside tracer reading
+    ``vars(module)`` finds it."""
+    from depthbound import oracles, perturbative, purification, states
+
+    old_homes = (states, purification, perturbative, models)
+    for name in oracles.__all__:
+        value = getattr(oracles, name)
+        assert value.__module__ == "depthbound.oracles", name
+        (home,) = [module for module in old_homes if name in module.__all__]
+        for module in (home, depthbound) if name in depthbound.__all__ else (home,):
+            assert getattr(module, name) is value, name
+            assert vars(module)[name] is value, name
+    assert models._richardson is oracles._richardson
+    with pytest.raises(AttributeError, match="has no attribute 'gibbs_state'"):
+        states.gibbs_state
 
 
 def _cells(ctx, x):

@@ -38,7 +38,7 @@ from depthbound.fermion import (
     weak_x_lines,
     x_expectation,
 )
-from depthbound.models import SpectralLines, build_tfim, dynamical_correlation, gibbs_state
+from depthbound.models import SpectralLines, ThermalEigensystem, build_tfim, dynamical_correlation, gibbs_state
 from depthbound.perturbative import chi2_E_eigensum, chi2_E_spectral
 from depthbound.states import NumericalConsistencyError, embed_operator, von_neumann_entropy
 
@@ -506,6 +506,31 @@ def test_prefix_outside_the_chain_is_rejected(prefix):
         thermal_covariance(bdg_diagonalize(41, 1.0), 2.0, prefix=prefix)
 
 
+@pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf, -1e-300])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda beta: ThermalEigensystem.of(build_tfim(4, 1.0)).weights(beta),
+        lambda beta: thermal_covariance(bdg_diagonalize(12, 1.0), beta),
+        lambda beta: chi2_E_quadratic(bdg_diagonalize(12, 1.0), beta, 5),
+        lambda beta: weak_x_lines(bdg_diagonalize(12, 1.0), beta, 5),
+    ],
+    ids=["weights", "thermal_covariance", "chi2_E_quadratic", "weak_x_lines"],
+)
+def test_nan_or_negative_beta_is_rejected(route, beta):
+    """A nan beta fails the ``beta >= 0`` test as a negative one does; the
+    Gibbs weights, the covariance and both line routes raise alike."""
+    with pytest.raises(ValueError, match="^beta must be non-negative$"):
+        route(beta)
+
+
+def test_infinite_beta_stays_valid():
+    spectrum = bdg_diagonalize(12, 1.0)
+    cov = thermal_covariance(spectrum, math.inf)
+    assert np.isfinite(cov.gamma).all()
+    assert np.isfinite(weak_x_lines(spectrum, math.inf, 5).weights).all()
+
+
 NORM_LIMIT = 1.0 + 1e-10
 
 
@@ -533,6 +558,32 @@ def test_covariance_guard_rejects_scaled_prefix_block():
     assert cov.gamma.shape == (42, 42)
     with pytest.raises(ValueError, match="singular value .* exceeds 1"):
         MajoranaCovariance(1.001 * cov.gamma, cov.beta)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 1), (3, 3), "pair"])
+def test_covariance_guard_rejects_a_non_finite_gamma(value, where):
+    """A nan or inf entry, alone, on the diagonal or mirrored into an
+    antisymmetric pair, is rejected before the Cholesky test, which returns
+    on a nan Gram matrix without raising."""
+    gamma = thermal_covariance(bdg_diagonalize(8, 1.0), 2.0).gamma.copy()
+    if where == "pair":
+        gamma[0, 1], gamma[1, 0] = value, -value
+    else:
+        gamma[where] = value
+    with pytest.raises(ValueError, match="^covariance must be finite$"):
+        MajoranaCovariance(gamma, 2.0)
+    with pytest.raises(ValueError, match="^covariance must be finite$"):
+        MajoranaCovariance(gamma.astype(complex), 2.0)
+
+
+def test_covariance_guard_keeps_its_antisymmetry_verdict():
+    gamma = thermal_covariance(bdg_diagonalize(8, 1.0), 2.0).gamma.copy()
+    gamma[0, 1] += 2e-10
+    with pytest.raises(ValueError, match="^covariance must be antisymmetric$"):
+        MajoranaCovariance(gamma, 2.0)
+    gamma[0, 1] -= 1.5e-10
+    assert MajoranaCovariance(gamma, 2.0).gamma is gamma
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e3])
