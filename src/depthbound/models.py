@@ -21,7 +21,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .states import DENSE_QUBIT_CAP, DensityOperator, NumericalConsistencyError, _forward_to_oracles
+from . import _resolver
+from .states import DENSE_QUBIT_CAP, DensityOperator, NumericalConsistencyError
 
 __all__ = [
     "PAULI",
@@ -504,9 +505,10 @@ class ThermalEigensystem:
         if not beta >= 0:  # nan too
             raise ValueError("beta must be non-negative")
         e = self.energies - self.energies.min()
-        # beta E_i past the float range is inf, and exp(−inf) = 0.
+        # beta E_i past the float range is inf, and exp(−inf) = 0.  The ground
+        # energies keep exponent 0, also at beta = inf, where −inf · 0 is nan.
         with np.errstate(over="ignore"):
-            x = -beta * e
+            x = np.multiply(-beta, e, out=np.zeros_like(e), where=e != 0)
         logz = float(np.log(np.sum(np.exp(x))))
         return np.exp(x - logz)
 
@@ -869,4 +871,5 @@ class SpectralLines:
         return phases @ self.weights.astype(complex)
 
 
-__getattr__ = _forward_to_oracles(globals(), "_richardson")
+# The names of __all__ that live in depthbound.oracles, and _richardson, load on first use.
+__getattr__ = _resolver(globals(), dict.fromkeys([*set(__all__).difference(globals()), "_richardson"], "oracles"))

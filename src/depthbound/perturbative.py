@@ -30,12 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _resolver
 from .states import (
     EIG_FLOOR,
     NEG_EIG_TOL,
     DensityOperator,
     NumericalConsistencyError,
-    _forward_to_oracles,
     operator_norm,
 )
 from .models import ThermalEigensystem, row_chunks
@@ -264,4 +264,5 @@ def correlator_lb_value(connected: float, mean_b: float) -> float:
     return connected * connected / (2.0 * denom)
 
 
-__getattr__ = _forward_to_oracles(globals())
+# The names of __all__ that live in depthbound.oracles load on first use.
+__getattr__ = _resolver(globals(), dict.fromkeys(set(__all__).difference(globals()), "oracles"))

@@ -28,12 +28,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _resolver
 from .states import (
     HERM_ATOL,
     NEG_EIG_TOL,
     DensityOperator,
     NumericalConsistencyError,
-    _forward_to_oracles,
     entropy_from_spectrum,
     von_neumann_entropy,
 )
@@ -271,5 +271,6 @@ def non_negative(chi: float, name: str) -> float:
     return chi
 
 
-__getattr__ = _forward_to_oracles(globals())
+# The names of __all__ that live in depthbound.oracles load on first use.
+__getattr__ = _resolver(globals(), dict.fromkeys(set(__all__).difference(globals()), "oracles"))
 

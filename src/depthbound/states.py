@@ -22,9 +22,11 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import _resolver
 
 __all__ = [
     "DENSE_QUBIT_CAP",
@@ -195,23 +197,5 @@ def operator_norm(op: np.ndarray) -> float:
     return float(np.linalg.norm(op, 2))
 
 
-def _forward_to_oracles(namespace: dict, *private: str) -> Callable[[str], object]:
-    """A module ``__getattr__`` (PEP 562) for the names of ``__all__`` that
-    the module does not define, and for ``private``: each lives in
-    :mod:`depthbound.oracles`.  The first access imports that module and binds
-    the object in ``namespace``, so later reads, ``vars(module)`` included,
-    find it there and the run path never imports the oracles."""
-    moved = frozenset(namespace.get("__all__", ())).difference(namespace).union(private)
-
-    def __getattr__(name: str) -> object:
-        if name not in moved:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        from . import oracles
-
-        value = namespace[name] = getattr(oracles, name)
-        return value
-
-    return __getattr__
-
-
-__getattr__ = _forward_to_oracles(globals())
+# The names of __all__ that live in depthbound.oracles load on first use.
+__getattr__ = _resolver(globals(), dict.fromkeys(set(__all__).difference(globals()), "oracles"))

@@ -100,6 +100,38 @@ def test_every_export_resolves():
     assert set(depthbound.__all__) - exported == {"__version__"}
 
 
+def test_import_depthbound_loads_no_layer_module():
+    """``import depthbound`` loads numpy, under its OpenBLAS thread timeout,
+    and of the package's modules only ``_openblas``; a name loads its home
+    module on first use, with what that module imports and nothing else."""
+    code = ("import sys, depthbound\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('depthbound.'))\n"
+            "print(loaded(), 'numpy' in sys.modules)\n"
+            "depthbound.g_func\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(backends.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["['depthbound._openblas'] True", "['depthbound._openblas', 'depthbound.bounds']"]
+
+
+def test_package_names_resolve_from_their_home_modules():
+    """Each name of the package is its home module's own object and, once
+    read, is bound in ``vars(depthbound)``, also after it was dropped there;
+    ``dir`` lists every export, and each home module's name gives the
+    module itself."""
+    assert set(depthbound.__all__) <= set(dir(depthbound))
+    for home, names in depthbound._PUBLIC.items():
+        module = importlib.import_module(f"depthbound.{home}")
+        assert getattr(depthbound, home) is module
+        for name in names:
+            vars(depthbound).pop(name, None)
+            assert getattr(depthbound, name) is getattr(module, name), name
+            assert vars(depthbound)[name] is getattr(module, name), name
+    assert depthbound.fermion is sys.modules["depthbound.fermion"]
+    with pytest.raises(AttributeError, match="module 'depthbound' has no attribute 'gibbs'"):
+        depthbound.gibbs
+
+
 def test_oracle_routes_resolve_from_their_old_modules():
     """Each oracle route resolves from the one module it left, and from the
     package if it exports the name, as the oracles' own object, and is then

@@ -1,6 +1,7 @@
 """Spin-chain Hamiltonians, Gibbs states, and dynamical correlators."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,8 @@ from depthbound.models import (
     holevo_finite_difference,
     reflection_basis,
 )
-from depthbound.states import embed_operator, trace_distance, von_neumann_entropy
+from depthbound.perturbative import chi2_E_eigenbasis
+from depthbound.states import NumericalConsistencyError, embed_operator, trace_distance, von_neumann_entropy
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -125,6 +127,32 @@ def test_gibbs_zero_temperature_projects_on_ground_state():
     ground = np.outer(v[:, 0], v[:, 0].conj())
     rho = gibbs_state(ham, 1e4)
     assert np.max(np.abs(rho.matrix - ground)) < 1e-8
+
+
+def test_infinite_beta_weights_the_ground_state_alone():
+    """At beta = inf the Gibbs weights are one-hot on the ground state, with
+    no nan and no warning, and the routes that read them agree with a beta
+    large enough for every excited weight to underflow to 0.  The
+    eigenbasis chi_E rejects beta*omega past the float range, as it does
+    wherever that product overflows."""
+    eig = ThermalEigensystem.of(build_tfim(4, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = eig.weights(math.inf)
+        marginal = eig.marginal(math.inf, (0, 1)).matrix
+        factors = list(eig.projected_factors(math.inf, 1))
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
+            chi2_E_eigenbasis(eig, math.inf, eig.rotate_x(1))
+    expected = np.zeros(16)
+    expected[np.argmin(eig.energies)] = 1.0
+    assert np.array_equal(p, expected)
+    assert np.array_equal(eig.weights(1e4), expected)
+    assert np.array_equal(marginal, eig.marginal(1e4, (0, 1)).matrix)
+    assert abs(np.trace(marginal) - 1.0) <= 1e-12
+    for (a, weight, gram), (b, weight_large, gram_large) in zip(factors, eig.projected_factors(1e4, 1), strict=True):
+        assert (a, weight) == (b, weight_large)
+        assert np.array_equal(gram, gram_large)
+    assert abs(sum(weight for _, weight, _ in factors) - 1.0) <= 1e-12
 
 
 def test_gibbs_commutes_with_hamiltonian():
