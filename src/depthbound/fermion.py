@@ -23,6 +23,7 @@ n = 301 scans feasible.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -190,64 +191,130 @@ def _check_schur_vectors(z: np.ndarray, order: np.ndarray, energies: np.ndarray,
 
 _FLAPACK = "scipy.linalg._flapack"
 _DGEES_LOCK = threading.Lock()
-_dgees = None  # scipy's LAPACK dgees wrapper, loaded on the first Schur form
+_lapack = None  # (dhseqr, dgees) of scipy's LAPACK, bound on the first Schur form
 
 
-def _load_dgees():
-    """``dgees`` from scipy's compiled LAPACK extension, without the
-    ``scipy.linalg`` package around it: the extension's file is looked up
-    in scipy's package directory (``find_spec`` imports nothing) and loaded
-    alone.  Without the file, the normal import system loads the module.
+def _load_lapack():
+    """``dhseqr`` and ``dgees`` from the OpenBLAS that scipy's compiled
+    LAPACK extension links, bound with ctypes.
 
-    The extension links scipy's own OpenBLAS, which loads here inside
+    The extension's file is looked up in scipy's package directory
+    (``find_spec`` imports nothing) and opened as a shared library, which
+    loads it and its OpenBLAS but never initialises its Python module: no
+    scipy module is imported.  Without the file, the normal import system
+    loads the module and its file is opened.  The routines are looked up
+    among that file's dependencies, with scipy's ``scipy_`` symbol prefix
+    or without one.
+
+    scipy's OpenBLAS loads here inside
     :func:`~depthbound._openblas.short_thread_timeout`, as numpy's does at
     ``import depthbound``: unless the user set a thread timeout, its pool
     sleeps soon after each call instead of spinning ~0.1 s; its thread
     count, and so every bit, is kept."""
     with short_thread_timeout():
         spec = importlib.util.find_spec("scipy")
-        for root in spec.submodule_search_locations if spec is not None else ():
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-                path = os.path.join(root, "linalg", "_flapack" + suffix)
-                if os.path.isfile(path):
-                    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-                    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
-                    loader.exec_module(module)
-                    return module.dgees
-        return importlib.import_module(_FLAPACK).dgees
+        roots = spec.submodule_search_locations if spec is not None else ()
+        paths = (os.path.join(root, "linalg", "_flapack" + suffix)
+                 for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((path for path in paths if os.path.isfile(path)), None)
+        library = ctypes.CDLL(path or importlib.import_module(_FLAPACK).__file__)
+    char, i, a = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    unused = ctypes.c_void_p  # dgees' SELECT and BWORK, which SORT = 'N' never reads
+    signatures = {
+        "dhseqr": (char, char, i, i, i, a, i, a, a, a, i, a, i, i),
+        "dgees": (char, char, unused, i, a, i, i, a, a, a, i, a, i, unused, i),
+    }
+    routines = []
+    for name, args in signatures.items():
+        routine = getattr(library, f"scipy_{name}_", None) or getattr(library, f"{name}_")
+        # The length of each CHARACTER argument follows the others.
+        routine.argtypes, routine.restype = (*args, ctypes.c_size_t, ctypes.c_size_t), None
+        routines.append(routine)
+    return tuple(routines)
 
 
-def _no_sort(wr, wi=None):
-    return None
+# dgees scales a matrix whose max |entry| lies outside [2⁻⁴⁵⁹, 2⁴⁵⁹]:
+# sqrt(safe minimum) / precision and its inverse.
+_UNSCALED = (2.0**-459, 2.0**459)
+
+
+def _dgees_adds_nothing(a: np.ndarray) -> bool:
+    """Whether ``dgees`` would hand ``a`` to ``dhseqr`` unchanged, with
+    Schur vectors that start as I.
+
+    That holds when ``dgebal`` finds no row or column that is zero off the
+    diagonal (one isolates an eigenvalue, and is permuted to an end), a is
+    upper Hessenberg (``dgehrd``'s reflectors are then I, τ = 0, and
+    ``dorghr`` forms I from them, up to the sign of some zeros below its
+    diagonal) and max |a| needs no scaling.  The entries are read a band of
+    columns at a time.
+    """
+    n = a.shape[0]
+    if not _UNSCALED[0] <= _abs_max(a) <= _UNSCALED[1]:
+        return False
+    in_rows = np.zeros(n, dtype=bool)
+    for cols in _bands(n):
+        nonzero = a[:, cols] != 0
+        j = np.arange(cols.start, cols.stop)
+        nonzero[j, j - cols.start] = False
+        if np.tril(nonzero, -2 - cols.start).any() or not nonzero.any(axis=0).all():
+            return False
+        in_rows |= nonzero.any(axis=1)
+    return bool(in_rows.all())
 
 
 def schur(h: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Real Schur form h = Z T Zᵀ of a finite real square matrix.
+    """Real Schur form h = Z T Zᵀ of a finite real square matrix, with the
+    bits of ``scipy.linalg.schur(h)``.
 
-    It makes the LAPACK calls ``scipy.linalg.schur(h)`` makes, a workspace
-    query and one unsorted ``dgees``, so T and Z are its bits.  Both calls
-    run on one Fortran-order float64 array, which T overwrites: a copy of
-    h, so that the caller's h is never written, or with ``overwrite_a`` h
-    itself when it is such an array.  The query copies nothing; its wrapper
-    still allocates a Z, which is freed before the factorization.  Only
-    scipy's LAPACK extension is loaded, once per process and under a lock,
-    so the free-fermion runs skip the ``scipy.linalg`` import and the dense
-    and cft runs, which never call this, load no scipy at all.  scipy's
-    OpenBLAS pool, like numpy's, sleeps between calls unless the user set a
-    thread timeout (:func:`_load_dgees`).  A failed factorization raises
-    :class:`NumericalConsistencyError`.
+    scipy makes a workspace query and one unsorted ``dgees``.  Where dgees'
+    balancing, Hessenberg reduction and scaling would leave h as it is
+    (:func:`_dgees_adds_nothing`: so for the chain's tridiagonal h at
+    g ≠ 0), only its QR step runs here: ``dhseqr`` (job ``S``, compz ``I``)
+    on h.  It gets the workspace dgees would hand it, the result of dgees'
+    own query less n.  dhseqr sizes its deflation windows from that
+    workspace, so a different one, its own optimum included, moves the
+    bits of T and Z.  Elsewhere (at g = ±0 the chain's x₀ and p_{n−1} are
+    isolated) dgees itself runs, on the queried workspace.  Only the sign of
+    an exact zero in Z can differ from dgees', where dorghr's I holds a
+    −0.0: on the chain, seen only at g = 1e-150 and 1e100 with n ≤ 8.
+
+    The calls run on one Fortran-order float64 array, which T overwrites:
+    a copy of h, so that the caller's h is never written, or with
+    ``overwrite_a`` h itself when it is such an array.  Both routines come
+    from the OpenBLAS of scipy's LAPACK extension, bound once per process
+    and under a lock (:func:`_load_lapack`); no scipy module is imported,
+    and the dense and cft runs, which never call this, load no scipy
+    library at all.  The calls release the GIL.  A failed factorization
+    raises :class:`NumericalConsistencyError`.
     """
-    global _dgees
+    global _lapack
     with _DGEES_LOCK:
-        if _dgees is None:
-            _dgees = _load_dgees()
-        dgees = _dgees
-    a = h if overwrite_a else np.array(h, dtype=np.float64, order="F")
-    lwork = dgees(_no_sort, a, lwork=-1, overwrite_a=True)[-2][0].real.astype(np.int_)
-    t, _, _, _, z, _, info = dgees(_no_sort, a, lwork=lwork, overwrite_a=True, sort_t=0)
-    if info != 0:
-        raise NumericalConsistencyError(f"LAPACK dgees found no real Schur form (info = {info})")
-    return t, z
+        if _lapack is None:
+            _lapack = _load_lapack()
+        dhseqr, dgees = _lapack
+    in_place = overwrite_a and h.dtype == np.float64 and h.flags.f_contiguous and h.flags.writeable
+    a = h if in_place else np.array(h, dtype=np.float64, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("the Schur form needs a square matrix")
+    qr_alone = _dgees_adds_nothing(a)
+    n = ctypes.c_int(a.shape[0])
+    ld = ctypes.c_int(max(1, a.shape[0]))
+    wr, wi = np.empty(a.shape[0]), np.empty(a.shape[0])
+    z = np.empty_like(a, order="F")
+    sdim, info = ctypes.c_int(), ctypes.c_int()
+    work = np.empty(1)
+    dgees(b"V", b"N", None, n, a, ld, sdim, wr, wi, z, ld, work, ctypes.c_int(-1), None, info, 1, 1)
+    lwork = int(work[0])
+    if qr_alone:
+        name, work = "dhseqr", np.empty(lwork - n.value)
+        dhseqr(b"S", b"I", n, ctypes.c_int(1), n, a, ld, wr, wi, z, ld, work, ctypes.c_int(work.size), info, 1, 1)
+    else:
+        name, work = "dgees", np.empty(lwork)
+        dgees(b"V", b"N", None, n, a, ld, sdim, wr, wi, z, ld, work, ctypes.c_int(lwork), None, info, 1, 1)
+    if info.value != 0:
+        raise NumericalConsistencyError(f"LAPACK {name} found no real Schur form (info = {info.value})")
+    return a, z
 
 
 def bdg_diagonalize(n: int, g: float, rows: int | None = None) -> BogoliubovSpectrum:

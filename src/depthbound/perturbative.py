@@ -25,6 +25,7 @@ Values are in nats per mu².
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -193,7 +194,9 @@ def f_beta_in_place(omega: np.ndarray, beta: float) -> None:
 
     A chunk at a time, x = beta*omega becomes x/expm1(x), or 1 − x/2 + x²/12
     where |x| < 1e-8.  Every entry is formed on its own, so the bits do not
-    depend on how an array of frequencies is split between calls.
+    depend on how an array of frequencies is split between calls.  At
+    beta = inf, where x/expm1(x) is inf/inf or inf · 0, omega > 0 and
+    omega = 0 take the limits 0 and 1 (omega < 0 gives inf).
     """
     if omega.dtype != np.float64 or not omega.flags.c_contiguous:
         raise ValueError("f_beta_in_place needs a C-contiguous float64 array")
@@ -201,12 +204,16 @@ def f_beta_in_place(omega: np.ndarray, beta: float) -> None:
         flat = omega.reshape(-1)
         for part in row_chunks(flat.size, 1):
             x = flat[part]
+            limits = (x > 0, x == 0) if beta == math.inf else None
             x *= beta
             small = np.abs(x) < 1e-8
             xs = x[small]
             np.divide(x, np.expm1(x), out=x)
             if xs.size:
                 x[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
+            if limits is not None:
+                x[limits[0]] = 0.0
+                x[limits[1]] = 1.0
 
 
 def _chi2_E(value: float, method: str) -> Chi2Result:
@@ -244,7 +251,10 @@ def chi2_E_eigenbasis(
         for rows in row_chunks(e.size, e.size):
             fw = f_beta_weight(e[None, :] - e[rows, None], beta)
             with np.errstate(invalid="ignore"):  # an overflowed fw; _chi2_E rejects the nan
-                total += float(np.sum(np.abs(o[rows]) ** 2 * (p[rows, None] * fw)))
+                fw *= p[rows, None]
+                if beta == math.inf:  # p_i f_β(E_j − E_i) → 0 where p_i = 0, though f_∞ = inf for E_j < E_i
+                    fw[p[rows] == 0] = 0.0
+                total += float(np.sum(np.abs(o[rows]) ** 2 * fw))
     return _chi2_E(0.5 * (total - mean * mean), "eigensum")
 
 

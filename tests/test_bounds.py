@@ -154,15 +154,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
 @pytest.mark.parametrize("run", sorted(_SCIPY_FREE_RUNS))
 def test_dense_and_cft_paths_load_no_scipy(run, tmp_path):
     """The dense and cft runs load no scipy module at all: the Schur form,
-    the only scipy routine, loads scipy's LAPACK extension on its first
-    call."""
+    the only scipy routine, opens scipy's LAPACK extension file on its
+    first call."""
     assert _scipy_modules_after(_SCIPY_FREE_RUNS[run], tmp_path) == set()
 
 
 def test_freefermion_scan_loads_the_lapack_extension_only(tmp_path):
-    """The Schur form loads scipy's LAPACK extension alone: not scipy,
+    """The Schur form opens scipy's LAPACK extension file for its OpenBLAS
+    and initialises no scipy module: not the extension's, scipy,
     scipy.linalg or scipy._lib."""
-    assert _scipy_modules_after(_FREEFERMION_SCAN, tmp_path) == {"scipy.linalg._flapack"}
+    assert _scipy_modules_after(_FREEFERMION_SCAN, tmp_path) == set()
 
 
 # ---------------------------------------------------------------------------

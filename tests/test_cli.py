@@ -302,15 +302,17 @@ def test_overflowing_field_or_beta_exits_4(argv, tmp_path, capsys, recwarn):
 def test_failed_schur_form_exits_4(monkeypatch, tmp_path, capsys):
     """A Schur form that LAPACK reports as failed (info != 0) stops the run
     with exit 4 and the one-line message, not a traceback."""
-    def failing_dgees(select, a, lwork=None, overwrite_a=False, sort_t=0):
-        return a, 0, None, None, a, np.array([3.0 * len(a)]), 1
+    _, dgees = fermion._load_lapack()
 
-    monkeypatch.setattr(fermion, "_dgees", failing_dgees)
+    def failing_dhseqr(*args):
+        args[-3].value = 1  # INFO, before the two string lengths
+
+    monkeypatch.setattr(fermion, "_lapack", (failing_dhseqr, dgees))
     out = tmp_path / "s.csv"
     assert run("scan", "--backend", "freefermion", "--n", "21", "--g", "1", "--beta-grid", "1:2",
                "--x-grid", "1:2", "--out", str(out)) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical-consistency failure: LAPACK dgees found no real Schur form")
+    assert err.startswith("numerical-consistency failure: LAPACK dhseqr found no real Schur form (info = 1)")
     assert err.count("\n") == 1
     assert not out.exists()
 

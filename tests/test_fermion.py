@@ -146,13 +146,14 @@ def test_energy_expectation_matches_dense():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("g", [0.0, -0.0, 0.5, 1.0, 1.5, -0.7, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 41, 301])
 def test_schur_matches_scipy_linalg_bitwise(n, g):
-    """scipy.linalg.schur stays the reference route: the same LAPACK calls
-    give the same T and Z, bit for bit, on a copy of h, which is left as it
-    was in either memory order, and in h's own buffer, which T takes
-    (bdg_diagonalize's route)."""
+    """scipy.linalg.schur stays the reference route: dgees' QR step alone
+    (g ≠ 0) or dgees itself (g = ±0) gives the same T and Z, bit for bit,
+    on a copy of h, which is left as it was in either memory order, and in
+    h's own buffer, which T takes (bdg_diagonalize's route).  On the run
+    paths' g the bytes match too, signed zeros included."""
     h = majorana_couplings(n, g)
     t_ref, z_ref = scipy.linalg.schur(h)
     for a in (h, np.ascontiguousarray(h)):
@@ -163,6 +164,56 @@ def test_schur_matches_scipy_linalg_bitwise(n, g):
     t, z = schur(h, overwrite_a=True)
     assert np.shares_memory(t, h)
     assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+    if g in (0.5, 1.0, 1.5):
+        assert t.tobytes() == t_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+
+
+def _recording_lapack(monkeypatch):
+    """Bind fermion's LAPACK routines through wrappers that record, in
+    order, the name of each routine called."""
+    calls = []
+    routines = fermion._load_lapack()
+
+    def recorded(name, routine):
+        def call(*args):
+            calls.append(name)
+            return routine(*args)
+
+        return call
+
+    monkeypatch.setattr(fermion, "_lapack", tuple(map(recorded, ("dhseqr", "dgees"), routines)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g,routine",
+    [(0.0, "dgees"), (-0.0, "dgees"), (1e140, "dgees"), (1.0, "dhseqr"), (-0.7, "dhseqr"), (1e-5, "dhseqr")],
+)
+def test_schur_runs_dgees_where_it_would_balance_or_scale(monkeypatch, g, routine):
+    """After dgees' workspace query, the chain's h goes to dhseqr alone,
+    except at g = ±0, where x₀ and p_{n−1} are isolated and dgebal permutes
+    them, and past 2⁴⁵⁹, where dgees scales h: there dgees itself runs.
+    Either way T and Z are scipy.linalg.schur's."""
+    calls = _recording_lapack(monkeypatch)
+    h = majorana_couplings(8, g)
+    t, z = schur(h)
+    assert calls == ["dgees", routine]
+    t_ref, z_ref = scipy.linalg.schur(h)
+    assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("hessenberg", [False, True])
+def test_schur_of_a_general_matrix_matches_scipy_linalg(monkeypatch, hessenberg):
+    """A dense matrix goes through dgees, and an upper Hessenberg one with
+    no isolated row or column through dhseqr alone; both keep scipy's bits."""
+    a = RNG.standard_normal((60, 60))
+    if hessenberg:
+        a = np.triu(a, -1)
+    calls = _recording_lapack(monkeypatch)
+    t, z = schur(a)
+    assert calls == ["dgees", "dhseqr" if hessenberg else "dgees"]
+    t_ref, z_ref = scipy.linalg.schur(a)
+    assert t.tobytes() == t_ref.tobytes() and z.tobytes() == z_ref.tobytes()
 
 
 @pytest.mark.parametrize("n,g", [(2, 0.0), (41, 0.5), (301, 1.0)])
@@ -273,25 +324,26 @@ def _fresh_schur_routes(setup):
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "import scipy.linalg\n"
         "t_ref, z_ref = scipy.linalg.schur(h)\n"
-        "print(','.join(loaded), np.array_equal(t, t_ref) and np.array_equal(z, z_ref))\n"
+        "print(np.array_equal(t, t_ref) and np.array_equal(z, z_ref), *loaded)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    loaded, same = out.stdout.split()
-    return set(loaded.split(",")), same == "True"
+    same, *loaded = out.stdout.split()
+    return set(loaded), same == "True"
 
 
 def test_schur_loads_the_lapack_extension_alone_before_scipy_linalg():
-    """The first Schur form loads scipy's LAPACK extension and no other
-    scipy module; a later scipy.linalg import reuses it, and its schur
-    gives the same bits."""
-    assert _fresh_schur_routes("") == ({"scipy.linalg._flapack"}, True)
+    """The first Schur form opens scipy's LAPACK extension file but
+    initialises no scipy module; a later scipy.linalg import loads the
+    module from that file, and its schur gives the same bits."""
+    assert _fresh_schur_routes("") == (set(), True)
 
 
 def test_schur_without_the_extension_file_imports_it():
     """With no extension suffix to look the file up by, the extension is
-    imported through scipy.linalg, and T and Z keep their bits."""
+    imported through scipy.linalg and its file opened, and T and Z keep
+    their bits."""
     loaded, same = _fresh_schur_routes("importlib.machinery.EXTENSION_SUFFIXES = []")
     assert {"scipy.linalg", "scipy.linalg._flapack"} <= loaded
     assert same
@@ -302,15 +354,15 @@ def test_concurrent_first_schur_forms_load_the_extension_once(monkeypatch):
     switch interval and with a load slow enough to overlap them: one
     thread loads the extension, and every thread gets the same bits."""
     loads = []
-    load = fermion._load_dgees
+    load = fermion._load_lapack
 
     def slow_load():
         loads.append(threading.get_ident())
         time.sleep(0.01)
         return load()
 
-    monkeypatch.setattr(fermion, "_dgees", None)
-    monkeypatch.setattr(fermion, "_load_dgees", slow_load)
+    monkeypatch.setattr(fermion, "_lapack", None)
+    monkeypatch.setattr(fermion, "_load_lapack", slow_load)
     h = majorana_couplings(3, 1.0)
     t_ref, z_ref = scipy.linalg.schur(h)
     start = threading.Barrier(8)
@@ -335,7 +387,7 @@ def test_concurrent_first_schur_forms_load_the_extension_once(monkeypatch):
 def test_load_dgees_sets_the_thread_timeout_for_the_load_alone(monkeypatch, user):
     """The shared guard gives its body OPENBLAS_THREAD_TIMEOUT = 16 unless the
     user set a value, which the body sees unchanged; afterwards, a raising
-    body included, the environment is what it was.  ``_load_dgees`` loads
+    body included, the environment is what it was.  ``_load_lapack`` loads
     scipy's extension inside it, and a failed load restores it too."""
     if user is None:
         monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
@@ -353,7 +405,7 @@ def test_load_dgees_sets_the_thread_timeout_for_the_load_alone(monkeypatch, user
     assert dict(os.environ) == before
     monkeypatch.setattr(fermion.importlib.util, "find_spec", find_spec)
     with pytest.raises(ImportError):
-        fermion._load_dgees()
+        fermion._load_lapack()
     assert seen == ["16" if user is None else user] * 2
     assert dict(os.environ) == before
 
@@ -408,7 +460,7 @@ def _idle_after(child, **env):
 
 def test_schur_pool_sleeps_after_the_call():
     """Both OpenBLAS libraries read the short thread timeout, so their
-    workers sleep soon after dgees ends; at the default they spun about
+    workers sleep soon after dhseqr ends; at the default they spun about
     0.1 s (0.13 s of CPU in the sleep on 2 cores)."""
     run = _idle_after(_SCHUR)
     assert run["env_kept"]

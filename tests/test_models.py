@@ -22,7 +22,7 @@ from depthbound.models import (
     reflection_basis,
 )
 from depthbound.perturbative import chi2_E_eigenbasis
-from depthbound.states import NumericalConsistencyError, embed_operator, trace_distance, von_neumann_entropy
+from depthbound.states import embed_operator, trace_distance, von_neumann_entropy
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -132,17 +132,18 @@ def test_gibbs_zero_temperature_projects_on_ground_state():
 def test_infinite_beta_weights_the_ground_state_alone():
     """At beta = inf the Gibbs weights are one-hot on the ground state, with
     no nan and no warning, and the routes that read them agree with a beta
-    large enough for every excited weight to underflow to 0.  The
-    eigenbasis chi_E rejects beta*omega past the float range, as it does
-    wherever that product overflows."""
+    large enough for every excited weight to underflow to 0.  So does the
+    eigenbasis chi_E, from f_beta's beta = inf limits, with the pairs of an
+    excited state of weight 0 dropped (p_i f_beta(E_j − E_i) is 0 · inf
+    there)."""
     eig = ThermalEigensystem.of(build_tfim(4, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = eig.weights(math.inf)
         marginal = eig.marginal(math.inf, (0, 1)).matrix
         factors = list(eig.projected_factors(math.inf, 1))
-        with pytest.raises(NumericalConsistencyError, match="not finite"):
-            chi2_E_eigenbasis(eig, math.inf, eig.rotate_x(1))
+        chi_e = chi2_E_eigenbasis(eig, math.inf, eig.rotate_x(1))
+    assert chi_e == chi2_E_eigenbasis(eig, 1e4, eig.rotate_x(1))
     expected = np.zeros(16)
     expected[np.argmin(eig.energies)] = 1.0
     assert np.array_equal(p, expected)

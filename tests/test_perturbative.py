@@ -1,6 +1,7 @@
 """Second-order Holevo coefficients and the operator-kernel machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,21 @@ def test_f_beta_scalar_and_array_paths_agree():
     for w in (-2.0, -1e-10, 0.0, 3e-9, 4.2):
         arr = f_beta_weight(np.array([w]), beta)
         assert f_beta_weight(w, beta) == pytest.approx(float(arr[0]), rel=1e-13)
+
+
+def test_f_beta_takes_its_limits_at_infinite_beta():
+    """At beta = inf, omega > 0 weighs 0, omega = 0 weighs 1 and omega < 0
+    weighs inf, with no warning; a finite beta whose beta*omega overflows
+    still gives nan, which the chi_E routes reject."""
+    omega = np.array([4.2, 1e-300, 0.0, -0.0, -1e-300, -2.0, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = f_beta_weight(omega, math.inf)
+        scalars = [f_beta_weight(w, math.inf) for w in (1.0, 0.0)]
+    assert weights[:-1].tolist() == [0.0, 0.0, 1.0, 1.0, math.inf, math.inf]
+    assert math.isnan(weights[-1])
+    assert scalars == [0.0, 1.0]
+    assert math.isnan(f_beta_weight(1e10, 1e300))
 
 
 # ---------------------------------------------------------------------------
