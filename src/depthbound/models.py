@@ -30,8 +30,9 @@ __all__ = [
     "build_tfim",
     "ParitySector",
     "ReflectionBasis",
-    "ReflectionHalves",
     "reflection_basis",
+    "SignedMap",
+    "EigenBlock",
     "ThermalEigensystem",
     "gibbs_state",
     "SpectralLines",
@@ -151,7 +152,7 @@ class SpinHamiltonian:
         return all(coeffs.get(tuple(sorted((n - 1 - s, letter) for s, letter in ops)), 0.0) == coeff
                    for ops, coeff in coeffs.items())
 
-    def half_block(self, sign: int, t: int, out: np.ndarray | None = None) -> np.ndarray:
+    def half_block(self, sign: int, t: int) -> np.ndarray:
         """The block of H on the reflection half R = ``t`` of the ∏X sector
         ``sign``, from the terms, in the orthonormal basis of the half
         (:class:`ReflectionBasis`); no m×m block is formed.
@@ -163,23 +164,23 @@ class SpinHamiltonian:
         perm(a′) each hold one entry; the entries that land on a row of the
         half are summed, term by term, into the direct and the partner part,
         which then combine as above.  Only rows a of the half are read: by
-        the symmetry, the other rows repeat them.  ``out``, a zero matrix of
-        H's type (it may be a view), receives the block.
+        the symmetry, the other rows repeat them.
         """
         self._check_sectors()
         if not self.mirror_symmetric:
             raise ValueError("the reflection halves need terms that are symmetric under j <-> n-1-j")
         basis = reflection_basis(self.n_sites, sign)
         rows, partners, sigma = basis.half(t)
+        index = _half_map(self.n_sites, sign, t).row
         k = rows.size
         columns = np.arange(k)
-        direct = self._zeros(k) if out is None else out
+        direct = self._zeros(k)
         partner = self._zeros(k)
-        own = basis.kind == (3 if t == 1 else 4)
         for source, part in ((rows, direct), (partners, partner)):
             for target, entries in self._sector_entries(sign, source):
-                hit = (basis.kind[target] == 0) | own[target]
-                part[basis.index[target[hit]], columns[hit]] += entries[hit]
+                row = index[target]
+                hit = rows[row] == target  # the basis states of the half, not their partners
+                part[row[hit], columns[hit]] += entries[hit]
         partner *= t * sigma
         direct += partner
         del partner
@@ -187,7 +188,7 @@ class SpinHamiltonian:
         scale[basis.pairs.size:] = math.sqrt(0.5)
         direct *= scale[:, None]
         direct *= scale
-        return _real_if_exact(direct) if out is None else direct
+        return _real_if_exact(direct)
 
     def _check_sectors(self) -> None:
         if self.n_sites < 2 or not self.flip_symmetric:
@@ -235,19 +236,13 @@ class ReflectionBasis:
     ``partners`` = perm(pairs) and their ``sigma``) and fixes the others
     (``fixed``: those with sigma = +1, then those with sigma = −1).  The half
     R = t has the orthonormal basis (e_a + t·sigma_a e_perm(a))/√2 over the
-    pairs, then e_a over the fixed states with sigma_a = t.  Each sector state
-    i enters the basis vector at position ``index[i]`` of a half as its
-    ``kind[i]``: 0 a pair's representative, 1 or 2 its partner with sigma = +1
-    or −1, 3 or 4 a fixed state with sigma = +1 or −1 (of the half t = +1 or
-    −1 only).
+    pairs, then e_a over the fixed states with sigma_a = t.
     """
 
     pairs: np.ndarray
     partners: np.ndarray
     sigma: np.ndarray
     fixed: tuple[np.ndarray, np.ndarray]
-    index: np.ndarray
-    kind: np.ndarray
 
     def half(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The half R = t: its basis states a (pairs, then fixed), their
@@ -255,12 +250,6 @@ class ReflectionBasis:
         fixed = self.fixed[0 if t == 1 else 1]
         sigma = np.concatenate([self.sigma, np.full(fixed.size, t, dtype=self.sigma.dtype)])
         return np.concatenate([self.pairs, fixed]), np.concatenate([self.partners, fixed]), sigma
-
-
-#: _KIND_COEF[h, kind] is the coefficient with which a sector state of that
-#: kind enters its basis vector of the half h (0 for R = +1, 1 for R = −1)
-#: when each pair's vector is e_a + t·sigma_a e_perm(a), not normalized.
-_KIND_COEF = np.array([[1.0, 1.0, -1.0, 1.0, 0.0], [1.0, -1.0, 1.0, 0.0, 1.0]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,49 +272,74 @@ def reflection_basis(n: int, sign: int) -> ReflectionBasis:
     # int32 and int8 maps: the basis is held with every eigensystem of n sites.
     pairs = states[states < perm].astype(np.int32)
     fixed = states[states == perm].astype(np.int32)
-    index = np.zeros(m, dtype=np.int32)
-    kind = np.zeros(m, dtype=np.int8)
-    index[pairs] = index[perm[pairs]] = np.arange(pairs.size)
-    kind[perm[pairs]] = np.where(sigma[pairs] == 1, 1, 2)
-    split = []
-    for s, k in ((1, 3), (-1, 4)):
-        own = fixed[sigma[fixed] == s]
-        index[own] = pairs.size + np.arange(own.size)
-        kind[own] = k
-        split.append(own)
-    arrays = (pairs, perm[pairs].astype(np.int32), sigma[pairs], *split, index, kind)
+    arrays = (pairs, perm[pairs].astype(np.int32), sigma[pairs], fixed[sigma[fixed] == 1], fixed[sigma[fixed] == -1])
     for array in arrays:
         array.flags.writeable = False
-    pairs, partners, sigma, plus, minus, index, kind = arrays
-    return ReflectionBasis(pairs, partners, sigma, (plus, minus), index, kind)
+    pairs, partners, sigma, plus, minus = arrays
+    return ReflectionBasis(pairs, partners, sigma, (plus, minus))
 
 
 @dataclass(frozen=True)
-class ReflectionHalves:
-    """A sector's eigenvectors as those of its two reflection halves, side
-    by side in one ``stack``: column c holds an eigenvector of the half
-    ``half_of[c]`` (0 for R = +1, 1 for R = −1) in the basis of that half,
-    with each pair's basis vector e_a + t·sigma_a e_perm(a) not normalized (so
-    the pair rows hold 1/√2 of the orthonormal coordinates) and the rows past
-    the half's size zero.  A sector-basis eigenvector entry x[i, c] is then
-    stack[index[i], c] times the ±1 or 0 of ``_KIND_COEF``."""
+class SignedMap:
+    """A block's basis in its sector's basis, both ways: basis vector r is
+    Σ_j weights[j, r] e_states[j, r], weights ±1 or 0 (e_r for a sector kept
+    whole, e_a + t·sigma_a e_perm(a) over a reflection half's pairs, not
+    normalized, then e_a over its fixed states), and sector state i enters
+    basis vector ``row[i]`` as ``coef[i]`` (0 outside the block).  So with z
+    the block's eigenvectors, row i of them in the sector's basis is
+    coef[i]·z[row[i]]."""
 
-    basis: ReflectionBasis
-    stack: np.ndarray
-    half_of: np.ndarray
+    states: np.ndarray
+    weights: np.ndarray
+    row: np.ndarray
+    coef: np.ndarray
 
-    def columns(self, h: int) -> np.ndarray:
-        return np.flatnonzero(self.half_of == h)
+    @classmethod
+    def of(cls, states: np.ndarray, weights: np.ndarray, m: int) -> SignedMap:
+        """The map of these basis vectors in a sector of m states, read-only."""
+        row = np.zeros(m, dtype=np.int32)
+        coef = np.zeros(m, dtype=np.int8)
+        for s, w in zip(states, weights):
+            hit = w != 0
+            row[s[hit]] = np.flatnonzero(hit)
+            coef[s[hit]] = w[hit]
+        for array in (states, weights, row, coef):
+            array.flags.writeable = False
+        return cls(states, weights, row, coef)
 
-    def vectors(self, h: int) -> np.ndarray:
-        """The eigenvectors of half h, as one block in its basis (pairs not
-        normalized), in the sector's order."""
-        size = self.basis.pairs.size + self.basis.fixed[h].size
-        return self.stack[:size].take(self.columns(h), axis=1)
 
-    def coefficients(self, h: int) -> np.ndarray:
-        """The coefficient of each sector state in its basis vector of half h."""
-        return _KIND_COEF[h][self.basis.kind]
+@functools.lru_cache(maxsize=None)
+def _identity_map(m: int) -> SignedMap:
+    """The sector basis of m states as a block's own."""
+    return SignedMap.of(np.arange(m, dtype=np.int32)[None], np.ones((1, m)), m)
+
+
+@functools.lru_cache(maxsize=None)
+def _half_map(n: int, sign: int, t: int) -> SignedMap:
+    """The basis of the reflection half R = ``t`` of the ∏X sector ``sign``
+    of ``n`` sites, shared like :func:`reflection_basis`."""
+    basis = reflection_basis(n, sign)
+    rows, partners, sigma = basis.half(t)
+    weights = np.stack([np.ones(rows.size), t * sigma.astype(float)])
+    weights[1, basis.pairs.size:] = 0.0  # a fixed state is its own partner: it enters once
+    return SignedMap.of(np.stack([rows, partners]), weights, 2 ** (n - 1))
+
+
+@dataclass(frozen=True)
+class EigenBlock:
+    """Eigenpairs of one diagonal block of a sector's Hamiltonian:
+    ``energies`` in ``eigh`` order and ``vectors`` in the block's own basis,
+    which ``basis`` maps to the sector's.  A reflection half's pair rows
+    hold 1/√2 of the orthonormal coordinates, its pairs' basis vectors not
+    being normalized."""
+
+    energies: np.ndarray
+    vectors: np.ndarray
+    basis: SignedMap
+
+    @property
+    def dim(self) -> int:
+        return self.energies.size
 
 
 @dataclass(frozen=True)
@@ -335,17 +349,20 @@ class ParitySector:
     ``sign`` is the sector's ∏X eigenvalue ±1; its basis states are
     (|i⟩ + sign |d−1−i⟩)/√2 for i < m = d/2.  ``sign`` 0 marks the whole space
     in the computational basis, for an H without the symmetry.  The
-    eigenvectors, in the order of ``energies``, are either one ``block`` of
-    columns in the sector's basis, or, for a mirror-symmetric H, the
-    eigenvectors of the reflection ``halves``.  :meth:`row_reader` reads
-    rows of the sector-basis eigenvectors from either; ``vectors`` assembles
-    them as one block on each access.
+    eigenpairs are ``blocks`` (:class:`EigenBlock`): one block in the
+    sector's basis, or, for a mirror-symmetric H, one per reflection half.
+    The sector's columns are its blocks' columns side by side, so its
+    ``energies`` ascend within each block, not across the sector.
+    :meth:`row_reader` reads rows of the eigenvectors in the sector's basis;
+    ``vectors`` assembles them as one block on each access.
     """
 
     sign: int
-    energies: np.ndarray
-    block: np.ndarray | None = None
-    halves: ReflectionHalves | None = None
+    blocks: tuple[EigenBlock, ...]
+
+    @functools.cached_property
+    def energies(self) -> np.ndarray:
+        return np.concatenate([block.energies for block in self.blocks])
 
     @property
     def dim(self) -> int:
@@ -353,45 +370,45 @@ class ParitySector:
 
     @property
     def dtype(self) -> np.dtype:
-        return (self.block if self.halves is None else self.halves.stack).dtype
+        return np.result_type(*(block.vectors.dtype for block in self.blocks))
+
+    def spans(self) -> Iterator[tuple[EigenBlock, slice]]:
+        """Each block with the sector's columns it holds."""
+        start = 0
+        for block in self.blocks:
+            yield block, slice(start, start + block.dim)
+            start += block.dim
 
     @property
     def vectors(self) -> np.ndarray:
-        """The eigenvectors as columns in the sector's basis."""
-        if self.halves is None:
-            return self.block
-        out = self.row_reader()(np.arange(self.dim))
-        kind, half_of = self.halves.basis.kind, self.halves.half_of
-        # A fixed state's entries in the other half's columns are zero.
-        for k, h in ((3, 1), (4, 0)):
-            out[np.ix_(kind == k, half_of == h)] = 0.0
+        """The eigenvectors as columns in the sector's basis: each block's
+        rows z written to the rows ``states[j]`` times ``weights[j]``, or a
+        block in the sector's own basis itself, uncopied."""
+        if self.blocks[0].basis is _identity_map(self.dim):
+            return self.blocks[0].vectors
+        out = np.zeros((self.dim,) * 2, dtype=self.dtype)
+        for block, cols in self.spans():
+            for states, weights in zip(block.basis.states, block.basis.weights):
+                hit = weights != 0
+                out[states[hit], cols] = weights[hit, None] * block.vectors[hit]
         return out
 
-    def row_reader(self, scale: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    def row_reader(self, scale: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """A function of an integer array (of any shape) that gives those
         rows of the eigenvectors in the sector's basis, each entry times the
-        ``scale`` of its column.  From the halves, each row is the stack's
-        row of its basis vector times ±1 or 0 by column, with the scale
-        folded in once: a mirror row is ±1/√2 times its representative's
-        orthonormal coordinates."""
-        if self.halves is None:
-            block = self.block
-
-            def read(index: np.ndarray) -> np.ndarray:
-                out = block.take(index, axis=0)
-                if scale is not None:
-                    out *= scale
-                return out
-
-            return read
-        halves = self.halves
-        table = np.ascontiguousarray(_KIND_COEF[halves.half_of].T)
-        if scale is not None:
-            table *= scale
+        ``scale`` of its column: each block's rows ``row[index]`` times
+        ``coef[index]``, with the scale folded into a table of the three
+        coefficients once."""
+        # Row c of a block's table is coefficient c times its scale (c = −1 the last row).
+        parts = [(block, cols, np.multiply.outer((0.0, 1.0, -1.0), scale[cols])) for block, cols in self.spans()]
+        shape, dtype = (self.dim,), self.dtype
 
         def read(index: np.ndarray) -> np.ndarray:
-            out = halves.stack.take(halves.basis.index[index], axis=0)
-            out *= table.take(halves.basis.kind[index], axis=0)
+            out = np.empty(np.shape(index) + shape, dtype=dtype)
+            for block, cols, table in parts:
+                rows = block.vectors.take(block.basis.row[index], axis=0)
+                rows *= table.take(block.basis.coef[index], axis=0)
+                out[..., cols] = rows
             return out
 
         return read
@@ -433,20 +450,24 @@ class ThermalEigensystem:
     (m = d/2), with no 2ⁿ×2ⁿ matrix.  When its terms are also symmetric
     under the chain reflection j ↔ n−1−j, as the open TFIM's are, each
     sector is diagonalized in the reflection's two eigenspaces, each built
-    from the terms (:meth:`SpinHamiltonian.half_block`), and keeps only
-    their eigenvectors (:class:`ReflectionHalves`, about one m×m block for
-    both sectors together); otherwise each sector block is built from the
-    terms (:meth:`SpinHamiltonian.sector_block`) and kept as its m×m
+    from the terms (:meth:`SpinHamiltonian.half_block`), and keeps each
+    half's eigenvectors as its own block (about one m×m block for both
+    sectors together); otherwise each sector block is built from the terms
+    (:meth:`SpinHamiltonian.sector_block`) and kept as its m×m
     eigenvectors.  Any other model, and a Hamiltonian given as a matrix, is
     diagonalized in full.  :meth:`marginal`, :meth:`rotate_x` and
-    :meth:`projected_factors` work from the ``sectors`` and form no d×d
-    state; ``vectors`` assembles the full V on each access.  ``energies`` are ascending for a sectored H and in the
-    caller's order otherwise; ``vectors`` and :meth:`weights` follow them.
+    :meth:`projected_factors` work from the ``sectors`` (:class:`ParitySector`)
+    and form no d×d state; ``vectors`` assembles the full V on each access.
+    ``energies`` are ascending for a sectored H, though a sector's own
+    ascend only within each of its blocks, and in the caller's order
+    otherwise; ``vectors`` and :meth:`weights` follow them.
     """
 
     def __init__(self, energies: np.ndarray, vectors: np.ndarray, sites: Sequence[int]):
         """A full eigendecomposition in the computational basis (one sector)."""
-        self._set((ParitySector(0, np.asarray(energies), np.asarray(vectors)),), sites)
+        energies = np.asarray(energies)
+        block = EigenBlock(energies, np.asarray(vectors), _identity_map(energies.size))
+        self._set((ParitySector(0, (block,)),), sites)
 
     def _set(self, sectors: Sequence[ParitySector], sites: Sequence[int]) -> None:
         self.sectors = tuple(sectors)
@@ -532,20 +553,11 @@ class ThermalEigensystem:
     def rotate_x(self, site: int) -> tuple[np.ndarray, ...]:
         """V† X_site V as its diagonal blocks, one per sector, in each
         sector's order: x† X x with X the signed permutation of
-        :meth:`ParitySector.flip` (:func:`_flipped_block`), or, for a sector
-        kept as reflection halves, half by half at half the flops
-        (:func:`_flipped_halves`).  Past n = 12 each block is formed a slice
-        at a time, so that no permuted copy is held whole."""
+        :meth:`ParitySector.flip`, one product per pair of the sector's
+        blocks (:func:`_flipped`)."""
         position = self.sites.index(site)
         n = len(self.sites)
-        blocks = []
-        for sector in self.sectors:
-            perm, sign = sector.flip(position, n)
-            if sector.halves is None:
-                blocks.append(_flipped_block(sector.block, perm, sign))
-            else:
-                blocks.append(_flipped_halves(sector, perm, sign, 2 * position == n - 1))
-        return tuple(blocks)
+        return tuple(_flipped(sector, *sector.flip(position, n)) for sector in self.sectors)
 
     def marginal(self, beta: float, keep: Sequence[int]) -> DensityOperator:
         """The Gibbs state's marginal on ``keep`` (in that order), without
@@ -583,12 +595,12 @@ class ThermalEigensystem:
         :meth:`ParitySector.flip`, so with W = V√p the rows
         Y = (W[i] + a·sign·W[perm(i)])/√2 give Π_a ρ Π_a the nonzero
         spectrum of the blocks Y Y† together: one block of dimension d/4 per
-        parity sector, or d/2 without sectors.  At the mirror-fixed site of
-        a sector kept as reflection halves, X also commutes with R and is a
-        signed permutation of each half's basis, with fixed states of either
-        sign; each half then gives its own block of about half that
-        dimension, from the rows of its own eigenvectors.  Yields
-        (outcome index, ‖Y‖², Y Y†) with index 0 for a = −1 and 1 for a = +1
+        parity sector, or d/2 without sectors.  Where X maps each of a
+        sector's blocks onto itself, as at the mirror-fixed site of a sector
+        kept as reflection halves, it is a signed permutation of each
+        block's orthonormal basis (:func:`_own_flips`), and each block gives
+        its own factors of about half that dimension.  Yields (outcome
+        index, ‖Y‖², Y Y†) with index 0 for a = −1 and 1 for a = +1
         (:func:`~depthbound.purification.projective_chi_E_factors`).  Y is
         filled in row chunks and freed before its Gram matrix is yielded.
         """
@@ -597,15 +609,13 @@ class ThermalEigensystem:
         for sector, p in zip(self.sectors, self.sector_weights(beta)):
             perm, sign = sector.flip(position, n)
             sq = np.sqrt(p)
-            if sector.halves is not None and 2 * position == n - 1:
-                halves = sector.halves
-                for h in (0, 1):
-                    q, coef = _half_flip(halves, h, perm, sign)
-                    # W = V√p in the half's orthonormal basis: √2 times the stack on pair rows.
-                    w = halves.vectors(h)
-                    w *= sq[halves.columns(h)]
-                    w[:halves.basis.pairs.size] *= math.sqrt(2.0)
-                    yield from _projected_blocks(w.__getitem__, q, np.sign(coef), w.shape[1], w.dtype)
+            own = _own_flips(sector, perm, sign)
+            if own:
+                for (block, cols), (q, c) in zip(sector.spans(), own):
+                    # W = V√p in the block's orthonormal basis: each row times its basis vector's norm.
+                    w = block.vectors * sq[cols]
+                    w *= np.sqrt(np.sum(block.basis.weights**2, axis=0))[:, None]
+                    yield from _projected_blocks(w.__getitem__, q, np.sign(c), block.dim, w.dtype)
             else:
                 eps = np.full(perm.size, float(sign))
                 yield from _projected_blocks(sector.row_reader(sq), perm, eps, sector.dim, sector.dtype)
@@ -676,108 +686,89 @@ def _gram(sector: ParitySector, sq: np.ndarray, rows: np.ndarray, cross: bool) -
 
 def _sector_eigh(hamiltonian: SpinHamiltonian, sign: int, mirror: bool) -> ParitySector:
     """Eigenpairs of the ∏X sector ``sign``: of its block when H is not
-    ``mirror``-symmetric, and otherwise of its two reflection halves.
-
-    Each half is built from the terms (:meth:`SpinHamiltonian.half_block`)
-    straight into its place in the stack of :class:`ReflectionHalves`, and
-    its eigenvectors overwrite it, the pair rows scaled by 1/√2; the stack's
-    columns then move into ascending energy, a chunk of rows at a time.  So
-    the sector holds the stack and one half's eigenvectors at most.
-    """
+    ``mirror``-symmetric, and otherwise of its two reflection halves, each
+    built from the terms (:meth:`SpinHamiltonian.half_block`) and kept as
+    its own block, its pair rows scaled by 1/√2.  The eigenvectors overwrite
+    the half's block, so the kept array comes before the temporaries of its
+    build and ``eigh`` in the heap: kept after them, it raised the peak RSS
+    of ``of`` at n = 12 by 7 MB (glibc malloc)."""
+    n = hamiltonian.n_sites
     if not mirror:
-        return ParitySector(sign, *np.linalg.eigh(hamiltonian.sector_block(sign)))
-    basis = reflection_basis(hamiltonian.n_sites, sign)
-    pairs = basis.pairs.size
-    sizes = [pairs + fixed.size for fixed in basis.fixed]
-    stack = hamiltonian._zeros(max(sizes), sum(sizes))
-    energies, start = [], 0
-    for t, k in zip((1, -1), sizes):
-        region = stack[:k, start:start + k]
-        hamiltonian.half_block(sign, t, out=region)
-        w, y = np.linalg.eigh(_real_if_exact(region))
+        w, x = np.linalg.eigh(hamiltonian.sector_block(sign))
+        return ParitySector(sign, (EigenBlock(w, x, _identity_map(w.size)),))
+    pairs = reflection_basis(n, sign).pairs.size
+    blocks = []
+    for t in (1, -1):
+        y = hamiltonian.half_block(sign, t)
+        w, y[...] = np.linalg.eigh(y)
         y[:pairs] *= math.sqrt(0.5)
-        region[...] = y
-        del y
-        energies.append(w)
-        start += k
-    energies = np.concatenate(energies)
-    order = np.argsort(energies, kind="stable")
-    for rows in row_chunks(stack.shape[0], stack.shape[1]):
-        stack[rows] = stack[rows][:, order]
-    half_of = np.repeat(np.array([0, 1], dtype=np.int8), sizes)[order]
-    return ParitySector(sign, energies[order], halves=ReflectionHalves(basis, _real_if_exact(stack), half_of))
+        if w.size:  # at n = 2 a half can be empty
+            blocks.append(EigenBlock(w, y, _half_map(n, sign, t)))
+    return ParitySector(sign, tuple(blocks))
 
 
-def _half_flip(halves: ReflectionHalves, h: int, perm: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """X (the signed permutation X c = sign·c[perm] of the sector basis) at
-    the mirror-fixed site, where it commutes with R and maps the half h onto
-    itself: with E the embedding of the half's basis (each pair's vector
-    e_a + t·sigma_a e_perm(a), not normalized), E† X E z = c·z[i] row by row,
-    c = ±2 on pairs and ±1 on fixed states (the reads of a and perm_R(a)
-    coincide).  Returns (i, c); the signs of c give X on the half's
-    orthonormal basis."""
-    basis = halves.basis
-    rows, _, _ = basis.half(1 - 2 * h)
-    image = perm[rows]
-    weight = np.where(np.arange(rows.size) < basis.pairs.size, 2.0, 1.0)
-    return basis.index[image], weight * (sign * halves.coefficients(h)[image])
+def _flip_terms(block: EigenBlock, other: EigenBlock, perm: np.ndarray, sign: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """E† X E′ z for X c = sign·c[perm], E and E′ the bases of ``block``
+    and ``other`` and z ``other``'s eigenvectors, as terms (index, c) whose
+    c[r]·z[index[r]] sum to row r: term j reads X's image of state
+    states[j, r] in ``other``.  A term that reads the first's rows wherever
+    its c is nonzero is added to it (at a site where X commutes with the
+    reflection, both states of a pair read one row), and all-zero terms are
+    dropped, so blocks that X does not connect give none.  The coefficients
+    are products of ±1 and 0, so exact."""
+    terms: list[tuple[np.ndarray, np.ndarray]] = []
+    for states, weights in zip(block.basis.states, block.basis.weights):
+        image = perm[states]
+        c = sign * weights * other.basis.coef[image]
+        index = other.basis.row[image]
+        hit = c != 0
+        if terms and np.array_equal(index[hit], terms[0][0][hit]):
+            terms[0][1][...] += c
+        elif hit.any():
+            terms.append((index, c))
+    return [(index, c) for index, c in terms if c.any()]
 
 
-def _flipped_block(x: np.ndarray, perm: np.ndarray, sign: int) -> np.ndarray:
-    """x† X x for the signed permutation X c = sign·c[perm], a slice of
-    columns at a time; each slice's product streams all of x, so the slices
-    are large."""
-    xh = x.conj().T
-    out = np.empty_like(x)
-    for cols in row_chunks(x.shape[1], x.shape[0], 2**25):
-        np.matmul(xh, x[perm, cols], out=out[:, cols])
-    out *= sign
-    return out
+def _own_flips(sector: ParitySector, perm: np.ndarray, sign: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """X (X c = sign·c[perm]) on each of a sector's several blocks as one
+    term of :func:`_flip_terms`, if it maps each block onto itself."""
+    own: list[tuple[np.ndarray, np.ndarray]] = []
+    if len(sector.blocks) == 1:
+        return own
+    for block in sector.blocks:
+        for other in sector.blocks:
+            terms = _flip_terms(block, other, perm, sign)
+            if len(terms) != (other is block):
+                return []
+            own += terms
+    return own
 
 
-def _flipped_halves(sector: ParitySector, perm: np.ndarray, sign: int, mirrored: bool) -> np.ndarray:
-    """x† X x for a sector kept as reflection halves, X c = sign·c[perm].
-
-    With z_h the eigenvectors of half h in its basis and E_h its embedding
-    (each pair's vector e_a + t·sigma_a e_perm(a), not normalized), the
-    block between the columns of halves h and g is z_h† (E_h† X E_g z_g).
-    Row j of E_h† X E_g z_g reads the rows of z_g at the X images of its
-    state a and, for a pair, of perm_R(a), with coefficients that are
-    products of ±1 and 0, so exact.  The four blocks of a half's dimension
-    take half the flops of x† X x.  At the ``mirrored`` (mirror-fixed) site
-    X commutes with R: the two blocks between the halves are zero and
-    skipped, and each half's own is z_h† (c·z_h[i]) (:func:`_half_flip`).
-    Each block is formed a slice of columns at a time.
-    """
-    halves = sector.halves
-    basis = halves.basis
+def _flipped(sector: ParitySector, perm: np.ndarray, sign: int) -> np.ndarray:
+    """x† X x for X c = sign·c[perm], one product per pair of the sector's
+    blocks: with z_b block b's eigenvectors in its basis E_b, the pair
+    (b, b′) gives z_b† (E_b† X E_b′ z_b′) (:func:`_flip_terms`) in place, a
+    slice of columns at a time.  A pair with no terms, such as the two
+    reflection halves at the mirror-fixed site, stays zero.  A sector's
+    four half-sized products take half the flops of x† X x."""
     out = np.zeros((sector.dim,) * 2, dtype=sector.dtype)
-    z = [halves.vectors(h) for h in (0, 1)]
-    cols = [halves.columns(h) for h in (0, 1)]
-    for h, g in ((0, 0), (1, 1)) if mirrored else ((0, 0), (0, 1), (1, 0), (1, 1)):
-        if mirrored:
-            terms = [_half_flip(halves, h, perm, sign)]
-        else:
-            rows, partners, _ = basis.half(1 - 2 * h)
-            coef_h, coef_g = halves.coefficients(h), halves.coefficients(g)
-            terms = []
-            for source in (rows, partners):
-                image = perm[source]
-                c = sign * coef_h[source] * coef_g[image]
-                # A fixed state of the other half has no row in half g.
-                terms.append((np.where(c != 0.0, basis.index[image], 0), c))
-            terms[1][1][basis.pairs.size:] = 0.0  # a fixed state is its own partner: read once
-        zh = z[h].conj().T
-        for part in row_chunks(z[g].shape[1], z[h].shape[0], 2**25):
-            (index, c), *rest = terms
-            flipped = z[g][index, part]
-            flipped *= c[:, None]
-            for index, c in rest:
-                term = z[g][index, part]
-                term *= c[:, None]
-                flipped += term
-                del term
-            out[np.ix_(cols[h], cols[g][part])] = zh @ flipped
+    for block, rows in sector.spans():
+        zh = block.vectors.conj().T
+        for other, cols in sector.spans():
+            terms = _flip_terms(block, other, perm, sign)
+            if not terms:
+                continue
+            for part in row_chunks(other.dim, block.dim, 2**25):
+                (index, c), *rest = terms
+                flipped = other.vectors[index, part]
+                flipped *= c[:, None]
+                for index, c in rest:
+                    term = other.vectors[index, part]
+                    term *= c[:, None]
+                    flipped += term
+                    del term
+                np.matmul(zh, flipped, out=out[rows, cols][:, part])
+                del flipped
     return out
 
 

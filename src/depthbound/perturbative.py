@@ -236,8 +236,10 @@ def chi2_E_eigenbasis(
     :func:`~depthbound.oracles.chi2_E_eigensum` rotates O itself.
 
     An O that maps each sector of ``eig`` onto itself may instead be given
-    as its diagonal blocks, one per sector (:meth:`ThermalEigensystem.rotate_x`);
-    pairs of eigenstates in different sectors then carry no weight.
+    as its diagonal blocks, one per sector (:meth:`ThermalEigensystem.rotate_x`),
+    in each sector's order: its blocks' columns side by side, so ascending
+    within each block while ``eig.energies`` ascend as a whole.  Pairs of
+    eigenstates in different sectors then carry no weight.
     """
     if isinstance(o_eig, np.ndarray):
         blocks = [(eig.energies, eig.weights(beta), o_eig)]

@@ -388,31 +388,29 @@ def test_half_blocks_from_the_terms_match_the_sector_block(seed):
 def _scatter_halves(m, halves):
     """The sector's eigenvectors as they were written back from the halves
     (t, basis states, energies, eigenvectors) into one m x m block, columns
-    in ascending energy."""
+    in block order: the first half's in eigh order, then the second's."""
     basis = halves[0][1]
     pairs, perm, sigma = basis.pairs, np.zeros(m, dtype=int), np.ones(m)
     perm[pairs], perm[basis.partners] = basis.partners, pairs
     sigma[pairs] = sigma[basis.partners] = basis.sigma
     vectors = np.zeros((m, m), dtype=np.result_type(*(y for _, _, _, y in halves)))
     energies = np.concatenate([w for _, _, w, _ in halves])
-    order = np.argsort(energies, kind="stable")
-    rank = np.argsort(order)
     start = 0
     for t, basis, w, y in halves:
         rows = basis.half(t)[0]
-        cols = rank[start:start + w.size]
+        cols = np.arange(start, start + w.size)
         start += w.size
         paired = y[:pairs.size] * math.sqrt(0.5)
         vectors[np.ix_(pairs, cols)] = paired
         vectors[np.ix_(perm[pairs], cols)] = (t * sigma[pairs])[:, None] * paired
         vectors[np.ix_(rows[pairs.size:], cols)] = y[pairs.size:]
-    return energies[order], vectors
+    return energies, vectors
 
 
 @pytest.mark.parametrize("n, g", [(6, 0.8), (7, 1.3), (10, 1.0)])
 def test_reflection_halves_assemble_bit_equal_to_scatter(n, g):
     """From the same halves, the eigenvectors that ParitySector.vectors
-    assembles from its stack hold the bits of the scatter into an m x m
+    assembles from its blocks hold the bits of the scatter into an m x m
     block, and so do the rows it reads for the run path."""
     ham = build_tfim(n, g)
     eig = ThermalEigensystem.of(ham)

@@ -113,11 +113,37 @@ def test_cli_dense_context_equals_purification(seed, measure):
     assert abs(ctx.chi_e - chi_e) < TOL
 
 
+def _mirror_symmetric_chain(rng, n):
+    """A random ∏X-symmetric chain made symmetric under the reflection
+    j ↔ n−1−j by adding each term's mirror image with the same coefficient,
+    so that each sector splits into reflection halves; complex when a term
+    has an odd number of Y letters."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 6))):
+        sites = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        letters = ["XYZ"[rng.integers(3)] for _ in sites]
+        z_or_y = [i for i, letter in enumerate(letters) if letter != "X"]
+        if len(z_or_y) % 2:
+            letters[z_or_y[-1]] = "X"
+        ops = tuple(sorted(zip((int(s) for s in sites), letters)))
+        coeff = float(rng.integers(-8, 9)) / 8.0
+        for term in (ops, tuple(sorted((n - 1 - s, letter) for s, letter in ops))):
+            terms[term] = coeff
+    if n >= 3 and rng.integers(2):
+        ops = ((0, "X"), (1, "Y"), (2, "Z"))  # with its mirror image, a complex H
+        terms[ops] = terms[tuple(sorted((n - 1 - s, letter) for s, letter in ops))] = 0.25
+    return SpinHamiltonian(n, tuple((coeff, ops) for ops, coeff in terms.items()))
+
+
 def _parity_even_model(rng, n):
-    """The TFIM, or a custom chain whose terms each carry an even number of
-    Z and Y letters, so that H commutes with ∏X; sometimes complex."""
-    if rng.integers(2):
+    """The TFIM, a custom chain whose terms each carry an even number of Z
+    and Y letters, so that H commutes with ∏X, or such a chain that is also
+    mirror-symmetric; sometimes complex."""
+    kind = rng.integers(3)
+    if kind == 0:
         return build_tfim(n, float(rng.uniform(0.3, 1.7)))
+    if kind == 1:
+        return _mirror_symmetric_chain(rng, n)
     terms = []
     for s in range(n):
         terms.append((float(rng.uniform(-1, 1)), ((s, "X"),)))
@@ -133,17 +159,22 @@ def _parity_even_model(rng, n):
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
     st.sampled_from(("weak-x", "projective-x")),
-    st.sampled_from(("first", "last", "center")),
+    st.sampled_from(("first", "last", "center", "interior")),
 )
 def test_cli_dense_context_in_parity_sectors(seed, measure, where):
-    """A ∏X-symmetric H runs on its two sector blocks: the context equals the
+    """A ∏X-symmetric H runs on its two sectors, each split into reflection
+    halves when H is also mirror-symmetric: the context equals the
     Gibbs-state routes to 1e-12 and the purification to 1e-10, with the
-    probe at site 0, at the far edge or at the centre."""
+    probe at site 0, at the far edge, at the centre or at a random interior
+    site (site 1 at n = 2)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     ham = _parity_even_model(rng, n)
     beta = float(rng.uniform(0.2, 3.0))
-    site = {"first": 0, "last": n - 1, "center": (n - 1) // 2}[where]
+    if where == "interior":
+        site = int(rng.integers(1, max(n - 1, 2)))
+    else:
+        site = {"first": 0, "last": n - 1, "center": (n - 1) // 2}[where]
     others = [s for s in range(n) if s != site]
     region = tuple(int(s) for s in rng.choice(others, size=int(rng.integers(1, n)), replace=False))
     ctx = DenseContext(DenseModel(ham, measure, site), beta, 0.0)
