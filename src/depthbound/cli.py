@@ -654,7 +654,8 @@ def main(argv: list[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
-    except NumericalConsistencyError as exc:
+    except (NumericalConsistencyError, np.linalg.LinAlgError) as exc:
+        # numpy's LinAlgError: an SVD, say, that LAPACK could not converge.
         print(f"numerical-consistency failure: {exc}", file=sys.stderr)
         return 4
     except MemoryError:

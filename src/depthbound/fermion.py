@@ -24,17 +24,14 @@ n = 301 scans feasible.
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._openblas import short_thread_timeout
+from ._lapack import cholesky_succeeds, scipy_lapack
 from .models import SpectralLines
 from .perturbative import Chi2Result, _chi2_E, f_beta_in_place
 from .states import NumericalConsistencyError, entropy_from_spectrum
@@ -189,48 +186,20 @@ def _check_schur_vectors(z: np.ndarray, order: np.ndarray, energies: np.ndarray,
         raise NumericalConsistencyError(f"spectrum does not reconstruct h (error {rerr})")
 
 
-_FLAPACK = "scipy.linalg._flapack"
 _DGEES_LOCK = threading.Lock()
 _lapack = None  # (dhseqr, dgees) of scipy's LAPACK, bound on the first Schur form
 
 
 def _load_lapack():
     """``dhseqr`` and ``dgees`` from the OpenBLAS that scipy's compiled
-    LAPACK extension links, bound with ctypes.
-
-    The extension's file is looked up in scipy's package directory
-    (``find_spec`` imports nothing) and opened as a shared library, which
-    loads it and its OpenBLAS but never initialises its Python module: no
-    scipy module is imported.  Without the file, the normal import system
-    loads the module and its file is opened.  The routines are looked up
-    among that file's dependencies, with scipy's ``scipy_`` symbol prefix
-    or without one.
-
-    scipy's OpenBLAS loads here inside
-    :func:`~depthbound._openblas.short_thread_timeout`, as numpy's does at
-    ``import depthbound``: unless the user set a thread timeout, its pool
-    sleeps soon after each call instead of spinning ~0.1 s; its thread
-    count, and so every bit, is kept."""
-    with short_thread_timeout():
-        spec = importlib.util.find_spec("scipy")
-        roots = spec.submodule_search_locations if spec is not None else ()
-        paths = (os.path.join(root, "linalg", "_flapack" + suffix)
-                 for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-        path = next((path for path in paths if os.path.isfile(path)), None)
-        library = ctypes.CDLL(path or importlib.import_module(_FLAPACK).__file__)
-    char, i, a = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    LAPACK extension links (:func:`~depthbound._lapack.scipy_lapack`: no
+    scipy module is imported, and the library loads on a short thread
+    timeout unless the user set one), bound with ctypes."""
+    lapack = scipy_lapack()
+    char, i, a = ctypes.c_char_p, ctypes.POINTER(lapack.integer), np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
     unused = ctypes.c_void_p  # dgees' SELECT and BWORK, which SORT = 'N' never reads
-    signatures = {
-        "dhseqr": (char, char, i, i, i, a, i, a, a, a, i, a, i, i),
-        "dgees": (char, char, unused, i, a, i, i, a, a, a, i, a, i, unused, i),
-    }
-    routines = []
-    for name, args in signatures.items():
-        routine = getattr(library, f"scipy_{name}_", None) or getattr(library, f"{name}_")
-        # The length of each CHARACTER argument follows the others.
-        routine.argtypes, routine.restype = (*args, ctypes.c_size_t, ctypes.c_size_t), None
-        routines.append(routine)
-    return tuple(routines)
+    return (lapack.bind("dhseqr", char, char, i, i, i, a, i, a, a, a, i, a, i, i),
+            lapack.bind("dgees", char, char, unused, i, a, i, i, a, a, a, i, a, i, unused, i))
 
 
 # dgees scales a matrix whose max |entry| lies outside [2⁻⁴⁵⁹, 2⁴⁵⁹]:
@@ -421,20 +390,16 @@ def _norm_below(gamma: np.ndarray, limit: float) -> bool:
     limit² I − ΓᵀΓ: it exists exactly when that matrix is positive definite.
 
     ``a.T @ a`` takes numpy's rank-k update (half the flops of a full
-    product); limit² I − ΓᵀΓ is then formed in that buffer.  The factor
-    cannot overwrite its input, so the test holds two (2n)² arrays: the
-    Gram matrix and the factor.  numpy's Cholesky also factors in a work
-    copy of its own, a third block outside the array allocator.
+    product); limit² I − ΓᵀΓ is then formed in that buffer, and LAPACK's
+    ``dpotrf`` factors it there (:func:`~depthbound._lapack.cholesky_succeeds`),
+    with the verdict of ``np.linalg.cholesky``.  The test holds one (2n)²
+    array, the Gram matrix.
     """
     a = np.asarray(gamma, dtype=np.float64)
     gram = a.T @ a
     np.negative(gram, out=gram)
     gram.flat[:: a.shape[0] + 1] += limit * limit
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return cholesky_succeeds(gram)
 
 
 def thermal_covariance(

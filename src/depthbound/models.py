@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import _resolver
+from ._lapack import eigh_in_place
 from .states import DENSE_QUBIT_CAP, DensityOperator, NumericalConsistencyError
 
 __all__ = [
@@ -506,8 +507,9 @@ class ThermalEigensystem:
             if h.shape != (2**n, 2**n):
                 raise ValueError("Hamiltonian dimension must be a power of two")
             sites = tuple(range(n))
-        w, v = np.linalg.eigh(h)
-        return cls(w, v, sites)
+            h = np.array(h, dtype=np.result_type(h, np.float64), order="C")
+        w = eigh_in_place(h)
+        return cls(w, h, sites)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -599,10 +601,12 @@ class ThermalEigensystem:
         sector's blocks onto itself, as at the mirror-fixed site of a sector
         kept as reflection halves, it is a signed permutation of each
         block's orthonormal basis (:func:`_own_flips`), and each block gives
-        its own factors of about half that dimension.  Yields (outcome
+        its own factors of about half that dimension, read straight from
+        the block's eigenvectors (:func:`_scaled_rows`).  Yields (outcome
         index, ‖Y‖², Y Y†) with index 0 for a = −1 and 1 for a = +1
         (:func:`~depthbound.purification.projective_chi_E_factors`).  Y is
-        filled in row chunks and freed before its Gram matrix is yielded.
+        filled in row chunks and freed before its Gram matrix is yielded;
+        each Gram matrix is a new array, which the consumer may overwrite.
         """
         position = self.sites.index(site)
         n = len(self.sites)
@@ -612,10 +616,8 @@ class ThermalEigensystem:
             own = _own_flips(sector, perm, sign)
             if own:
                 for (block, cols), (q, c) in zip(sector.spans(), own):
-                    # W = V√p in the block's orthonormal basis: each row times its basis vector's norm.
-                    w = block.vectors * sq[cols]
-                    w *= np.sqrt(np.sum(block.basis.weights**2, axis=0))[:, None]
-                    yield from _projected_blocks(w.__getitem__, q, np.sign(c), block.dim, w.dtype)
+                    rows_of = _scaled_rows(block, sq[cols])
+                    yield from _projected_blocks(rows_of, q, np.sign(c), block.dim, block.vectors.dtype)
             else:
                 eps = np.full(perm.size, float(sign))
                 yield from _projected_blocks(sector.row_reader(sq), perm, eps, sector.dim, sector.dtype)
@@ -688,19 +690,21 @@ def _sector_eigh(hamiltonian: SpinHamiltonian, sign: int, mirror: bool) -> Parit
     """Eigenpairs of the ∏X sector ``sign``: of its block when H is not
     ``mirror``-symmetric, and otherwise of its two reflection halves, each
     built from the terms (:meth:`SpinHamiltonian.half_block`) and kept as
-    its own block, its pair rows scaled by 1/√2.  The eigenvectors overwrite
-    the half's block, so the kept array comes before the temporaries of its
-    build and ``eigh`` in the heap: kept after them, it raised the peak RSS
-    of ``of`` at n = 12 by 7 MB (glibc malloc)."""
+    its own block, its pair rows scaled by 1/√2.  LAPACK runs on the block
+    itself, which its eigenvectors overwrite (:func:`eigh_in_place`): no
+    copy of it is made, and the kept array comes before the temporaries of
+    its build and LAPACK's workspace in the heap: kept after them, it
+    raised the peak RSS of ``of`` at n = 12 by 7 MB (glibc malloc)."""
     n = hamiltonian.n_sites
     if not mirror:
-        w, x = np.linalg.eigh(hamiltonian.sector_block(sign))
+        x = hamiltonian.sector_block(sign)
+        w = eigh_in_place(x)
         return ParitySector(sign, (EigenBlock(w, x, _identity_map(w.size)),))
     pairs = reflection_basis(n, sign).pairs.size
     blocks = []
     for t in (1, -1):
         y = hamiltonian.half_block(sign, t)
-        w, y[...] = np.linalg.eigh(y)
+        w = eigh_in_place(y)
         y[:pairs] *= math.sqrt(0.5)
         if w.size:  # at n = 2 a half can be empty
             blocks.append(EigenBlock(w, y, _half_map(n, sign, t)))
@@ -770,6 +774,21 @@ def _flipped(sector: ParitySector, perm: np.ndarray, sign: int) -> np.ndarray:
                 np.matmul(zh, flipped, out=out[rows, cols][:, part])
                 del flipped
     return out
+
+
+def _scaled_rows(block: EigenBlock, scale: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of an index array that gives those rows of W = V√p in
+    ``block``'s orthonormal basis: the rows of its eigenvectors times the
+    columns' ``scale``, then times the norm of each row's basis vector, in
+    that order, so each entry has the bits of (V·√p)·norm."""
+    norms = np.sqrt(np.sum(block.basis.weights**2, axis=0))
+
+    def read(index: np.ndarray) -> np.ndarray:
+        rows = block.vectors[index] * scale
+        rows *= norms[index, None]
+        return rows
+
+    return read
 
 
 def _projected_blocks(

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _resolver
+from ._lapack import eigh_in_place
 from .states import (
     HERM_ATOL,
     NEG_EIG_TOL,
@@ -236,16 +237,18 @@ def projective_chi_E_factors(factors: Iterable[tuple[int, float, np.ndarray]], e
     matrix Y the weight p = ‖Y‖² and the Gram matrix G = Y Y†.  The blocks
     of one outcome together carry the nonzero spectrum of Π_a rho Π_a (for a
     Gibbs state, :meth:`ThermalEigensystem.projected_factors` yields them),
-    and ``entropy`` is S(rho).  Each G is reduced to its spectrum as it
-    arrives.  The outcome probabilities p_a = Σ ‖Y‖² must sum to 1 within
-    1e-12; outcomes are then pruned and renormalized as in
-    :func:`~depthbound.oracles.apply_measurement`.
+    and ``entropy`` is S(rho).  Each G, a C-contiguous float64 or
+    complex128 array, is reduced to its spectrum as it arrives, in place
+    (:func:`~depthbound._lapack.eigh_in_place`): its contents are lost, so
+    each must be an array of its own.  The outcome probabilities
+    p_a = Σ ‖Y‖² must sum to 1 within 1e-12; outcomes are then pruned and
+    renormalized as in :func:`~depthbound.oracles.apply_measurement`.
     """
     weights: dict[int, float] = {}
     spectra: dict[int, list[np.ndarray]] = {}
     for a, p, gram in factors:
         weights[a] = weights.get(a, 0.0) + p
-        spectra.setdefault(a, []).append(np.linalg.eigvalsh(gram))
+        spectra.setdefault(a, []).append(eigh_in_place(gram, vectors=False))
     outcomes = sorted(weights)
     probs = [weights[a] for a in outcomes]
     if abs(sum(probs) - 1.0) > 1e-12:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthbound import backends, fermion, models
+from depthbound import _lapack, backends, fermion, models
 from depthbound.cft import c_constant, fit_kappa
 from depthbound.cli import main
 from depthbound.fermion import bdg_diagonalize, connected_xx, thermal_covariance, x_expectation
@@ -314,6 +314,38 @@ def test_failed_schur_form_exits_4(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical-consistency failure: LAPACK dhseqr found no real Schur form (info = 1)")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unconverged_dense_eigensolver_exits_4(monkeypatch, tmp_path, capsys):
+    """A dense eigensolve that LAPACK reports as unconverged (INFO > 0)
+    stops the run with exit 4 and the one-line message, not a traceback."""
+
+    def unconverged_dsyevd(*args):
+        args[-3].value = 1  # INFO, before the two string lengths
+
+    monkeypatch.setitem(_lapack._numpy_routines, "dsyevd", unconverged_dsyevd)
+    out = tmp_path / "s.csv"
+    assert run("scan", "--n", "6", "--g", "1", "--beta-grid", "1", "--x-grid", "1:2", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical-consistency failure: LAPACK dsyevd did not converge (info = 1)\n"
+    assert not out.exists()
+
+
+def test_unconverged_svd_exits_4(monkeypatch, tmp_path, capsys):
+    """numpy's LinAlgError, here from the SVD of the cft amplitude fit's
+    ground-state covariance, stops the run with exit 4 and the one-line
+    message, not a traceback."""
+
+    def unconverged_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(backends, "_KAPPA_CACHE", {})  # a fit earlier in this process is not redone
+    monkeypatch.setattr(np.linalg, "svd", unconverged_svd)
+    out = tmp_path / "cft.csv"
+    assert run("scan", "--backend", "cft", "--beta-grid", "10,20", "--x-grid", "1:3", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical-consistency failure: SVD did not converge\n"
     assert not out.exists()
 
 
@@ -1009,7 +1041,7 @@ def test_dense_out_of_memory_exits_3(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(np.linalg, "eigh", exhausted)
+    monkeypatch.setattr(models, "eigh_in_place", exhausted)
     assert run("bound", "--n", "7", "--g", "1", "--beta", "1", "--x-grid", "1") == 3
     err = capsys.readouterr().err
     assert "capability error" in err and "n = 7" in err

@@ -17,7 +17,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from depthbound import _openblas, fermion
+from depthbound import _lapack, _openblas, fermion
 from depthbound.checks import pfaffian_error
 from depthbound.fermion import (
     MajoranaCovariance,
@@ -403,7 +403,7 @@ def test_load_dgees_sets_the_thread_timeout_for_the_load_alone(monkeypatch, user
     with pytest.raises(ImportError), _openblas.short_thread_timeout():
         find_spec("numpy")
     assert dict(os.environ) == before
-    monkeypatch.setattr(fermion.importlib.util, "find_spec", find_spec)
+    monkeypatch.setattr(_lapack.importlib.util, "find_spec", find_spec)
     with pytest.raises(ImportError):
         fermion._load_lapack()
     assert seen == ["16" if user is None else user] * 2

@@ -6,10 +6,16 @@ what was held before it.  Dense peaks are in units of one m×m float64
 sector block of the n = 10 TFIM (m = 2⁹, 2 MiB), or of the marginal a χ_B
 reads; free-fermion peaks in units of one (2n)×(2n) float64 block or of one
 float64 array over the probe's weak-X lines.  These are counts of array
-allocations, so they do not depend on the machine.
+allocations, so they do not depend on the machine.  One test reads the
+peak RSS of a child process instead, to see the buffers LAPACK's callers
+allocate outside numpy's arrays.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +35,7 @@ from depthbound.perturbative import chi2_E_eigenbasis, chi2_E_spectral, chi2_sys
 from depthbound.purification import projective_chi_E_factors
 from depthbound.states import entropy_from_spectrum
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 N = 10
 BLOCK = 2 ** (2 * (N - 1)) * 8
 BETA = 2.0
@@ -60,13 +67,48 @@ def eig():
 
 
 def test_eigensystem_never_holds_h():
-    """Each reflection half is built from the terms and diagonalized on its
-    own: one half's block and its eigenvectors (a quarter block each) on top
-    of the eigenvectors already kept, those of the other sector's halves
-    (half a block) and of this sector's first half.  Neither H (four
-    blocks) nor a sector block (one) is formed."""
+    """Each reflection half is built from the terms and diagonalized in
+    place: at the last half, the eigenvectors already kept (the other
+    sector's halves and this sector's first half, three quarter blocks),
+    the half itself (a quarter block), which its eigenvectors overwrite,
+    and LAPACK's workspace of 2N² reals for a half of dimension N (two
+    quarter blocks): 1.50 blocks, 1.53 with the halves' fixed states and
+    the reflection bases this first call builds.  Neither H (four blocks)
+    nor a sector block (one) is formed, and no copy of a half."""
     _, peak = peak_blocks(lambda: ThermalEigensystem.of(build_tfim(N, 1.0)))
-    assert peak <= 1.5
+    assert peak <= 1.6
+
+
+#: A child that diagonalizes the n = 11 chain after a small warm-up and
+#: prints the rise of its peak RSS in bytes.  It reads VmHWM, the peak of
+#: its own address space: ru_maxrss also counts the peak of the process it
+#: was forked from, here the test runner's.
+_OF_CHILD = """
+from depthbound.models import ThermalEigensystem, build_tfim
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+ThermalEigensystem.of(build_tfim(4, 1.0))
+before = peak()
+eig = ThermalEigensystem.of(build_tfim(11, 1.0))
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the Linux process status")
+def test_eigensystem_peak_rss_holds_no_copy_of_a_half():
+    """What tracemalloc does not see: numpy's ``eigh`` copied each half into
+    a work buffer of its own before LAPACK ran and allocated the output
+    apart from it.  In place, the process's peak RSS rises by the kept
+    eigenvectors, one half and LAPACK's workspace, as traced above: 1.73
+    n = 11 sector blocks (8 MiB each), where numpy's ``eigh`` took 2.22."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _OF_CHILD], env=env, capture_output=True, text=True, check=True,
+                           timeout=120)
+    rise = int(child.stdout.split()[-1]) / (2 ** (2 * (N_ODD - 1)) * 8)
+    assert rise <= 1.9
 
 
 def test_eigensystem_holds_the_reflection_halves(eig):
@@ -97,14 +139,15 @@ SITE_ODD = 5  # the mirror-fixed centre
 
 def test_projective_chi_E_at_the_mirror_fixed_site_works_half_by_half():
     """At the centre of an odd chain X commutes with the reflection: each
-    half's eigenvectors (a quarter block, scaled in place) give its own
-    factors of about half a projected sector's dimension, so the peak stays
-    under one of the n = 11 blocks."""
+    half's eigenvectors give its own factors of about half a projected
+    sector's dimension, their rows read and scaled a chunk at a time with
+    no scaled copy of the half: 0.31 of the n = 11 blocks, where the copy
+    took 0.58."""
     eig = ThermalEigensystem.of(build_tfim(N_ODD, 1.0))
     entropy = entropy_from_spectrum(eig.weights(BETA))
     block = 2 ** (2 * (N_ODD - 1)) * 8
     _, peak = peak_blocks(lambda: projective_chi_E_factors(eig.projected_factors(BETA, SITE_ODD), entropy), block)
-    assert peak <= 0.6
+    assert peak <= 0.35
 
 
 @pytest.mark.parametrize("n, site", [(N, SITE), (N_ODD, SITE_ODD)], ids=["n10-site4", "n11-mirror-fixed"])
@@ -177,15 +220,15 @@ def test_bdg_diagonalize_gathers_only_the_kept_rows():
 
 
 def test_norm_guard_holds_the_gram_matrix_and_its_factor():
-    """The Cholesky guard on the n = 301 thermal covariance: the Gram matrix,
-    overwritten by limit² I − ΓᵀΓ, and the factor, which cannot reuse it.
-    The work copy numpy's Cholesky factors in is not an array and is not
-    traced."""
+    """The Cholesky guard on the n = 301 thermal covariance holds one
+    block: the Gram matrix, overwritten by limit² I − ΓᵀΓ and then by its
+    factor, which LAPACK forms in place; there is no factor of its own and
+    no work copy (numpy's Cholesky held both, three blocks).  1.02 blocks."""
     n = 301
     gamma = thermal_covariance(bdg_diagonalize(n, 1.0), 2.0).gamma
     verdict, peak = peak_blocks(lambda: _norm_below(gamma, 1.0 + 1e-10), block=(2 * n) ** 2 * 8)
     assert verdict
-    assert peak <= 2.5
+    assert peak <= 1.1
 
 
 def test_fermion_model_holds_no_line_array():

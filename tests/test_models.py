@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from depthbound import models
+from depthbound._lapack import eigh_in_place
 from depthbound.models import (
     PAULI,
     SpectralLines,
@@ -258,7 +260,7 @@ def test_parity_from_the_terms(seed):
     sites = (int(s) for s in rng.choice(n, size=len(letters), replace=False))
     odd = SpinHamiltonian(n, ham.terms + ((float(rng.normal()), tuple(zip(sites, letters))),))
     assert not odd.flip_symmetric
-    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as counted:
+    with mock.patch("depthbound.models.eigh_in_place", wraps=eigh_in_place) as counted:
         ThermalEigensystem.of(odd)
     assert [call.args[0].shape[0] for call in counted.call_args_list] == [2**n]
 
@@ -327,7 +329,7 @@ def test_reflection_blocks_match_full_eigh(seed):
     rng = np.random.default_rng(seed)
     ham = _mirror_symmetric_model(rng)
     h = ham.to_matrix()
-    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as counted:
+    with mock.patch("depthbound.models.eigh_in_place", wraps=eigh_in_place) as counted:
         eig = ThermalEigensystem.of(ham)
     m = h.shape[0] // 2
     # Both parity blocks were split in two.
@@ -442,13 +444,12 @@ def test_mirror_symmetry_is_read_from_the_terms():
 @pytest.fixture
 def eigh_dims(monkeypatch):
     dims = []
-    original = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
         dims.append(np.shape(a)[0])
-        return original(a, *args, **kwargs)
+        return eigh_in_place(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(models, "eigh_in_place", counted)
     return dims
 
 

@@ -195,13 +195,17 @@ def test_projective_chi_E_factors_is_non_negative():
     """Two equally likely outcomes, each leaving a maximally mixed qubit: the
     conditioned entropy is ln 2.  An S(rho) below it within ROUTE_TOL is a
     rounding residue and gives 0; below that it is an error.  Each outcome
-    is one block Y = I/2, given as (outcome, ‖Y‖², Y Y†)."""
+    is one block Y = I/2, given as (outcome, ‖Y‖², Y Y†); each call gets
+    Gram matrices of its own, which it reduces in place."""
     y = 0.5 * np.eye(2)
-    factors = [(0, 0.5, y @ y), (1, 0.5, y @ y)]
-    assert projective_chi_E_factors(factors, 2 * LN2) == pytest.approx(LN2, abs=1e-14)
-    assert projective_chi_E_factors(factors, LN2 - 0.5 * ROUTE_TOL) == 0.0
+
+    def factors():
+        return [(0, 0.5, y @ y), (1, 0.5, y @ y)]
+
+    assert projective_chi_E_factors(factors(), 2 * LN2) == pytest.approx(LN2, abs=1e-14)
+    assert projective_chi_E_factors(factors(), LN2 - 0.5 * ROUTE_TOL) == 0.0
     with pytest.raises(NumericalConsistencyError, match="negative"):
-        projective_chi_E_factors(factors, LN2 - 2 * ROUTE_TOL)
+        projective_chi_E_factors(factors(), LN2 - 2 * ROUTE_TOL)
 
 
 def test_private_information_components():
