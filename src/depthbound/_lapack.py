@@ -13,10 +13,17 @@ the caller owns, with the workspace of LAPACK's own query, as
 ``np.linalg.eigh`` and ``eigvalsh`` do, and so with their bits; numpy would
 first copy the matrix and then copy the eigenvectors out, two blocks
 outside the array allocator.
+
+:func:`numpy_blas_threads` sets the thread count of numpy's OpenBLAS pool
+for a scope, through the same library's own setter.  The CLI runs a dense
+``bound`` or ``scan`` whose eigensolve blocks are small on one thread with
+it (:data:`depthbound.cli.BLAS_CROSSOVER`); library calls keep the pool as
+it is.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib
@@ -40,8 +47,8 @@ _BAND_BYTES = 2**18
 
 @dataclass(frozen=True)
 class Lapack:
-    """An opened library with LAPACK symbols: the name patterns they carry
-    and the C type of their INTEGER."""
+    """An opened library with LAPACK (or OpenBLAS) symbols: the name
+    patterns they carry and the C type of their INTEGER."""
 
     library: ctypes.CDLL
     symbols: tuple[str, ...]
@@ -120,6 +127,49 @@ def numpy_routine(name: str) -> ctypes._CFuncPtr | None:
             except (OSError, LookupError):
                 _numpy_routines[name] = None
         return _numpy_routines[name]
+
+
+#: The environment variables OpenBLAS reads its thread count from.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@functools.cache
+def _numpy_thread_count() -> tuple[ctypes._CFuncPtr, ctypes._CFuncPtr] | None:
+    """The getter and the setter of the thread count of numpy's OpenBLAS
+    pool (``scipy_openblas_get_num_threads64_`` and ``…_set_…``, without
+    the ``scipy_`` prefix in numpy 1.x wheels), bound once, or None where
+    numpy links another BLAS."""
+    try:
+        library = ctypes.CDLL(importlib.import_module(_NUMPY_EXTENSION).__file__)
+        openblas = Lapack(library, ("scipy_openblas_{}64_", "openblas_{}64_"), ctypes.c_int)
+        get, set_ = openblas.bind("get_num_threads"), openblas.bind("set_num_threads", ctypes.c_int)
+    except (OSError, LookupError):
+        return None
+    get.restype = ctypes.c_int
+    return get, set_
+
+
+@contextlib.contextmanager
+def numpy_blas_threads(count: int | None):
+    """numpy's OpenBLAS pool at ``count`` threads for the body, and back at
+    the count it had on every exit, errors included.  The count is global:
+    worker threads started in the body share it.  None, or a thread count
+    the user set in the environment (:data:`THREAD_VARIABLES`), leaves the
+    pool as it is, and the getter and setter are not looked up; a numpy on
+    another BLAS has none, and nothing changes either.  A setter call costs
+    under 1 µs.  A count changes how OpenBLAS splits its products, and so
+    their last bits (the bits of ``OPENBLAS_NUM_THREADS=count``)."""
+    pool = None if count is None or any(v in os.environ for v in THREAD_VARIABLES) else _numpy_thread_count()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @functools.cache

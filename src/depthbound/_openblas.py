@@ -10,6 +10,14 @@ cost: there the workers sleep after every call, each call waits for them
 to wake, and dense runs took 4–8 % longer.  The timeout changes when the
 workers sleep, not the thread count or how the work is split, so every
 output keeps its bits.  This module imports nothing that loads a BLAS.
+
+The thread count is another matter: it splits the work, and so sets the
+last bits of a product.  OpenBLAS reads it at load too, but numpy's pool
+also takes it at run time: :func:`depthbound._lapack.numpy_blas_threads`
+sets it for a scope, which the CLI enters for a dense run below
+:data:`depthbound.cli.BLAS_CROSSOVER`.  There, one thread cost little or
+no wall time, and it spared the CPU of the workers and the stalls of a
+late-woken one.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
+from ._lapack import numpy_blas_threads
 from .backends import (
     CFT_DELTA,
     DEFAULT_N,
@@ -416,6 +417,24 @@ def _build_model(opts: dict, terms_raw: dict[str, str], measure: str):
     return DenseModel(ham, measure, _probe_site(opts, ham.n_sites), float(opts.get("g", 0.0)))
 
 
+#: A dense run whose largest eigensolve block has fewer rows than this runs
+#: numpy's BLAS on one thread.  On two cores the pool bought little or no
+#: wall time up to the 528-row halves of the n = 11 tfim, cost CPU, and at
+#: times stalled; from the 1024-row blocks on (a sector at n = 11 without
+#: the reflection) two threads ran faster.
+BLAS_CROSSOVER = 1024
+
+
+def _blas_threads(opts: dict, terms_raw: dict[str, str]) -> int | None:
+    """numpy's BLAS thread count for a run (``numpy_blas_threads``): one
+    for a dense run whose largest eigensolve block
+    (``SpinHamiltonian.largest_block``) is below ``BLAS_CROSSOVER`` rows,
+    None, the pool as it is, for every other run."""
+    if opts.get("backend", "dense") != "dense":
+        return None
+    return 1 if _build_hamiltonian(opts, terms_raw).largest_block < BLAS_CROSSOVER else None
+
+
 def _check_capabilities(opts: dict) -> None:
     backend = opts.get("backend", "dense")
     measure = opts.get("measure")
@@ -536,17 +555,18 @@ def _cmd_bound(opts: dict, terms_raw: dict[str, str]) -> int:
         raise ConfigError("--beta is required for bound")
     point = _point(opts)
     start = time.perf_counter()
-    model = _build_model(opts, terms_raw, opts.get("measure", "projective-x"))
-    ctx = model.context(float(opts["beta"]), _epsilon(opts))
-    row = _row(ctx, *ctx.at(point))
-    if opts.get("format", "csv") == "csv":
-        text = _csv([row])
-    else:
-        record = dict(zip(COLUMNS, row), wall_time_seconds=round(time.perf_counter() - start, 6),
-                      version=__version__, **ctx.extras())
-        if "k-eps" in opts:
-            record["k_eps"] = float(opts["k-eps"])
-        text = json.dumps({k: _json_value(v) for k, v in record.items()}, indent=2, sort_keys=True) + "\n"
+    with numpy_blas_threads(_blas_threads(opts, terms_raw)):
+        model = _build_model(opts, terms_raw, opts.get("measure", "projective-x"))
+        ctx = model.context(float(opts["beta"]), _epsilon(opts))
+        row = _row(ctx, *ctx.at(point))
+        if opts.get("format", "csv") == "csv":
+            text = _csv([row])
+        else:
+            record = dict(zip(COLUMNS, row), wall_time_seconds=round(time.perf_counter() - start, 6),
+                          version=__version__, **ctx.extras())
+            if "k-eps" in opts:
+                record["k_eps"] = float(opts["k-eps"])
+            text = json.dumps({k: _json_value(v) for k, v in record.items()}, indent=2, sort_keys=True) + "\n"
     if "out" in opts:
         Path(opts["out"]).write_text(text)
     else:
@@ -569,8 +589,9 @@ def _cmd_scan(opts: dict, terms_raw: dict[str, str]) -> int:
     xs = _x_grid(opts["x-grid"])
     _check_count(len(betas) * len(xs), "scan rows")
     start = time.perf_counter()
-    model = _build_model(opts, terms_raw, opts.get("measure", "weak-x"))
-    rows, errors = _grid_rows(model, betas, xs, epsilon, _threads(opts))
+    with numpy_blas_threads(_blas_threads(opts, terms_raw)):
+        model = _build_model(opts, terms_raw, opts.get("measure", "weak-x"))
+        rows, errors = _grid_rows(model, betas, xs, epsilon, _threads(opts))
     out = Path(opts["out"])
     elapsed = time.perf_counter() - start
     if opts.get("format", "csv") == "json":

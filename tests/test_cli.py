@@ -12,7 +12,7 @@ import pytest
 
 from depthbound import _lapack, backends, fermion, models
 from depthbound.cft import c_constant, fit_kappa
-from depthbound.cli import main
+from depthbound.cli import _blas_threads, main
 from depthbound.fermion import bdg_diagonalize, connected_xx, thermal_covariance, x_expectation
 from depthbound.perturbative import correlator_lb_value
 
@@ -651,16 +651,128 @@ def test_scan_json_errors_stay_on_their_rows(tmp_path):
 
 
 def test_scan_threads_determinism(tmp_path, monkeypatch):
-    """Worker count must not change a byte of the dataset."""
-    args = ("scan", "--backend", "freefermion", "--n", "21", "--g", "1.0",
-            "--beta-grid", "1,2,3,4", "--x-grid", "2:6")
-    serial = tmp_path / "serial.csv"
-    monkeypatch.delenv("DEPTHBOUND_THREADS", raising=False)
-    assert run(*args, "--out", str(serial)) == 0
-    pooled = tmp_path / "pooled.csv"
-    monkeypatch.setenv("DEPTHBOUND_THREADS", "4")
-    assert run(*args, "--out", str(pooled)) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
+    """Worker count must not change a byte of the dataset, on the
+    freefermion backend and on the dense one with either probe."""
+    for i, args in enumerate([
+        ("--backend", "freefermion", "--n", "21", "--g", "1.0", "--beta-grid", "1,2,3,4", "--x-grid", "2:6"),
+        ("--backend", "dense", "--n", "10", "--g", "1.0", "--beta-grid", "0.5,1,2,4", "--x-grid", "1:4",
+         "--measure", "weak-x"),
+        ("--backend", "dense", "--n", "11", "--g", "0.9", "--beta-grid", "1,2", "--x-grid", "1:3",
+         "--measure", "projective-x"),
+    ]):
+        serial = tmp_path / f"serial{i}.csv"
+        monkeypatch.delenv("DEPTHBOUND_THREADS", raising=False)
+        assert run("scan", *args, "--out", str(serial)) == 0
+        pooled = tmp_path / f"pooled{i}.csv"
+        monkeypatch.setenv("DEPTHBOUND_THREADS", "4")
+        assert run("scan", *args, "--out", str(pooled)) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# numpy's BLAS thread count
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_pool(monkeypatch):
+    """numpy's OpenBLAS thread count, read and set; every count the CLI
+    sets is recorded.  The user's thread variables are unset for the test,
+    and the starting count is put back after it."""
+    for name in _lapack.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    pool = _lapack._numpy_thread_count()
+    if pool is None:
+        pytest.skip("numpy links no OpenBLAS with a thread setter")
+    get, set_ = pool
+    sets = []
+
+    def recorded(count):
+        sets.append(count)
+        set_(count)
+
+    monkeypatch.setattr(_lapack, "_numpy_thread_count", lambda: (get, recorded))
+    start = get()
+    yield get, set_, sets
+    set_(start)
+
+
+def test_dense_bytes_do_not_follow_the_blas_pool(tmp_path, blas_pool):
+    """A dense scan and bound below the crossover write the same bytes
+    whether numpy's pool starts at one or two threads: the run sets one.
+    After it the pool has its starting count again."""
+    get, set_, sets = blas_pool
+    runs = {
+        "scan.csv": ("scan", "--backend", "dense", "--n", "10", "--g", "1", "--beta-grid", "0.5,1,2,4",
+                     "--x-grid", "1:4", "--measure", "weak-x"),
+        "bound.csv": ("bound", "--backend", "dense", "--n", "11", "--g", "1", "--beta", "1", "--x-grid", "3",
+                      "--measure", "projective-x"),
+    }
+    written = {}
+    for start in (1, 2):
+        set_(start)
+        for name, argv in runs.items():
+            out = tmp_path / f"{start}_{name}"
+            assert run(*argv, "--out", str(out)) == 0
+            assert get() == start
+            written.setdefault(name, set()).add(out.read_bytes())
+    assert all(len(versions) == 1 for versions in written.values())
+    assert sets == [1, 1] * 2 + [1, 2] * 2
+
+
+def test_blas_pool_is_restored_after_an_error_in_the_run(tmp_path, blas_pool, capsys):
+    """An exit-2 (a point outside the chain) and an exit-4 (energies past
+    the float range) raised inside the scope leave the pool at its count."""
+    get, set_, sets = blas_pool
+    set_(2)
+    assert run("bound", "--backend", "dense", "--n", "4", "--g", "1", "--beta", "1", "--x-grid", "5") == 2
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[run]\nmodel = custom\nn = 3\n[terms]\na = 1e308 Z0 Z1\nb = 1e308 Z1 Z2\n")
+    assert run("bound", "--config", str(cfg), "--beta", "1", "--x-grid", "1") == 4
+    assert "overflow" in capsys.readouterr().err
+    assert sets == [1, 2, 1, 2]
+    assert get() == 2
+
+
+def _no_thread_lookup():
+    raise AssertionError("numpy's BLAS thread count was looked up")
+
+
+@pytest.mark.parametrize("variable", _lapack.THREAD_VARIABLES)
+def test_user_thread_count_is_left_alone(monkeypatch, variable):
+    """With a thread variable set, a dense run never looks up the setter."""
+    for name in _lapack.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(variable, "1")
+    monkeypatch.setattr(_lapack, "_numpy_thread_count", _no_thread_lookup)
+    assert run("bound", "--backend", "dense", "--n", "6", "--g", "1", "--beta", "1", "--x-grid", "2") == 0
+
+
+def test_other_backends_leave_the_blas_pool_alone(tmp_path, monkeypatch):
+    """freefermion, cft and fig2 runs never look up the setter."""
+    for name in _lapack.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(_lapack, "_numpy_thread_count", _no_thread_lookup)
+    ff = ("--backend", "freefermion", "--n", "21", "--g", "1", "--beta", "2", "--x-grid", "3")
+    assert run("bound", *ff, "--out", str(tmp_path / "ff_bound.csv")) == 0
+    assert run("scan", *ff, "--out", str(tmp_path / "ff_scan.csv")) == 0
+    assert run("bound", "--backend", "cft", "--beta", "50", "--out", str(tmp_path / "cft_bound.csv")) == 0
+    assert run("scan", "--backend", "cft", "--beta-grid", "10,20", "--x-grid", "1:3",
+               "--out", str(tmp_path / "cft_scan.csv")) == 0
+    assert run("fig2", "--n", "21", "--beta-grid", "10,20", "--x-grid", "1:3", "--out", str(tmp_path / "fig2")) == 0
+
+
+def test_one_blas_thread_below_the_crossover():
+    """The size rule, read from the Hamiltonian before any array exists:
+    the n = 11 tfim's 528-row halves run on one thread, the n = 12 tfim's
+    1056-row halves on the pool, as does a reflection-breaking n = 11 model
+    (1024-row sectors).  Other backends keep the pool."""
+    assert _blas_threads({"n": 11, "g": 1.0}, {}) == 1
+    assert _blas_threads({"n": 12, "g": 1.0}, {}) is None
+    for n, threads in ((11, None), (10, 1)):
+        terms = {f"z{j}": f"-1 Z{j} Z{j + 1}" for j in range(n - 1)} | {"x": "0.5 X0"}
+        assert _blas_threads({"model": "custom", "n": n}, terms) == threads
+    assert _blas_threads({"backend": "freefermion", "n": 11, "g": 1.0}, {}) is None
 
 
 def test_threads_env_must_be_integer(tmp_path, monkeypatch):

@@ -177,3 +177,18 @@ def test_concurrent_first_calls_bind_each_routine_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert len({id(routine) for _, _, routine in results}) == 1
     assert all(w.tobytes() == w_ref.tobytes() and b.tobytes() == v_ref.tobytes() for w, b, _ in results)
+
+
+def test_without_a_thread_setter_the_pool_is_left_alone(monkeypatch):
+    """A library with no OpenBLAS thread setter among its dependencies (as
+    where numpy links another BLAS) binds none, and the scope is a no-op."""
+    for name in _lapack.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    _lapack._numpy_thread_count.cache_clear()
+    monkeypatch.setattr(_lapack, "_NUMPY_EXTENSION", "_ctypes")
+    try:
+        assert _lapack._numpy_thread_count() is None
+        with _lapack.numpy_blas_threads(1):
+            pass
+    finally:
+        _lapack._numpy_thread_count.cache_clear()

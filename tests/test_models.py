@@ -472,6 +472,28 @@ def test_mirror_breaking_field_keeps_one_eigh_per_parity_block(eigh_dims):
     assert np.linalg.norm(h @ eig.vectors - eig.vectors * eig.energies) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("symmetry", ["flip and mirror", "flip", "none"])
+def test_largest_block_is_the_largest_eigh(eigh_dims, n, symmetry):
+    """largest_block, read from the terms, is the largest block that
+    ThermalEigensystem.of diagonalizes."""
+    terms = build_tfim(n, 0.8).terms if n > 1 else ((0.8, ((0, "X"),)),)
+    if symmetry != "flip and mirror":
+        terms += ((0.3, ((0, "X" if symmetry == "flip" else "Z"),)),)
+    ham = SpinHamiltonian(n, terms)
+    ThermalEigensystem.of(ham)
+    assert ham.largest_block == max(eigh_dims)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_largest_block_is_the_largest_reflection_half(n):
+    """Up to the dense cap, without an eigensolve: the larger reflection
+    half of the tfim, 528 rows at n = 11 and 1056 at n = 12."""
+    halves = [reflection_basis(n, sign).half(t)[0].size for sign in (1, -1) for t in (1, -1)]
+    assert build_tfim(n, 1.0).largest_block == max(halves)
+    assert {11: 528, 12: 1056}.get(n, max(halves)) == max(halves)
+
+
 def test_complex_parity_symmetric_model_uses_blocks(eigh_dims):
     ham = SpinHamiltonian(3, ((0.7, ((0, "X"), (1, "Y"), (2, "Z"))), (-0.4, ((1, "X"),))))
     eig = ThermalEigensystem.of(ham)
